@@ -6,6 +6,9 @@ buffer. Operations executed while a ``Tape`` is active append one node each;
 gradients additively, so fan-out sums contributions and callers are expected
 to zero gradients between batches. Every forward operation checks its output
 for NaN/Inf and raises ``NumericsError`` instead of propagating bad values.
+
+``lstm_cell`` is one fused node per recurrence step; it records a second
+output (the cell state) and takes a gradient for each.
 """
 
 import math
@@ -55,15 +58,20 @@ class Tensor:
 
 
 class Node:
-    """One recorded operation: kind, input tensors, output tensor, grad rule."""
+    """One recorded operation: kind, input tensors, output tensor, grad rule.
 
-    __slots__ = ("op", "inputs", "output", "grad_fn")
+    A two-output op keeps its second output in ``aux``; its ``grad_fn`` then
+    takes one gradient per output, None for an output that received none.
+    """
 
-    def __init__(self, op, inputs, output, grad_fn):
+    __slots__ = ("op", "inputs", "output", "grad_fn", "aux")
+
+    def __init__(self, op, inputs, output, grad_fn, aux=None):
         self.op = op
         self.inputs = inputs
         self.output = output
         self.grad_fn = grad_fn
+        self.aux = aux
 
 
 class Tape:
@@ -97,10 +105,14 @@ def constant(x) -> Tensor:
     return Tensor(x, requires_grad=False)
 
 
-def _emit(op: str, inputs: tuple, out_data: np.ndarray, grad_fn) -> Tensor:
+def _check_finite(op: str, data: np.ndarray) -> None:
     # Numerics guard: forward ops must never hand NaN/Inf downstream.
-    if not np.all(np.isfinite(out_data)):
+    if not np.all(np.isfinite(data)):
         raise NumericsError(f"non-finite values produced by '{op}'")
+
+
+def _emit(op: str, inputs: tuple, out_data: np.ndarray, grad_fn) -> Tensor:
+    _check_finite(op, out_data)
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
     tape = _active_tape()
@@ -185,14 +197,19 @@ def scale(x, c: float) -> Tensor:
     return _emit("scale", (x,), x.data * c, lambda g: (g * c if x.requires_grad else None,))
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    d = x.data
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function, split by sign so that exp never overflows."""
     out = np.empty_like(d)
     pos = d >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ez = np.exp(d[~pos])
     out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def sigmoid(x) -> Tensor:
+    x = as_tensor(x)
+    out = _sigmoid(x.data)
 
     def grad_fn(g):
         return (g * out * (1.0 - out) if x.requires_grad else None,)
@@ -334,6 +351,84 @@ def sum_all(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Fused recurrent cell
+# ---------------------------------------------------------------------------
+
+
+def lstm_cell(x, h, c, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
+    """One LSTM step recorded as a single two-output tape node.
+
+    With pre = (x @ w_x + h @ w_h) + bias split into gate blocks (i, f, g, o),
+    i, f, o = sigmoid, g = tanh, it returns h' = o*tanh(c') and
+    c' = f*c + i*g. Forward and backward repeat the arithmetic of the same
+    cell built from matmul/add/slice/sigmoid/tanh/mul nodes, operand for
+    operand, so the results are bitwise identical to it.
+    """
+    x, h, c, w_x, w_h, bias = (as_tensor(t) for t in (x, h, c, w_x, w_h, bias))
+    if x.data.ndim < 2 or h.data.ndim < 2:
+        raise ShapeError(f"lstm needs >=2-D input and state, got {x.shape} and {h.shape}")
+    u = c.shape[-1]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            xw = x.data @ w_x.data
+            hw = h.data @ w_h.data
+            pre = (xw + hw) + bias.data  # non-finite values are rejected below
+    except ValueError as exc:
+        raise ShapeError(f"lstm shapes do not fit: x {x.shape} @ w_x {w_x.shape}, "
+                         f"h {h.shape} @ w_h {w_h.shape}, bias {bias.shape}") from exc
+    _check_finite("lstm", pre)
+    xw_shape, hw_shape = xw.shape, hw.shape
+    # Sigmoid over every block, then tanh over the candidate block. A
+    # contiguous copy keeps tanh on the same numpy loop as for a standalone
+    # array, so the values match ad.tanh to the last bit on any build.
+    gates = _sigmoid(pre)
+    gates[..., 2 * u:3 * u] = np.tanh(pre[..., 2 * u:3 * u].copy())
+    i, f, g, o = (gates[..., k * u:(k + 1) * u] for k in range(4))
+    if c.shape != i.shape:
+        raise ShapeError(f"lstm cell state {c.shape} does not fit gates {i.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_next = f * c.data + i * g
+    _check_finite("lstm", c_next)
+    tc = np.tanh(c_next)
+    h_next = o * tc
+    _check_finite("lstm", h_next)
+
+    def grad_fn(grad_h, grad_c):
+        d_gates = np.empty_like(gates)
+        if grad_h is None:
+            d_gates[..., 3 * u:] = 0.0
+            dc = grad_c
+        else:
+            d_gates[..., 3 * u:] = grad_h * tc
+            dtanh = (grad_h * o) * (1.0 - tc * tc)
+            dc = dtanh if grad_c is None else grad_c + dtanh
+        d_gates[..., :u] = dc * g
+        d_gates[..., u:2 * u] = dc * c.data
+        d_gates[..., 2 * u:3 * u] = dc * i
+        d_pre = (d_gates * gates) * (1.0 - gates)
+        d_pre[..., 2 * u:3 * u] = d_gates[..., 2 * u:3 * u] * (1.0 - g * g)
+        d_xw = _unbroadcast(d_pre, xw_shape)
+        d_hw = _unbroadcast(d_pre, hw_shape)
+        return (
+            _unbroadcast(d_xw @ _swap(w_x.data), x.shape) if x.requires_grad else None,
+            _unbroadcast(d_hw @ _swap(w_h.data), h.shape) if h.requires_grad else None,
+            dc * f if c.requires_grad else None,
+            _unbroadcast(_swap(x.data) @ d_xw, w_x.shape) if w_x.requires_grad else None,
+            _unbroadcast(_swap(h.data) @ d_hw, w_h.shape) if w_h.requires_grad else None,
+            _unbroadcast(d_pre, bias.shape) if bias.requires_grad else None,
+        )
+
+    inputs = (x, h, c, w_x, w_h, bias)
+    requires = any(t.requires_grad for t in inputs)
+    h_out = Tensor(h_next, requires_grad=requires)
+    c_out = Tensor(c_next, requires_grad=requires)
+    tape = _active_tape()
+    if tape is not None and requires:
+        tape.nodes.append(Node("lstm", inputs, h_out, grad_fn, aux=c_out))
+    return h_out, c_out
+
+
+# ---------------------------------------------------------------------------
 # Backward pass and optimizer
 # ---------------------------------------------------------------------------
 
@@ -343,16 +438,28 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     The tape is replayed in exact reverse insertion order; contributions to a
     tensor consumed by several later nodes are summed. Gradients are added on
-    top of whatever the buffers already hold.
+    top of whatever the buffers already hold. Every consumer of a node's
+    output was recorded after it, so once the node's rule has run its outputs'
+    gradients are complete and unused: they are dropped to free memory. The
+    loss keeps its gradient, and so does every leaf (a tensor no node outputs).
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.ensure_grad()[...] += 1.0
     for node in reversed(tape.nodes):
-        g = node.output.grad
-        if g is None:
-            continue
-        grads = node.grad_fn(g)
+        out, aux = node.output, node.aux
+        if aux is None:
+            if out.grad is None:
+                continue
+            grads = node.grad_fn(out.grad)
+        else:
+            if out.grad is None and aux.grad is None:
+                continue
+            grads = node.grad_fn(out.grad, aux.grad)
+            if aux is not loss:
+                aux.grad = None
+        if out is not loss:
+            out.grad = None
         for t, gt in zip(node.inputs, grads):
             if gt is not None and t.requires_grad:
                 t.ensure_grad()[...] += gt

@@ -91,7 +91,7 @@ class LstmLayer:
 
 
 def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """One recurrence step: c' = f*c + i*g, h' = o*tanh(c')."""
+    """One recurrence step: c' = f*c + i*g, h' = o*tanh(c'), one fused tape node."""
     x_t = ad.as_tensor(x_t)
     h, c = state
     if x_t.shape[-1] != layer.input_size:
@@ -99,15 +99,7 @@ def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor]) -> tuple[Tens
     if h.shape[-1] != layer.units or c.shape[-1] != layer.units:
         raise ContractError(
             f"lstm state width {h.shape[-1]}/{c.shape[-1]}, expected {layer.units}")
-    u = layer.units
-    pre = ad.add(ad.add(ad.matmul(x_t, layer.w_x), ad.matmul(h, layer.w_h)), layer.bias)
-    i = ad.sigmoid(ad.slice_axis(pre, -1, 0, u))
-    f = ad.sigmoid(ad.slice_axis(pre, -1, u, 2 * u))
-    g = ad.tanh(ad.slice_axis(pre, -1, 2 * u, 3 * u))
-    o = ad.sigmoid(ad.slice_axis(pre, -1, 3 * u, 4 * u))
-    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_next = ad.mul(o, ad.tanh(c_next))
-    return h_next, c_next
+    return ad.lstm_cell(x_t, h, c, layer.w_x, layer.w_h, layer.bias)
 
 
 class AttentionLayer:

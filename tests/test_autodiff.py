@@ -311,3 +311,116 @@ def test_identical_seeds_identical_trajectories():
         return p.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+# ---------------------------------------------------------------------------
+# Fused LSTM cell and gradient release
+# ---------------------------------------------------------------------------
+
+
+def _composite_lstm_cell(x, h, c, w_x, w_h, bias):
+    """The LSTM step as separate primitive nodes, the reference for lstm_cell."""
+    u = c.shape[-1]
+    pre = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(h, w_h)), bias)
+    i = ad.sigmoid(ad.slice_axis(pre, -1, 0, u))
+    f = ad.sigmoid(ad.slice_axis(pre, -1, u, 2 * u))
+    g = ad.tanh(ad.slice_axis(pre, -1, 2 * u, 3 * u))
+    o = ad.sigmoid(ad.slice_axis(pre, -1, 3 * u, 4 * u))
+    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
+    return ad.mul(o, ad.tanh(c_next)), c_next
+
+
+def _cell_inputs(x_grad: bool):
+    rng = np.random.default_rng(31)
+    batch, width, units = 3, 4, 5
+    shapes = [(batch, width), (batch, units), (batch, units),
+              (width, 4 * units), (units, 4 * units), (4 * units,)]
+    arrays = [rng.normal(scale=1.5, size=s) for s in shapes]
+    mix_h, mix_c = rng.normal(size=(batch, units)), rng.normal(size=(batch, units))
+    tensors = [Tensor(a, requires_grad=(k > 0 or x_grad)) for k, a in enumerate(arrays)]
+    return tensors, mix_h, mix_c
+
+
+def _run_cell(cell, loss_kind: str, x_grad: bool):
+    inputs, mix_h, mix_c = _cell_inputs(x_grad)
+    x, h, c, w_x, w_h, bias = inputs
+    with Tape() as tape:
+        h2, c2 = cell(x, h, c, w_x, w_h, bias)
+        if loss_kind == "chain":  # a second step consumes both outputs
+            h2, c2 = cell(x, h2, c2, w_x, w_h, bias)
+        terms = []
+        if loss_kind in ("both", "h", "chain"):
+            terms.append(ad.sum_all(ad.mul(h2, Tensor(mix_h))))
+        if loss_kind in ("both", "c"):
+            terms.append(ad.sum_all(ad.mul(c2, Tensor(mix_c))))
+        loss = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
+    backward(tape, loss)
+    return h2.data, c2.data, [t.grad for t in inputs], len(tape)
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("loss_kind", ["both", "h", "c", "chain"])
+def test_lstm_cell_bitwise_equals_composite(loss_kind, x_grad):
+    h_ref, c_ref, grads_ref, nodes_ref = _run_cell(_composite_lstm_cell, loss_kind, x_grad)
+    h_new, c_new, grads_new, nodes_new = _run_cell(ad.lstm_cell, loss_kind, x_grad)
+    assert np.array_equal(h_new, h_ref)
+    assert np.array_equal(c_new, c_ref)
+    for name, ref, new in zip(("x", "h", "c", "w_x", "w_h", "bias"), grads_ref, grads_new):
+        if name == "x" and not x_grad:
+            assert ref is None and new is None
+            continue
+        assert ref is not None and new is not None, name
+        assert np.array_equal(new, ref), name
+    steps = 2 if loss_kind == "chain" else 1
+    assert nodes_ref - nodes_new == 16 * steps  # one node replaces seventeen
+
+
+def test_lstm_cell_gradients_match_finite_differences():
+    inputs, mix_h, mix_c = _cell_inputs(x_grad=True)
+
+    def build_loss():
+        h2, c2 = ad.lstm_cell(*inputs)
+        return ad.add(ad.sum_all(ad.mul(h2, Tensor(mix_h))),
+                      ad.sum_all(ad.mul(c2, Tensor(mix_c))))
+
+    assert check_gradients(build_loss, inputs) < 1e-6
+
+
+def test_lstm_cell_overflow_names_lstm():
+    inputs, _, _ = _cell_inputs(x_grad=False)
+    inputs[0].data[...] = 1e300
+    inputs[3].data[...] = 1e300
+    with pytest.raises(NumericsError, match="lstm"):
+        ad.lstm_cell(*inputs)
+
+
+def test_lstm_cell_shape_errors():
+    inputs, _, _ = _cell_inputs(x_grad=False)
+    bad_x = [Tensor(np.zeros((3, 7)))] + inputs[1:]
+    with pytest.raises(ShapeError):
+        ad.lstm_cell(*bad_x)
+    bad_c = inputs[:2] + [Tensor(np.zeros((6, 5)))] + inputs[3:]
+    with pytest.raises(ShapeError):
+        ad.lstm_cell(*bad_c)
+
+
+def test_backward_releases_intermediate_gradients():
+    rng = np.random.default_rng(8)
+    (x, h, c, w_x, w_h, bias), mix_h, _ = _cell_inputs(x_grad=True)
+    head = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    params = [w_x, w_h, bias, head]
+    with Tape() as tape:
+        h2, c2 = ad.lstm_cell(x, h, c, w_x, w_h, bias)
+        h3, _ = ad.lstm_cell(x, h2, c2, w_x, w_h, bias)
+        loss = ad.sum_all(ad.tanh(ad.matmul(h3, head)))
+    backward(tape, loss)
+    for p in params:
+        assert p.grad is not None
+    for leaf in (x, h, c):
+        assert leaf.grad is not None
+    assert loss.grad is not None and float(loss.grad) == 1.0
+    intermediates = [n.output for n in tape.nodes] + [n.aux for n in tape.nodes if n.aux]
+    assert len(intermediates) == len(tape) + 2
+    for t in intermediates:
+        if t is not loss:
+            assert t.grad is None

@@ -6,7 +6,7 @@ import pytest
 
 from pvcast import autodiff as ad
 from pvcast.autodiff import Tape, Tensor, backward
-from pvcast.errors import ContractError, ShapeError
+from pvcast.errors import ContractError, NumericsError, ShapeError
 from pvcast.gradcheck import check_gradients
 from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attention, dense_forward,
@@ -243,3 +243,11 @@ def test_temporal_transform_gradient_matches_finite_differences():
 
     params = [p for _, p in t.parameters()]
     assert check_gradients(build_loss, params) < 1e-6
+
+
+def test_lstm_step_overflowing_preactivation_names_lstm():
+    layer = _zeroed_lstm()
+    layer.w_x.data[...] = 1e300
+    h, c = layer.initial_state(1)
+    with pytest.raises(NumericsError, match="lstm"):
+        lstm_step(layer, Tensor(np.full((1, 2), 1e300)), (h, c))

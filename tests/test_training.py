@@ -9,7 +9,7 @@ from pvcast.data import DAY, HOUR, RawNwpSeries, RawPvSeries, consolidate, make_
 from pvcast.errors import ConfigError, ContractError, FormatError, TrainingError
 from pvcast.gradcheck import check_gradients
 from pvcast.models import ModelConfig, build_model, count_parameters
-from pvcast.training import (TrainConfig, fit, kl_loss, load_checkpoint,
+from pvcast.training import (TrainConfig, _batch_loss, fit, kl_loss, load_checkpoint,
                              mse_loss, save_checkpoint, validation_nrmse)
 
 P_MAX = 1000.0
@@ -201,6 +201,57 @@ def test_fit_divergence_reports_epoch_and_batch():
     cfg = TrainConfig(learning_rate=1e18, batch_size=4, patience=5, max_epochs=8, seed=0)
     with pytest.raises(TrainingError, match="epoch"):
         fit(model, samples[:3], samples[3:4], cfg)
+
+
+def test_fit_divergence_in_recurrent_model_reports_epoch_and_batch():
+    samples = _samples(days=9)
+    model = build_model(_config("s2s_attn", "pdf"), seed=1)
+    # Saturated gates keep the loss finite at 1e18; 1e300 overflows the weights.
+    cfg = TrainConfig(learning_rate=1e300, batch_size=2, patience=5, max_epochs=3, seed=0)
+    with pytest.raises(TrainingError, match=r"epoch 1, batch 1: non-finite"):
+        fit(model, samples[:5], samples[5:6], cfg)
+
+
+# Seeded results of 1-epoch fits, recorded before the LSTM step became one
+# fused tape node; the fused op must reproduce them bitwise.
+PINNED_TINY_FITS = {
+    "pdf": (3, 58.20508552107317, 0.07551604596831478),
+    "expected": (4, 0.13561949317003946, 0.06576123756575575),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_TINY_FITS))
+def test_fit_seeded_s2s_attn_numerics_are_pinned(mode):
+    seed, train_loss, val_nrmse = PINNED_TINY_FITS[mode]
+    samples = _samples(days=9)
+    model = build_model(_config("s2s_attn", mode), seed=seed)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=3, patience=2, max_epochs=1, seed=seed)
+    report = fit(model, samples[:5], samples[5:7], cfg)
+    assert report.train_loss == [train_loss]
+    assert report.val_nrmse == [val_nrmse]
+
+
+MAX_TAPE_NODES_C4_STEP = 1115
+
+
+def test_teacher_forced_s2s_attn_step_tape_size():
+    # Criterion-4 scale: 192 encoder steps, 32 units, batch 32. One node per
+    # LSTM step gives 1,115 nodes in all (8,027 with a node per gate op). A
+    # later fused or batched change may lower the bound.
+    rng = np.random.default_rng(0)
+    cfg = ModelConfig(family="s2s_attn", target_mode="pdf", units_per_layer=32,
+                      input_steps=192)
+    model = build_model(cfg, seed=5)
+    batch = 32
+    inputs = rng.uniform(0.0, 1.0, (batch, 192, cfg.input_features))
+    p0 = rng.dirichlet(np.ones(cfg.step_width), size=batch)
+    teacher = rng.dirichlet(np.ones(cfg.step_width), size=(batch, cfg.output_steps))
+    with Tape() as tape:
+        outputs = model.forward_batch(inputs, p0, teacher, "teacher_forcing")
+        _batch_loss("kl", outputs, teacher, 1e-9)
+    lstm_nodes = sum(node.op == "lstm" for node in tape.nodes)
+    assert lstm_nodes == cfg.depth * (192 + cfg.output_steps)
+    assert len(tape) <= MAX_TAPE_NODES_C4_STEP
 
 
 def test_fit_gradient_clipping_flag_runs():
