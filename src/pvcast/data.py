@@ -372,9 +372,17 @@ class Sample:
         return (self.anchor, self.anchor + self.output_steps * HOUR)
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 def make_sample(data: AlignedDataset, anchor: int, input_steps: int = 480,
                 output_steps: int = 24, with_targets: bool = True) -> Sample:
-    """Build the sample anchored at the given hour-aligned minute."""
+    """Build the sample anchored at the given hour-aligned minute.
+
+    Every array is a read-only view of the dataset's grid, not a copy.
+    """
     window = input_steps * GRID_STEP
     s0 = data.slot_index(anchor - window)
     s1 = data.slot_index(anchor)
@@ -390,11 +398,11 @@ def make_sample(data: AlignedDataset, anchor: int, input_steps: int = 480,
     if with_targets:
         if h0 + output_steps > data.n_hours:
             raise ContractError(f"anchor {format_timestamp(anchor)} lacks a full target day")
-        target = data.hour_targets[h0:h0 + output_steps].copy()
-        hour_slots = data.slot_index(anchor) + SLOTS_PER_HOUR * np.arange(output_steps)
-        nwp_ahead = data.features[hour_slots, :5].copy()
-    return Sample(anchor, data.features[s0:s1].copy(), history.copy(),
-                  data.hour_targets[h0 - 1].copy(), target, nwp_ahead)
+        target = _read_only(data.hour_targets[h0:h0 + output_steps])
+        nwp_ahead = _read_only(
+            data.features[s1:s1 + SLOTS_PER_HOUR * output_steps:SLOTS_PER_HOUR, :5])
+    return Sample(anchor, _read_only(data.features[s0:s1]), _read_only(history),
+                  _read_only(data.hour_targets[h0 - 1]), target, nwp_ahead)
 
 
 def list_anchors(data: AlignedDataset, stride_hours: int = 24, input_steps: int = 480,
@@ -441,6 +449,9 @@ def split(samples, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitResult:
     """Seeded random assignment at the given ratios, then discard of any
     sample whose full span overlaps a differently assigned sample's target
     span. Ties keep the earlier-anchored sample and drop the later one.
+    The discard is linear after the sort: each sample is checked against at
+    most one kept sample of each other class. Samples need at least one
+    output step.
     """
     samples = list(samples)
     if not samples:
@@ -457,16 +468,23 @@ def split(samples, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitResult:
     assign[order[n_train:n_train + n_val]] = 1
     assign[order[n_train + n_val:]] = 2
 
+    # Every span starts at or before its anchor and ends where its targets
+    # end, so a kept sample conflicts with a later-anchored one exactly when
+    # it ends after the later one's input start: per class, the kept sample
+    # that ends latest decides.
     by_anchor = sorted(range(len(samples)), key=lambda i: samples[i].anchor)
+    latest: list[Sample | None] = [None, None, None]
     kept: list[int] = []
     discarded = 0
     for i in by_anchor:
-        conflict = any(assign[j] != assign[i] and _spans_conflict(samples[j], samples[i])
-                       for j in kept)
-        if conflict:
+        s, cls = samples[i], assign[i]
+        if any(c != cls and other is not None and _spans_conflict(other, s)
+               for c, other in enumerate(latest)):
             discarded += 1
-        else:
-            kept.append(i)
+            continue
+        kept.append(i)
+        if latest[cls] is None or s.target_span()[1] > latest[cls].target_span()[1]:
+            latest[cls] = s
 
     parts: tuple[list[Sample], list[Sample], list[Sample]] = ([], [], [])
     for i in kept:
@@ -597,14 +615,20 @@ def synth_generate(days: int, seed: int = 0, p_max: float = 5000.0,
             RawNwpSeries(hour_stamps, channels))
 
 
+CSV_CHUNK_ROWS = 4096
+
+
 def write_csv(pv: RawPvSeries, nwp: RawNwpSeries, pv_path, nwp_path) -> None:
-    with open(pv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PV_CSV_HEADER)
-        for t, w in zip(pv.timestamps, pv.power):
-            writer.writerow([format_timestamp(int(t)), f"{w:.3f}"])
-    with open(nwp_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(NWP_CSV_HEADER)
-        for t, row in zip(nwp.timestamps, nwp.channels):
-            writer.writerow([format_timestamp(int(t))] + [f"{v:.4f}" for v in row])
+    """Write both streams as CSV with csv.writer's \\r\\n line ends. Rows are
+    formatted and written in chunks, which bounds the memory the text takes."""
+    for path, header, stamps, values, digits in (
+            (pv_path, PV_CSV_HEADER, pv.timestamps, pv.power[:, None], 3),
+            (nwp_path, NWP_CSV_HEADER, nwp.timestamps, nwp.channels, 4)):
+        row_format = "%sZ" + f",%.{digits}f" * values.shape[1] + "\r\n"
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for lo in range(0, stamps.size, CSV_CHUNK_ROWS):
+                chunk = slice(lo, lo + CSV_CHUNK_ROWS)
+                text = np.datetime_as_string(stamps[chunk].astype("datetime64[m]"), unit="s")
+                fh.write("".join(row_format % (t, *row) for t, row in
+                                 zip(text.tolist(), values[chunk].tolist())))

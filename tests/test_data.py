@@ -1,13 +1,16 @@
 """Data pipeline tests: ingestion, consolidation, binning, sampling, splits,
 and the synthetic generator."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvcast.data import (DAY, HOUR, RawNwpSeries, RawPvSeries, Sample,
-                         bin_distribution, build_splits, consolidate,
+from pvcast import data
+from pvcast.data import (DAY, HOUR, NWP_CSV_HEADER, PV_CSV_HEADER, RawNwpSeries,
+                         RawPvSeries, Sample, bin_distribution, build_splits, consolidate,
                          distribution_quantile, expected_value, format_timestamp,
                          ingest_csv, list_anchors, make_sample, make_samples,
                          split, synth_generate, write_csv)
@@ -108,6 +111,30 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(pv.timestamps, pv2.timestamps)
     assert np.allclose(pv.power, pv2.power, atol=5e-4)
     assert np.allclose(nwp.channels, nwp2.channels, atol=5e-5)
+
+
+def _write_csv_reference(pv, nwp, pv_path, nwp_path):
+    with open(pv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PV_CSV_HEADER)
+        for t, w in zip(pv.timestamps, pv.power):
+            writer.writerow([format_timestamp(int(t)), f"{w:.3f}"])
+    with open(nwp_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(NWP_CSV_HEADER)
+        for t, row in zip(nwp.timestamps, nwp.channels):
+            writer.writerow([format_timestamp(int(t))] + [f"{v:.4f}" for v in row])
+
+
+def test_write_csv_bytes_match_csv_writer_reference(tmp_path):
+    pv, nwp = synth_generate(6, seed=9, p_max=P_MAX, start_minute=26_000_000)
+    pv.power[:3] = [-0.0, 1e-4, -2.5]
+    write_csv(pv, nwp, tmp_path / "pv.csv", tmp_path / "nwp.csv")
+    _write_csv_reference(pv, nwp, tmp_path / "pv_ref.csv", tmp_path / "nwp_ref.csv")
+    for name in ("pv", "nwp"):
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
+        assert got.endswith(b"\r\n")
 
 
 # ------------------------------------------------------------------ bins ---
@@ -283,6 +310,28 @@ def test_sample_fields_and_spans():
     assert np.array_equal(s.target_pdf, ds.hour_targets[h0:h0 + 24])
 
 
+def test_make_sample_returns_read_only_views_equal_to_copies():
+    ds = _dataset(7)
+    for anchor in list_anchors(ds, stride_hours=5):
+        s = make_sample(ds, anchor, 480, 24)
+        s0, s1 = ds.slot_index(anchor) - 480, ds.slot_index(anchor)
+        h0 = ds.hour_index(anchor)
+        expected = {"input": ds.features[s0:s1],
+                    "history_pdf": ds.hour_targets[h0 - 24:h0],
+                    "p0_pdf": ds.hour_targets[h0 - 1],
+                    "target_pdf": ds.hour_targets[h0:h0 + 24],
+                    "nwp_ahead": ds.features[s1 + 4 * np.arange(24), :5]}
+        for name, want in expected.items():
+            got = getattr(s, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
+            assert np.shares_memory(got, ds.features) or np.shares_memory(got, ds.hour_targets)
+            with pytest.raises(ValueError):
+                got[...] = 0.0
+    edge = make_sample(ds, ds.grid_start + 480 * 15, 480, 24, with_targets=False)
+    for got in (edge.input, edge.history_pdf, edge.p0_pdf):
+        assert not got.flags.writeable
+
+
 def test_make_sample_without_targets_at_data_edge():
     ds = _dataset(6)
     anchor = ds.hours_end  # one day past the last full target day
@@ -344,6 +393,68 @@ def test_split_no_cross_split_overlap_after_discard():
                     assert not (sb[0] < ta[1] and ta[0] < sb[1])
 
 
+def _reference_split(samples, fractions, seed):
+    """The quadratic discard: every candidate against every kept sample."""
+    def overlaps(span, target):
+        return span[0] < target[1] and target[0] < span[1]
+
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(samples))
+    n_train = int(round(fractions[0] * len(samples)))
+    n_val = int(round(fractions[1] * len(samples)))
+    assign = np.empty(len(samples), dtype=np.int64)
+    assign[order[:n_train]] = 0
+    assign[order[n_train:n_train + n_val]] = 1
+    assign[order[n_train + n_val:]] = 2
+    kept, discarded = [], 0
+    for i in sorted(range(len(samples)), key=lambda i: samples[i].anchor):
+        a = samples[i]
+        if any(assign[j] != assign[i]
+               and (overlaps(samples[j].input_span(), a.target_span())
+                    or overlaps(a.input_span(), samples[j].target_span()))
+               for j in kept):
+            discarded += 1
+        else:
+            kept.append(i)
+    parts = ([], [], [])
+    for i in kept:
+        parts[assign[i]].append(i)
+    return parts, discarded
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 240), st.integers(0, 600), st.integers(1, 48)),
+                min_size=1, max_size=50),
+       st.integers(0, 100), st.integers(0, 100), st.integers(0, 2 ** 32 - 1))
+def test_split_matches_quadratic_reference(specs, pct_train, pct_val, seed):
+    pct_val = min(pct_val, 100 - pct_train)
+    fractions = (pct_train / 100, pct_val / 100, 1.0 - pct_train / 100 - pct_val / 100)
+    samples = [_mini_sample(5 * DAY + h * HOUR, steps_in, steps_out)
+               for h, steps_in, steps_out in specs]
+    index = {id(s): i for i, s in enumerate(samples)}
+    result = split(samples, fractions, seed)
+    parts, discarded = _reference_split(samples, fractions, seed)
+    assert result.discarded == discarded
+    for part, want in zip(result, parts):
+        assert [index[id(s)] for s in part] == want
+
+
+def test_split_checks_at_most_two_pairs_per_sample(monkeypatch):
+    calls = []
+    check = data._spans_conflict
+
+    def counted(a, b):
+        calls.append(1)
+        return check(a, b)
+
+    monkeypatch.setattr(data, "_spans_conflict", counted)
+    pv, nwp = synth_generate(30, seed=2, p_max=P_MAX)
+    prep = build_splits(pv, nwp, stride_hours=1, input_steps=480, seed=54)
+    n_samples = sum(len(part) for part in prep.splits) + prep.splits.discarded
+    assert n_samples > 500
+    assert 0 < len(calls) <= 2 * n_samples
+
+
 def test_split_empty_is_error():
     with pytest.raises(ContractError):
         split([])
@@ -359,6 +470,21 @@ def test_build_splits_normalizes_from_training_rows():
     anchors = {s.anchor for part in prep.splits for s in part}
     assert len(anchors) == sum(len(p) for p in prep.splits)
     assert prep.splits.discarded >= 0
+
+
+def test_build_splits_pinned_seeded_case():
+    # Recorded from the quadratic discard with per-sample copies.
+    pv, nwp = synth_generate(20, seed=4, p_max=5000.0)
+    prep = build_splits(pv, nwp, stride_hours=24, input_steps=96, seed=3)
+    ds = prep.dataset
+    hours = [[(s.anchor - ds.grid_start) // HOUR for s in part] for part in prep.splits]
+    assert ds.grid_start == 0
+    assert hours == [[72, 96, 288, 312, 336, 384, 408, 432, 456], [24, 240], [144, 192]]
+    assert prep.splits.discarded == 6
+    assert ds.norm_min.tolist() == [-8.495125559485963, 102.02367636916826, 0.0,
+                                    0.8628458644249815, 49.24238642955782, 0.0]
+    assert ds.norm_max.tolist() == [3.2044434864262854, 102.46955275507393, 403.9935830342845,
+                                    5.79779952136677, 89.83910901451024, 2034.6484462327621]
 
 
 # ------------------------------------------------------------- synthetic ---
