@@ -107,7 +107,7 @@ def constant(x) -> Tensor:
 
 def _check_finite(op: str, data: np.ndarray) -> None:
     # Numerics guard: forward ops must never hand NaN/Inf downstream.
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericsError(f"non-finite values produced by '{op}'")
 
 
@@ -198,13 +198,11 @@ def scale(x, c: float) -> Tensor:
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
-    """Logistic function, split by sign so that exp never overflows."""
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function: 1/(1+e) for d >= 0 and e/(1+e) below, with
+    e = exp(-|d|) <= 1 so that exp never overflows."""
+    e = np.exp(-np.abs(d))
+    denom = 1.0 + e
+    return np.where(d >= 0, 1.0 / denom, e / denom)
 
 
 def sigmoid(x) -> Tensor:

@@ -123,17 +123,19 @@ class AttentionLayer:
         return out
 
     def project_keys_values(self, k, v) -> tuple[Tensor, Tensor]:
-        """Project once; reusable across every query of the same sequence."""
-        return self.w_k(k), self.w_v(v)
+        """Project once, reusable across every query of the same sequence:
+        the keys come back transposed, (..., width, steps), so no query
+        transposes them again."""
+        return ad.swap_last_axes(self.w_k(k)), self.w_v(v)
 
 
-def attention_weights(qp: Tensor, kp: Tensor, width: int) -> Tensor:
-    scores = ad.scale(ad.matmul(qp, ad.swap_last_axes(kp)), 1.0 / math.sqrt(width))
+def attention_weights(qp: Tensor, kp_t: Tensor, width: int) -> Tensor:
+    scores = ad.scale(ad.matmul(qp, kp_t), 1.0 / math.sqrt(width))
     return ad.softmax(scores)
 
 
-def attend_projected(qp: Tensor, kp: Tensor, vp: Tensor, width: int) -> Tensor:
-    return ad.matmul(attention_weights(qp, kp, width), vp)
+def attend_projected(qp: Tensor, kp_t: Tensor, vp: Tensor, width: int) -> Tensor:
+    return ad.matmul(attention_weights(qp, kp_t, width), vp)
 
 
 def attention(q, k, v, layer: AttentionLayer, return_weights: bool = False):
@@ -142,8 +144,8 @@ def attention(q, k, v, layer: AttentionLayer, return_weights: bool = False):
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key steps {k.shape[-2]} != value steps {v.shape[-2]}")
     qp = layer.w_q(q)
-    kp, vp = layer.project_keys_values(k, v)
-    weights = attention_weights(qp, kp, layer.width)
+    kp_t, vp = layer.project_keys_values(k, v)
+    weights = attention_weights(qp, kp_t, layer.width)
     out = ad.matmul(weights, vp)
     if return_weights:
         return out, weights

@@ -117,39 +117,50 @@ class Model:
                       input_log: list | None = None) -> list[Tensor]:
         raise NotImplementedError
 
-    def forward(self, sample: Sample, mode: str = "self_recurrent") -> Forecast:
-        """Run one sample through the model and assemble a Forecast."""
+    def forward_samples(self, samples: list[Sample],
+                        mode: str = "self_recurrent") -> list[Forecast]:
+        """Run the samples through forward_batch as one batch; one Forecast each."""
         cfg = self.config
         if mode not in ("teacher_forcing", "self_recurrent"):
             raise ContractError(f"unknown decoding mode '{mode}'")
-        teacher = None
-        if mode == "teacher_forcing":
-            if sample.target_pdf is None:
-                raise ContractError("teacher forcing requires a sample with targets")
-            teacher = _teacher_array(sample, cfg)[None]
-        p0 = _p0_array(sample, cfg)[None]
-        nwp = sample.nwp_ahead[None] if sample.nwp_ahead is not None else None
-        outs = self.forward_batch(sample.input[None], p0, teacher, mode, nwp)
-        return assemble_forecast(cfg, [o.data[0] for o in outs])
+        inputs, p0, teacher, _, nwp = sample_arrays(samples, cfg,
+                                                    targets=mode == "teacher_forcing")
+        outs = self.forward_batch(inputs, p0, teacher, mode, nwp)
+        steps = np.stack([o.data for o in outs], axis=1)
+        return [assemble_forecast(cfg, s) for s in steps]
+
+    def forward(self, sample: Sample, mode: str = "self_recurrent") -> Forecast:
+        """Run one sample through the model and assemble a Forecast."""
+        return self.forward_samples([sample], mode)[0]
 
 
-def _p0_array(sample: Sample, cfg: ModelConfig) -> np.ndarray:
+def sample_arrays(samples: list[Sample], cfg: ModelConfig, targets: bool = True):
+    """Stack samples into forward_batch's arrays: inputs, p0, teacher,
+    target_e and nwp. teacher and target_e are None unless `targets`; nwp is
+    None unless the model decodes with forecast-day weather."""
+    inputs = np.stack([s.input for s in samples])
     if cfg.target_mode == "pdf":
-        return np.asarray(sample.p0_pdf, dtype=np.float64)
-    return np.asarray([sample.p0_e], dtype=np.float64)
+        p0 = np.stack([s.p0_pdf for s in samples])
+    else:
+        p0 = np.array([[s.p0_e] for s in samples])
+    teacher = target_e = None
+    if targets:
+        target_e = np.stack([s.target_e for s in samples])  # raises without targets
+        if cfg.target_mode == "pdf":
+            teacher = np.stack([s.target_pdf for s in samples])
+        else:
+            teacher = target_e[:, :, None]
+    nwp = None  # forward_batch rejects a decoder_nwp model without weather
+    if cfg.decoder_nwp and all(s.nwp_ahead is not None for s in samples):
+        nwp = np.stack([s.nwp_ahead for s in samples])
+    return inputs, p0, teacher, target_e, nwp
 
 
-def _teacher_array(sample: Sample, cfg: ModelConfig) -> np.ndarray:
+def assemble_forecast(cfg: ModelConfig, steps: np.ndarray) -> Forecast:
+    """A Forecast from one sample's (output_steps, step_width) outputs."""
     if cfg.target_mode == "pdf":
-        return np.asarray(sample.target_pdf, dtype=np.float64)
-    return np.asarray(sample.target_e, dtype=np.float64)[:, None]
-
-
-def assemble_forecast(cfg: ModelConfig, step_values: list[np.ndarray]) -> Forecast:
-    if cfg.target_mode == "pdf":
-        return Forecast("pdf", np.stack(step_values, axis=0))
-    flat = np.array([float(v) for v in np.concatenate(step_values)])
-    return Forecast("expected", np.clip(flat, 0.0, 1.0))
+        return Forecast("pdf", steps)
+    return Forecast("expected", np.clip(steps[:, 0], 0.0, 1.0))
 
 
 class PersistenceModel(Model):
@@ -161,6 +172,10 @@ class PersistenceModel(Model):
             raise ContractError(
                 f"history has {history.shape[0]} hours, need {self.config.output_steps}")
         return persistence_forecast(history)
+
+    def forward_samples(self, samples, mode="self_recurrent"):
+        """No network to batch: one replay per sample."""
+        return [self.forward(s, mode) for s in samples]
 
 
 class OneBlockModel(Model):
@@ -291,6 +306,7 @@ class Seq2SeqModel(Model):
         kp_vp = None
         if self.attention:
             enc_seq = ad.stack_steps(top, axis=1)
+            del top
             kp_vp = [layer.project_keys_values(enc_seq, enc_seq) for layer in self.attn]
 
         dec_states = list(states)

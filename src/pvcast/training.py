@@ -12,7 +12,7 @@ from .autodiff import SgdNesterov, Tape, Tensor, backward
 from .data import Sample, expected_value
 from .errors import ConfigError, ContractError, FormatError, NumericsError, TrainingError
 from .metrics import nrmse
-from .models import Forecast, Model, ModelConfig, build_model
+from .models import Forecast, Model, ModelConfig, build_model, sample_arrays
 
 log = logging.getLogger("pvcast")
 
@@ -147,19 +147,6 @@ def _batch_loss(kind: str, outputs: list[Tensor], teacher: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _sample_arrays(samples: list[Sample], cfg: ModelConfig):
-    inputs = np.stack([s.input for s in samples])
-    if cfg.target_mode == "pdf":
-        p0 = np.stack([s.p0_pdf for s in samples])
-        teacher = np.stack([s.target_pdf for s in samples])
-    else:
-        p0 = np.array([[s.p0_e] for s in samples])
-        teacher = np.stack([s.target_e for s in samples])[:, :, None]
-    target_e = np.stack([s.target_e for s in samples])
-    nwp = np.stack([s.nwp_ahead for s in samples]) if cfg.decoder_nwp else None
-    return inputs, p0, teacher, target_e, nwp
-
-
 def _forecast_expected(outputs: list[Tensor], cfg: ModelConfig) -> np.ndarray:
     """(batch, steps) expected values from batched step outputs."""
     cols = []
@@ -174,7 +161,7 @@ def _forecast_expected(outputs: list[Tensor], cfg: ModelConfig) -> np.ndarray:
 def validation_nrmse(model: Model, samples: list[Sample]) -> float:
     """Mean per-window nRMSE of self-recurrent forecasts, in normalized power."""
     cfg = model.config
-    inputs, p0, _, target_e, nwp = _sample_arrays(samples, cfg)
+    inputs, p0, _, target_e, nwp = sample_arrays(samples, cfg)
     outputs = model.forward_batch(inputs, p0, None, "self_recurrent", nwp)
     forecast_e = _forecast_expected(outputs, cfg)
     scores = [nrmse(forecast_e[i], target_e[i], 1.0) for i in range(len(samples))]
@@ -207,7 +194,7 @@ def fit(model: Model, train_samples: list[Sample], val_samples: list[Sample],
         raise ConfigError(
             f"loss '{cfg.loss}' conflicts with target mode '{mcfg.target_mode}'")
 
-    inputs, p0, teacher, _, nwp = _sample_arrays(train_samples, mcfg)
+    inputs, p0, teacher, _, nwp = sample_arrays(train_samples, mcfg)
     params = [p for _, p in model.parameters()]
     optimizer = SgdNesterov(params, cfg.learning_rate, cfg.momentum)
     rng = np.random.default_rng(cfg.seed)

@@ -108,6 +108,38 @@ def test_sigmoid_saturates_without_overflow():
     assert out[0] == 0.0 and out[1] == 1.0
 
 
+def _masked_sigmoid(d):
+    """The earlier sign-split form of ad._sigmoid, kept as its oracle."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 440), (8, 440), (32, 128), (3, 7)])
+def test_sigmoid_bitwise_equals_masked_form(shape):
+    rng = np.random.default_rng(sum(shape))
+    edges = np.array([0.0, -0.0, 745.5, -745.5, 1e308, -1e308, 36.0, -36.0, 1e-300])
+    for scale in (1e-8, 0.5, 3.0, 40.0, 800.0):
+        d = rng.normal(0.0, scale, shape)
+        d.flat[:edges.size] = edges
+        got = ad._sigmoid(d)
+        want = _masked_sigmoid(d)
+        assert got.shape == shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_finite_names_the_op(bad):
+    data = np.zeros((3, 4))
+    ad._check_finite("ok", data)
+    data[1, 2] = bad
+    with pytest.raises(NumericsError, match="'lstm'"):
+        ad._check_finite("lstm", data)
+
+
 def test_sigmoid_gradient_matches_finite_differences():
     x = Tensor([1.0], requires_grad=True)
 

@@ -152,8 +152,8 @@ class _PerfectModel:
     def __init__(self):
         self.config = ModelConfig(family="ffnn", target_mode="pdf", input_steps=96)
 
-    def forward(self, sample, mode="self_recurrent"):
-        return Forecast("pdf", sample.target_pdf.copy())
+    def forward_samples(self, samples, mode="self_recurrent"):
+        return [Forecast("pdf", s.target_pdf.copy()) for s in samples]
 
 
 def test_evaluate_perfect_model_scores_zero_and_skill_one():
@@ -201,6 +201,67 @@ def test_evaluate_expected_mode_has_no_crps():
     assert "FFNN-E" in csv_text
     text = report.to_text()
     assert "-" in text.splitlines()[3]
+
+
+def _per_window_rows(models, samples):
+    """evaluate's report rows from a loop of one-window Model.forward calls,
+    the reference for its batched path: (name, nrmse, nme, crps, s_nrmse,
+    s_crps) per model, persistence first."""
+    means = []
+    for model in models:
+        scores = []
+        for sample in samples:
+            forecast = model.forward(sample)
+            fe, pe = forecast.expected * P_MAX, sample.target_e * P_MAX
+            c = crps(forecast.steps, sample.target_pdf) if forecast.mode == "pdf" else None
+            scores.append((nrmse(fe, pe, P_MAX), nme(fe, pe, P_MAX), c))
+        crpss = [c for _, _, c in scores if c is not None]
+        means.append((model.config.name, float(np.mean([s[0] for s in scores])),
+                      float(np.mean([s[1] for s in scores])),
+                      float(np.mean(crpss)) if crpss else None))
+    _, ref_nrmse, _, ref_crps = means[0]
+    rows = [means[0] + (None, None)]
+    for name, m_nrmse, m_nme, m_crps in means[1:]:
+        rows.append((name, m_nrmse, m_nme, m_crps, skill(m_nrmse, ref_nrmse),
+                     None if m_crps is None else skill(m_crps, ref_crps)))
+    return rows
+
+
+BATCHED_EVAL_CONFIGS = [
+    dict(family="s2s_attn", target_mode="pdf"),
+    dict(family="s2s_attn", target_mode="expected"),
+    dict(family="s2s", target_mode="pdf", decoder_nwp=True),
+    dict(family="lstm", target_mode="pdf"),
+    dict(family="ffnn", target_mode="expected"),
+]
+
+
+@pytest.mark.parametrize("n_windows", [1, 3, 4])
+def test_batched_evaluate_matches_per_window_forward(n_windows):
+    samples = _samples()[:n_windows]
+    assert len(samples) == n_windows
+    models = [build_model(ModelConfig(family="persistence", input_steps=96))]
+    models += [build_model(ModelConfig(units_per_layer=4, input_steps=96, **kw), seed=11)
+               for kw in BATCHED_EVAL_CONFIGS]
+    calls = {}
+    for model in models[1:]:
+        def counted(*args, _inner=model.forward_batch, _name=model.config, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+        model.forward_batch = counted
+    report = evaluate(models, samples, P_MAX, "test")
+    # Pairs of windows per forward_batch call, the last one partial for odd n.
+    assert calls == {m.config: math.ceil(n_windows / 2) for m in models[1:]}
+    expected = _per_window_rows(models, samples)
+    assert len(report.rows) == len(expected)
+    for row, ref in zip(report.rows, expected):
+        got = (row.model, row.nrmse, row.nme, row.crps, row.s_nrmse, row.s_crps)
+        assert got[0] == ref[0]
+        for a, b in zip(got[1:], ref[1:]):
+            assert (a is None) == (b is None), row.model
+            if a is not None:
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12), row.model
+        assert row.n_samples == n_windows
 
 
 def test_report_csv_layout():
