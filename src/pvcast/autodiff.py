@@ -7,11 +7,15 @@ gradients additively, so fan-out sums contributions and callers are expected
 to zero gradients between batches. Every forward operation checks its output
 for NaN/Inf and raises ``NumericsError`` instead of propagating bad values.
 
-``lstm_cell`` is one fused node per recurrence step; it records a second
-output (the cell state) and takes a gradient for each.
+``lstm_cell`` is one fused node per recurrence step and ``lstm_layer`` one
+per layer over a whole sequence; both record a second output (the cell
+state) and take a gradient for each. ``attend`` is one node per attention
+query step; the key and value gradients of all steps are computed together
+by the node that ``attention_memory`` records.
 """
 
 import math
+import weakref
 
 import numpy as np
 
@@ -98,11 +102,6 @@ def _active_tape():
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(x) -> Tensor:
-    """A tensor that never requires gradients."""
-    return Tensor(x, requires_grad=False)
 
 
 def _check_finite(op: str, data: np.ndarray) -> None:
@@ -197,12 +196,12 @@ def scale(x, c: float) -> Tensor:
     return _emit("scale", (x,), x.data * c, lambda g: (g * c if x.requires_grad else None,))
 
 
-def _sigmoid(d: np.ndarray) -> np.ndarray:
+def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function: 1/(1+e) for d >= 0 and e/(1+e) below, with
-    e = exp(-|d|) <= 1 so that exp never overflows."""
+    e = exp(-|d|) <= 1 so that exp never overflows. `out` may be `d`."""
     e = np.exp(-np.abs(d))
     denom = 1.0 + e
-    return np.where(d >= 0, 1.0 / denom, e / denom)
+    return np.divide(np.where(d >= 0, 1.0, e), denom, out=out)
 
 
 def sigmoid(x) -> Tensor:
@@ -321,20 +320,6 @@ def swap_last_axes(x) -> Tensor:
     return _emit("swap", (x,), out, grad_fn)
 
 
-def stack_steps(tensors, axis: int = 1) -> Tensor:
-    """Stack equally shaped tensors along a new axis in one tape node."""
-    ts = tuple(as_tensor(t) for t in tensors)
-    if not ts:
-        raise ContractError("stack_steps needs at least one tensor")
-    out = np.stack([t.data for t in ts], axis=axis)
-
-    def grad_fn(g):
-        parts = np.moveaxis(g, axis, 0)
-        return tuple(parts[i] if t.requires_grad else None for i, t in enumerate(ts))
-
-    return _emit("stack", ts, out, grad_fn)
-
-
 def sum_all(x) -> Tensor:
     """Sum of every entry; yields a scalar (shape ()) tensor."""
     x = as_tensor(x)
@@ -349,8 +334,56 @@ def sum_all(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fused recurrent cell
+# Fused recurrent ops
 # ---------------------------------------------------------------------------
+
+
+def _lstm_gates(pre: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarray,
+                h_next: np.ndarray) -> None:
+    """Turn pre-activations into gate activations (blocks i, f, g, o) in
+    place and write c' = f*c + i*g, tanh(c') and h' = o*tanh(c'), in the
+    operand order of the composite cell. `c_next` may be `c`."""
+    u = c_next.shape[-1]
+    # A contiguous copy keeps tanh on the same numpy loop as for a standalone
+    # array, so the values match ad.tanh to the last bit on any build.
+    candidate = np.tanh(pre[..., 2 * u:3 * u].copy())
+    _sigmoid(pre, out=pre)
+    pre[..., 2 * u:3 * u] = candidate
+    i, f, g, o = (pre[..., k * u:(k + 1) * u] for k in range(4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(f, c, out=c_next)
+        c_next += i * g  # non-finite values are rejected by the callers
+    np.tanh(c_next, out=tc)
+    np.multiply(o, tc, out=h_next)
+
+
+def _lstm_pre_grad(grad_h, grad_c, gates: np.ndarray, c: np.ndarray, tc: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """One step's d(pre), written into `out` (which may be `gates`), from the
+    gradients on h' and c' (None for one that received none); returns the
+    gradient that reaches c."""
+    u = c.shape[-1]
+    i, f, g, o = (gates[..., k * u:(k + 1) * u] for k in range(4))
+    d_gates = np.empty_like(gates)
+    if grad_h is None:
+        d_gates[..., 3 * u:] = 0.0
+        dc = grad_c
+    else:
+        np.multiply(grad_h, tc, out=d_gates[..., 3 * u:])
+        dc = grad_h * o
+        dc *= 1.0 - tc * tc
+        if grad_c is not None:
+            np.add(grad_c, dc, out=dc)
+    np.multiply(dc, g, out=d_gates[..., :u])
+    np.multiply(dc, c, out=d_gates[..., u:2 * u])
+    np.multiply(dc, i, out=d_gates[..., 2 * u:3 * u])
+    d_candidate = d_gates[..., 2 * u:3 * u] * (1.0 - g * g)
+    dc_prev = dc * f
+    one_minus = 1.0 - gates
+    np.multiply(d_gates, gates, out=out)
+    out *= one_minus
+    out[..., 2 * u:3 * u] = d_candidate
+    return dc_prev
 
 
 def lstm_cell(x, h, c, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
@@ -375,42 +408,24 @@ def lstm_cell(x, h, c, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
         raise ShapeError(f"lstm shapes do not fit: x {x.shape} @ w_x {w_x.shape}, "
                          f"h {h.shape} @ w_h {w_h.shape}, bias {bias.shape}") from exc
     _check_finite("lstm", pre)
+    if pre.shape[-1] != 4 * u or c.shape != pre.shape[:-1] + (u,):
+        raise ShapeError(f"lstm cell state {c.shape} does not fit gates {pre.shape}")
     xw_shape, hw_shape = xw.shape, hw.shape
-    # Sigmoid over every block, then tanh over the candidate block. A
-    # contiguous copy keeps tanh on the same numpy loop as for a standalone
-    # array, so the values match ad.tanh to the last bit on any build.
-    gates = _sigmoid(pre)
-    gates[..., 2 * u:3 * u] = np.tanh(pre[..., 2 * u:3 * u].copy())
-    i, f, g, o = (gates[..., k * u:(k + 1) * u] for k in range(4))
-    if c.shape != i.shape:
-        raise ShapeError(f"lstm cell state {c.shape} does not fit gates {i.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_next = f * c.data + i * g
+    gates = pre  # turned into activations in place
+    c_next, tc, h_next = (np.empty(c.shape) for _ in range(3))
+    _lstm_gates(gates, c.data, c_next, tc, h_next)
     _check_finite("lstm", c_next)
-    tc = np.tanh(c_next)
-    h_next = o * tc
     _check_finite("lstm", h_next)
 
     def grad_fn(grad_h, grad_c):
-        d_gates = np.empty_like(gates)
-        if grad_h is None:
-            d_gates[..., 3 * u:] = 0.0
-            dc = grad_c
-        else:
-            d_gates[..., 3 * u:] = grad_h * tc
-            dtanh = (grad_h * o) * (1.0 - tc * tc)
-            dc = dtanh if grad_c is None else grad_c + dtanh
-        d_gates[..., :u] = dc * g
-        d_gates[..., u:2 * u] = dc * c.data
-        d_gates[..., 2 * u:3 * u] = dc * i
-        d_pre = (d_gates * gates) * (1.0 - gates)
-        d_pre[..., 2 * u:3 * u] = d_gates[..., 2 * u:3 * u] * (1.0 - g * g)
+        d_pre = np.empty_like(gates)
+        dc_prev = _lstm_pre_grad(grad_h, grad_c, gates, c.data, tc, d_pre)
         d_xw = _unbroadcast(d_pre, xw_shape)
         d_hw = _unbroadcast(d_pre, hw_shape)
         return (
             _unbroadcast(d_xw @ _swap(w_x.data), x.shape) if x.requires_grad else None,
             _unbroadcast(d_hw @ _swap(w_h.data), h.shape) if h.requires_grad else None,
-            dc * f if c.requires_grad else None,
+            dc_prev if c.requires_grad else None,
             _unbroadcast(_swap(x.data) @ d_xw, w_x.shape) if w_x.requires_grad else None,
             _unbroadcast(_swap(h.data) @ d_hw, w_h.shape) if w_h.requires_grad else None,
             _unbroadcast(d_pre, bias.shape) if bias.requires_grad else None,
@@ -424,6 +439,211 @@ def lstm_cell(x, h, c, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
     if tape is not None and requires:
         tape.nodes.append(Node("lstm", inputs, h_out, grad_fn, aux=c_out))
     return h_out, c_out
+
+
+# Steps whose input projection a forward-only lstm_layer computes in one GEMM.
+# The buffer then holds 32 steps instead of all of them (480 at the published
+# window), while each GEMM still has 32 x batch rows.
+_PROJECTION_CHUNK = 32
+
+
+def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
+    """An LSTM layer over a whole (batch, steps, in) input as one two-output
+    tape node: every step's h as (batch, steps, units), and the last c.
+
+    The schedule is layer-major (Appleyard et al. 2016): one GEMM projects
+    the input of every step into a (steps, batch, 4u) gate buffer, and the
+    loop adds only h @ w_h and the gate arithmetic, in lstm_cell's operand
+    order, so the outputs equal those of a chain of lstm_cell nodes. The
+    reverse sweep keeps only dh @ w_hᵀ and elementwise work inside the loop,
+    writing d(pre) over the gates; the x, w_x, w_h and bias gradients then
+    take one GEMM or reduction each. Those sum over steps in another order
+    than the chain does, so the weight gradients may differ in the last
+    bits. The rule frees its cache, so it runs once.
+
+    When no tape records the node, no backward cache is kept and the input
+    is projected _PROJECTION_CHUNK steps at a time.
+    """
+    x, h0, c0, w_x, w_h, bias = (as_tensor(t) for t in (x, h0, c0, w_x, w_h, bias))
+    if x.data.ndim != 3 or x.shape[1] == 0 or h0.data.ndim != 2:
+        raise ShapeError(f"lstm_layer needs (batch, steps>0, in) input and (batch, units) "
+                         f"state, got {x.shape} and {h0.shape}")
+    batch, steps, width = x.shape
+    u = h0.shape[1]
+    if (c0.shape != (batch, u) or h0.shape[0] != batch or w_x.shape != (width, 4 * u)
+            or w_h.shape != (u, 4 * u) or bias.shape != (4 * u,)):
+        raise ShapeError(f"lstm_layer shapes do not fit: x {x.shape}, h0 {h0.shape}, "
+                         f"c0 {c0.shape}, w_x {w_x.shape}, w_h {w_h.shape}, bias {bias.shape}")
+    inputs = (x, h0, c0, w_x, w_h, bias)
+    requires = any(t.requires_grad for t in inputs)
+    tape = _active_tape()
+    record = tape is not None and requires
+
+    xs = np.swapaxes(x.data, 0, 1)  # (steps, batch, in)
+    chunk = steps if record else min(_PROJECTION_CHUNK, steps)
+    gates = np.empty((chunk, batch, 4 * u))  # projections, then activations
+    hs = np.empty((steps + 1, batch, u))
+    hs[0] = h0.data
+    if record:
+        cs = np.empty((steps + 1, batch, u))
+        cs[0] = c0.data
+        tcs = np.empty((steps, batch, u))
+    else:  # one c updated in place and one tanh(c) scratch
+        c, tc = c0.data.copy(), np.empty((batch, u))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected
+        for t in range(steps):
+            k = t % chunk
+            if k == 0:
+                n = min(chunk, steps - t)
+                block = np.ascontiguousarray(xs[t:t + n]).reshape(n * batch, width)
+                np.matmul(block, w_x.data, out=gates[:n].reshape(n * batch, 4 * u))
+            pre = gates[k]  # (xw + hw) + bias, turned into activations in place
+            pre += hs[t] @ w_h.data
+            pre += bias.data
+            _check_finite("lstm_layer", pre)
+            if record:
+                _lstm_gates(pre, cs[t], cs[t + 1], tcs[t], hs[t + 1])
+            else:
+                _lstm_gates(pre, c, c, tc, hs[t + 1])
+    if record:
+        c = cs[steps].copy()
+    _check_finite("lstm_layer", c)
+    _check_finite("lstm_layer", hs)
+    h_seq = Tensor(np.swapaxes(hs[1:], 0, 1), requires_grad=requires)
+    c_last = Tensor(c, requires_grad=requires)
+    if not record:
+        return h_seq, c_last
+    cache = [gates, cs, tcs, block]
+
+    def grad_fn(grad_seq, grad_c):
+        if not cache:
+            raise ContractError("lstm_layer backward ran twice on one tape")
+        d_pre, cs, tcs, x_rows = cache
+        cache.clear()
+        ext = None if grad_seq is None else np.swapaxes(grad_seq, 0, 1)
+        dh, dc = None, grad_c
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(steps - 1, -1, -1):
+                if ext is None:
+                    grad_h = dh
+                else:
+                    grad_h = ext[t] if dh is None else ext[t] + dh
+                dc = _lstm_pre_grad(grad_h, dc, d_pre[t], cs[t], tcs[t], out=d_pre[t])
+                if t or h0.requires_grad:
+                    dh = d_pre[t] @ _swap(w_h.data)
+            rows = d_pre.reshape(steps * batch, 4 * u)
+            d_x = None
+            if x.requires_grad:
+                d_x = np.swapaxes((rows @ _swap(w_x.data)).reshape(steps, batch, width), 0, 1)
+            return (
+                d_x,
+                dh if h0.requires_grad else None,
+                dc if c0.requires_grad else None,
+                _swap(x_rows) @ rows if w_x.requires_grad else None,
+                _swap(hs[:-1].reshape(steps * batch, u)) @ rows if w_h.requires_grad else None,
+                rows.sum(axis=0) if bias.requires_grad else None,
+            )
+
+    tape.nodes.append(Node("lstm_layer", inputs, h_seq, grad_fn, aux=c_last))
+    return h_seq, c_last
+
+
+# ---------------------------------------------------------------------------
+# Fused attention
+# ---------------------------------------------------------------------------
+
+
+class KeyValueMemory:
+    """Projected keys, transposed to (..., width, steps), and values
+    (..., steps, width), shared by every query of one sequence.
+
+    While a tape records, ``attention_memory`` records one node before any
+    query reads the memory. Each ``attend`` node's backward saves its rows
+    in ``rows`` instead of building full-size key and value gradients; the
+    memory's own rule runs after all of them and turns the rows into
+    d(kp_t) = Qᵀ·dS and d(vp) = Aᵀ·dC, one batched GEMM each. ``token`` is
+    that node's output: a scalar without meaning whose gradient marks that
+    rows are waiting. ``tape`` is a weak reference to the tape that recorded
+    the node (None if none did), so the tape does not reach itself through
+    its own rule and is freed as soon as it is dropped; ``attend`` refuses
+    to record on any other tape.
+    """
+
+    __slots__ = ("kp_t", "vp", "token", "rows", "tape")
+
+    def __init__(self, kp_t: Tensor, vp: Tensor, token: Tensor,
+                 tape: "weakref.ref[Tape] | None"):
+        self.kp_t = kp_t
+        self.vp = vp
+        self.token = token
+        self.rows: list[tuple] = []
+        self.tape = tape
+
+
+def attention_memory(kp_t, vp) -> KeyValueMemory:
+    """Wrap projected keys and values for attend; create it under the same
+    tape as the queries that read it."""
+    kp_t, vp = as_tensor(kp_t), as_tensor(vp)
+    if (kp_t.data.ndim < 2 or vp.data.ndim != kp_t.data.ndim
+            or kp_t.shape[:-2] != vp.shape[:-2] or kp_t.shape[-1] != vp.shape[-2]):
+        raise ShapeError(f"keys {kp_t.shape} (..., width, steps) do not fit "
+                         f"values {vp.shape} (..., steps, width)")
+    tape = _active_tape()
+    record = tape is not None and (kp_t.requires_grad or vp.requires_grad)
+    memory = KeyValueMemory(kp_t, vp, Tensor(np.zeros(()), requires_grad=record),
+                            weakref.ref(tape) if record else None)
+    if record:
+        def grad_fn(_):
+            q, d_scores, weights, d_out = (np.concatenate(part, axis=-2)
+                                           for part in zip(*memory.rows))
+            memory.rows = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                return (_swap(q) @ d_scores if kp_t.requires_grad else None,
+                        _swap(weights) @ d_out if vp.requires_grad else None)
+
+        tape.nodes.append(Node("attention_kv", (kp_t, vp), memory.token, grad_fn))
+    return memory
+
+
+def attend(qp, memory: KeyValueMemory, scale: float) -> Tensor:
+    """softmax((qp @ kp_t) * scale) @ vp as one tape node.
+
+    Forward and the query gradient repeat the matmul/scale/softmax/matmul
+    composite operand for operand; the key and value gradients are left to
+    the memory's node (see KeyValueMemory), so the memory must have been
+    created under the tape that records the queries.
+    """
+    qp = as_tensor(qp)
+    kp_t, vp, token = memory.kp_t.data, memory.vp.data, memory.token
+    if (qp.data.ndim != kp_t.ndim or qp.shape[:-2] != kp_t.shape[:-2]
+            or qp.shape[-1] != kp_t.shape[-2]):
+        raise ShapeError(f"queries {qp.shape} do not fit keys {kp_t.shape}")
+    tape = _active_tape()
+    if (tape is not None and (memory.tape is None or memory.tape() is not tape)
+            and (memory.kp_t.requires_grad or memory.vp.requires_grad)):
+        raise ContractError("attend: the key/value memory was not created under the "
+                            "recording tape, so its keys and values would get no "
+                            "gradient; call attention_memory inside that tape")
+    scale = float(scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = (qp.data @ kp_t) * scale
+    _check_finite("attention", scores)
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = ex / ex.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = weights @ vp  # non-finite results are rejected in _emit
+
+    def grad_fn(g):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_weights = g @ _swap(vp)
+            inner = (d_weights * weights).sum(axis=-1, keepdims=True)
+            d_scores = (weights * (d_weights - inner)) * scale
+            if token.requires_grad:
+                memory.rows.append((qp.data, d_scores, weights, g))
+            d_qp = d_scores @ _swap(kp_t) if qp.requires_grad else None
+        return d_qp, np.zeros(()) if token.requires_grad else None
+
+    return _emit("attention", (qp, token), out, grad_fn)
 
 
 # ---------------------------------------------------------------------------

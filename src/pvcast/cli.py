@@ -6,6 +6,7 @@ key=value lines next to its outputs.
 """
 
 import argparse
+import logging
 import sys
 import time
 from pathlib import Path
@@ -370,6 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The library logs through "pvcast" (fit's gradient clipping); show it on
+    # stderr for this call only.
+    log = logging.getLogger("pvcast")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    saved_level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:
@@ -381,6 +390,9 @@ def main(argv=None) -> int:
     except PvcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved_level)
 
 
 def entrypoint() -> None:

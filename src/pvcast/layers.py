@@ -102,6 +102,15 @@ def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor]) -> tuple[Tens
     return ad.lstm_cell(x_t, h, c, layer.w_x, layer.w_h, layer.bias)
 
 
+def lstm_sequence(layer: LstmLayer, x) -> tuple[Tensor, Tensor]:
+    """The layer over a whole (batch, steps, in) input from a zero state,
+    one fused tape node: every step's h as (batch, steps, units), and the
+    last c. A wrong input width raises lstm_layer's ShapeError."""
+    x = ad.as_tensor(x)
+    h, c = layer.initial_state(x.shape[0])
+    return ad.lstm_layer(x, h, c, layer.w_x, layer.w_h, layer.bias)
+
+
 class AttentionLayer:
     """Scaled dot-product attention with learned query/key/value projections
     into a common width; the key width doubles as the score scale."""
@@ -122,34 +131,16 @@ class AttentionLayer:
             out.extend((f"{name}.{pname}", p) for pname, p in part.parameters())
         return out
 
-    def project_keys_values(self, k, v) -> tuple[Tensor, Tensor]:
-        """Project once, reusable across every query of the same sequence:
-        the keys come back transposed, (..., width, steps), so no query
-        transposes them again."""
-        return ad.swap_last_axes(self.w_k(k)), self.w_v(v)
+    def project_keys_values(self, k, v) -> ad.KeyValueMemory:
+        """Project once per sequence into a memory that serves every query
+        of it; the keys are transposed to (..., width, steps) once, so no
+        query transposes them again."""
+        return ad.attention_memory(ad.swap_last_axes(self.w_k(k)), self.w_v(v))
 
 
-def attention_weights(qp: Tensor, kp_t: Tensor, width: int) -> Tensor:
-    scores = ad.scale(ad.matmul(qp, kp_t), 1.0 / math.sqrt(width))
-    return ad.softmax(scores)
-
-
-def attend_projected(qp: Tensor, kp_t: Tensor, vp: Tensor, width: int) -> Tensor:
-    return ad.matmul(attention_weights(qp, kp_t, width), vp)
-
-
-def attention(q, k, v, layer: AttentionLayer, return_weights: bool = False):
-    """Weighted context over keys/values: softmax((qWq)(kWk)^T / sqrt(d)) (vWv)."""
-    q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key steps {k.shape[-2]} != value steps {v.shape[-2]}")
-    qp = layer.w_q(q)
-    kp_t, vp = layer.project_keys_values(k, v)
-    weights = attention_weights(qp, kp_t, layer.width)
-    out = ad.matmul(weights, vp)
-    if return_weights:
-        return out, weights
-    return out
+def attend_projected(qp: Tensor, memory: ad.KeyValueMemory) -> Tensor:
+    """softmax((qp Kᵀ) / sqrt(width)) V for projected queries, one tape node."""
+    return ad.attend(qp, memory, 1.0 / math.sqrt(memory.kp_t.shape[-2]))
 
 
 class TemporalTransform:

@@ -209,25 +209,9 @@ class OneBlockModel(Model):
 
     def forward_batch(self, inputs, p0, teacher, mode, nwp_ahead=None, input_log=None):
         cfg = self.config
-        x = Tensor(inputs)
-        if cfg.family == "ffnn":
-            h = x
-            for layer in self.layers:
-                h = layer(h)
-            seq = h
-        else:
-            batch, steps = inputs.shape[0], inputs.shape[1]
-            states = [layer.initial_state(batch) for layer in self.layers]
-            top = []
-            for t in range(steps):
-                h = ad.slice_axis(x, 1, t, t + 1)
-                h = ad.reshape(h, (batch, cfg.input_features))
-                for i, layer in enumerate(self.layers):
-                    h_i, c_i = ly.lstm_step(layer, h, states[i])
-                    states[i] = (h_i, c_i)
-                    h = h_i
-                top.append(h)
-            seq = ad.stack_steps(top, axis=1)
+        seq = Tensor(inputs)
+        for layer in self.layers:
+            seq = layer(seq) if cfg.family == "ffnn" else ly.lstm_sequence(layer, seq)[0]
         out = ly.temporal_transform(self.transform, seq)
         if cfg.target_mode == "pdf":
             out = ad.softmax(out)
@@ -290,26 +274,15 @@ class Seq2SeqModel(Model):
         if cfg.decoder_nwp and nwp_ahead is None:
             raise ContractError("decoder_nwp models need forecast-day weather")
         batch, steps = inputs.shape[0], inputs.shape[1]
-        x = Tensor(inputs)
+        seq = Tensor(inputs)
+        dec_states = []  # the encoder layers' last states seed the decoder layers
+        for layer in self.encoder:
+            seq, c_last = ly.lstm_sequence(layer, seq)
+            h_last = ad.reshape(ad.slice_axis(seq, 1, steps - 1, steps), (batch, layer.units))
+            dec_states.append((h_last, c_last))
+        # The top layer's outputs are the keys and values of every attention layer.
+        memories = [layer.project_keys_values(seq, seq) for layer in self.attn]
 
-        states = [layer.initial_state(batch) for layer in self.encoder]
-        top = []
-        for t in range(steps):
-            h = ad.reshape(ad.slice_axis(x, 1, t, t + 1), (batch, cfg.input_features))
-            for i, layer in enumerate(self.encoder):
-                h_i, c_i = ly.lstm_step(layer, h, states[i])
-                states[i] = (h_i, c_i)
-                h = h_i
-            if self.attention:
-                top.append(h)
-
-        kp_vp = None
-        if self.attention:
-            enc_seq = ad.stack_steps(top, axis=1)
-            del top
-            kp_vp = [layer.project_keys_values(enc_seq, enc_seq) for layer in self.attn]
-
-        dec_states = list(states)
         feedback = Tensor(p0)
         outputs = []
         for t in range(cfg.output_steps):
@@ -333,7 +306,7 @@ class Seq2SeqModel(Model):
                 if self.attention:
                     query = ad.concat(h, dec_states[i][0], axis=-1) if i == 0 else dec_states[i][0]
                     qp = self.attn[i].w_q(ad.reshape(query, (batch, 1, query.shape[-1])))
-                    ctx = ly.attend_projected(qp, kp_vp[i][0], kp_vp[i][1], self.attn_width)
+                    ctx = ly.attend_projected(qp, memories[i])
                     ctx = ad.reshape(ctx, (batch, self.attn_width))
                     h = ad.concat(ctx, h, axis=-1)
                 h_i, c_i = ly.lstm_step(layer, h, dec_states[i])

@@ -14,7 +14,7 @@ from pvcast.data import (DAY, HOUR, build_splits, consolidate, make_samples,
                          split, synth_generate)
 from pvcast.gradcheck import check_gradients
 from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
-                           TemporalTransform, attention, dense_forward,
+                           TemporalTransform, attend_projected, dense_forward,
                            lstm_step, temporal_transform)
 from pvcast.metrics import crps, evaluate, nme, nrmse, skill
 from pvcast.models import (ModelConfig, benchmark_config, build_model,
@@ -70,8 +70,10 @@ def test_criterion_1_gradient_suite():
     kv = rng.normal(size=(4, 3))
     mix_a = rng.normal(size=(2, 2))
     worst["attention"] = check_gradients(
-        lambda: ad.sum_all(ad.mul(attention(Tensor(q), Tensor(kv), Tensor(kv), attn),
-                                  Tensor(mix_a))),
+        lambda: ad.sum_all(ad.mul(
+            attend_projected(attn.w_q(Tensor(q)),
+                             attn.project_keys_values(Tensor(kv), Tensor(kv))),
+            Tensor(mix_a))),
         [p for _, p in attn.parameters()])
 
     tt = TemporalTransform(8, 3, 2, out_steps=24, rng=rng)

@@ -1,6 +1,10 @@
 """Core engine tests: forward values, gradients vs central differences,
 tape mechanics, and the Nesterov optimizer update rule."""
 
+import gc
+import warnings
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
@@ -219,22 +223,13 @@ def test_backward_rejects_nonscalar_loss():
         backward(tape, y)
 
 
-def test_slice_and_stack_gradients():
+def test_slice_gradients():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape() as tape:
         part = ad.slice_axis(x, 1, 1, 3)
         loss = ad.sum_all(part)
     backward(tape, loss)
     assert np.array_equal(x.grad, [[0, 1, 1], [0, 1, 1]])
-
-    a = Tensor([1.0, 2.0], requires_grad=True)
-    b = Tensor([3.0, 4.0], requires_grad=True)
-    with Tape() as tape:
-        stacked = ad.stack_steps([a, b], axis=0)
-        loss = ad.sum_all(ad.mul(stacked, stacked))
-    backward(tape, loss)
-    assert np.array_equal(a.grad, [2.0, 4.0])
-    assert np.array_equal(b.grad, [6.0, 8.0])
 
 
 def test_clamped_log_floor_and_gradient():
@@ -456,3 +451,234 @@ def test_backward_releases_intermediate_gradients():
     for t in intermediates:
         if t is not loss:
             assert t.grad is None
+
+
+# ---------------------------------------------------------------------------
+# Sequence LSTM layer and fused attention
+# ---------------------------------------------------------------------------
+
+
+def _close(new, ref, rel: float = 1e-12) -> bool:
+    """Equal up to summation-order rounding, relative to the array's scale."""
+    return float(np.abs(new - ref).max()) <= rel * max(1.0, float(np.abs(ref).max()))
+
+
+def _chain_lstm_layer(x, h0, c0, w_x, w_h, bias):
+    """The layer as one lstm_cell node per step, the reference for lstm_layer."""
+    batch, steps, width = x.shape
+    h, c, seq = h0, c0, None
+    for t in range(steps):
+        x_t = ad.reshape(ad.slice_axis(x, 1, t, t + 1), (batch, width))
+        h, c = ad.lstm_cell(x_t, h, c, w_x, w_h, bias)
+        h_t = ad.reshape(h, (batch, 1, h.shape[-1]))
+        seq = h_t if seq is None else ad.concat(seq, h_t, axis=1)
+    return seq, c
+
+
+def _layer_inputs(x_grad: bool, width: int = 4, units: int = 5, steps: int = 6, seed: int = 41):
+    rng = np.random.default_rng(seed)
+    batch = 3
+    shapes = [(batch, steps, width), (batch, units), (batch, units),
+              (width, 4 * units), (units, 4 * units), (4 * units,)]
+    arrays = [rng.normal(scale=1.2, size=s) for s in shapes]
+    return [Tensor(a, requires_grad=(k > 0 or x_grad)) for k, a in enumerate(arrays)]
+
+
+def _run_layers(op, loss_kind: str, x_grad: bool, depth: int = 1):
+    """h_seq, last c and every input's gradient of `depth` stacked layers."""
+    rng = np.random.default_rng(7)
+    inputs = _layer_inputs(x_grad)
+    x = inputs[0]
+    upper = _layer_inputs(True, width=5, seed=42)[1:]  # the second layer's h0 .. bias
+    mix_h = rng.normal(size=(3, 6, 5))
+    mix_c = rng.normal(size=(3, 5))
+    with Tape() as tape:
+        seq, c = op(*inputs)
+        if depth == 2:
+            seq, c = op(seq, *upper)
+        terms = []
+        if loss_kind in ("both", "h"):
+            terms.append(ad.sum_all(ad.mul(seq, Tensor(mix_h))))
+        if loss_kind in ("both", "c"):
+            terms.append(ad.sum_all(ad.mul(c, Tensor(mix_c))))
+        loss = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
+    backward(tape, loss)
+    grads = [t.grad for t in inputs] + ([t.grad for t in upper] if depth == 2 else [])
+    return seq.data, c.data, grads, tape
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("loss_kind", ["both", "h", "c"])
+def test_lstm_layer_matches_chain_of_cells(loss_kind, x_grad, depth):
+    h_ref, c_ref, grads_ref, _ = _run_layers(_chain_lstm_layer, loss_kind, x_grad, depth)
+    h_new, c_new, grads_new, tape = _run_layers(ad.lstm_layer, loss_kind, x_grad, depth)
+    assert sum(n.op == "lstm_layer" for n in tape.nodes) == depth
+    assert h_new.shape == h_ref.shape == (3, 6, 5)
+    assert _close(h_new, h_ref, 1e-14) and _close(c_new, c_ref, 1e-14)
+    names = ["x", "h0", "c0", "w_x", "w_h", "bias"] + ["h0'", "c0'", "w_x'", "w_h'", "bias'"]
+    for name, ref, new in zip(names, grads_ref, grads_new):
+        if name == "x" and not x_grad:
+            assert ref is None and new is None
+            continue
+        assert ref is not None and new is not None, name
+        assert _close(new, ref), name
+
+
+def test_lstm_layer_gradients_match_finite_differences():
+    inputs = _layer_inputs(x_grad=True, steps=4)
+    rng = np.random.default_rng(3)
+    mix_h, mix_c = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5))
+
+    def build_loss():
+        seq, c = ad.lstm_layer(*inputs)
+        return ad.add(ad.sum_all(ad.mul(seq, Tensor(mix_h))),
+                      ad.sum_all(ad.mul(c, Tensor(mix_c))))
+
+    assert check_gradients(build_loss, inputs) < 1e-6
+
+
+def test_lstm_layer_forward_only_projects_in_chunks_with_equal_values():
+    # More steps than one projection chunk, with a partial last chunk.
+    steps = 2 * ad._PROJECTION_CHUNK + 5
+    inputs = _layer_inputs(x_grad=False, steps=steps)
+    seq_free, c_free = ad.lstm_layer(*inputs)
+    with Tape() as tape:
+        seq_taped, c_taped = ad.lstm_layer(*inputs)
+    assert len(tape) == 1
+    assert np.array_equal(seq_free.data, seq_taped.data)
+    assert np.array_equal(c_free.data, c_taped.data)
+
+
+def test_lstm_layer_overflow_names_lstm():
+    inputs = _layer_inputs(x_grad=False)
+    inputs[0].data[...] = 1e300
+    inputs[3].data[...] = 1e300
+    with pytest.raises(NumericsError, match="lstm"):
+        ad.lstm_layer(*inputs)
+
+
+def test_lstm_layer_shape_errors_and_single_backward():
+    inputs = _layer_inputs(x_grad=False)
+    with pytest.raises(ShapeError):
+        ad.lstm_layer(Tensor(np.zeros((3, 6, 7))), *inputs[1:])
+    with pytest.raises(ShapeError):
+        ad.lstm_layer(inputs[0], Tensor(np.zeros((2, 5))), *inputs[2:])
+    with Tape() as tape:
+        seq, _ = ad.lstm_layer(*inputs)
+        loss = ad.sum_all(seq)
+    backward(tape, loss)
+    with pytest.raises(ContractError, match="twice"):
+        backward(tape, loss)
+
+
+def _composite_attend(qp, memory, scale):
+    """Attention as matmul/scale/softmax/matmul nodes, the reference for attend."""
+    scores = ad.scale(ad.matmul(qp, memory.kp_t), scale)
+    return ad.matmul(ad.softmax(scores), memory.vp)
+
+
+def _attention_inputs():
+    rng = np.random.default_rng(12)
+    batch, width, keys, steps = 3, 4, 7, 4
+    queries = [Tensor(rng.normal(size=(batch, 1, width)), requires_grad=True)
+               for _ in range(steps)]
+    kp_t = Tensor(rng.normal(size=(batch, width, keys)), requires_grad=True)
+    vp = Tensor(rng.normal(size=(batch, keys, width)), requires_grad=True)
+    mixes = [rng.normal(size=(batch, 1, width)) for _ in range(steps)]
+    return queries, kp_t, vp, mixes
+
+
+def _attention_loss(attend, queries, kp_t, vp, mixes):
+    memory = ad.attention_memory(kp_t, vp)
+    loss = None
+    for qp, mix in zip(queries, mixes):  # every step reads the same keys
+        term = ad.sum_all(ad.mul(attend(qp, memory, 0.5), Tensor(mix)))
+        loss = term if loss is None else ad.add(loss, term)
+    return loss
+
+
+def test_attend_matches_composite_over_shared_keys():
+    results = []
+    for attend in (_composite_attend, ad.attend):
+        queries, kp_t, vp, mixes = _attention_inputs()
+        with Tape() as tape:
+            loss = _attention_loss(attend, queries, kp_t, vp, mixes)
+        backward(tape, loss)
+        results.append((loss.item(), [q.grad for q in queries], kp_t.grad, vp.grad, tape))
+    (loss_ref, dq_ref, dk_ref, dv_ref, _), (loss_new, dq_new, dk_new, dv_new, tape) = results
+    assert loss_new == loss_ref
+    for new, ref in zip(dq_new, dq_ref):
+        assert np.array_equal(new, ref)
+    assert _close(dk_new, dk_ref) and _close(dv_new, dv_ref)
+    ops = [n.op for n in tape.nodes]
+    assert ops.count("attention") == 4 and ops.count("attention_kv") == 1
+    assert ops.index("attention_kv") < ops.index("attention")
+
+
+def test_attend_gradients_match_finite_differences():
+    queries, kp_t, vp, mixes = _attention_inputs()
+    assert check_gradients(
+        lambda: _attention_loss(ad.attend, queries, kp_t, vp, mixes),
+        queries + [kp_t, vp]) < 1e-6
+
+
+def test_attend_rejects_a_memory_from_another_tape():
+    queries, kp_t, vp, _ = _attention_inputs()
+    outside = ad.attention_memory(kp_t, vp)  # no tape: no attention_kv node
+    with Tape():
+        with pytest.raises(ContractError, match="attention_memory"):
+            ad.attend(queries[0], outside, 0.5)
+    with Tape() as outer:
+        memory = ad.attention_memory(kp_t, vp)
+        with Tape() as inner:
+            with pytest.raises(ContractError, match="attention_memory"):
+                ad.attend(queries[0], memory, 0.5)
+        ad.attend(queries[0], memory, 0.5)
+    assert len(inner) == 0 and [n.op for n in outer.nodes] == ["attention_kv", "attention"]
+    assert memory.rows == []
+    # Constant keys and values need no memory node, and reading outside a tape records nothing.
+    frozen = ad.attention_memory(Tensor(kp_t.data), Tensor(vp.data))
+    with Tape() as tape:
+        ad.attend(queries[0], frozen, 0.5)
+    assert [n.op for n in tape.nodes] == ["attention"]
+    assert ad.attend(queries[0], memory, 0.5).shape == queries[0].shape
+
+
+def test_sequence_op_tapes_are_freed_without_the_cycle_collector():
+    inputs = _layer_inputs(x_grad=True)
+    queries, kp_t, vp, mixes = _attention_inputs()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            seq, _ = ad.lstm_layer(*inputs)
+            loss = ad.add(ad.sum_all(seq), _attention_loss(ad.attend, queries, kp_t, vp, mixes))
+        backward(tape, loss)
+        freed = weakref.ref(tape)
+        del tape, loss, seq
+        assert freed() is None  # a cycle through a node's rule would keep every step's tape
+    finally:
+        gc.enable()
+
+
+def test_sequence_ops_overflow_without_runtime_warnings():
+    inputs = _layer_inputs(x_grad=True)
+    queries, kp_t, vp, _ = _attention_inputs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            seq, c = ad.lstm_layer(*inputs)
+            memory = ad.attention_memory(kp_t, vp)
+            ctx = ad.attend(queries[0], memory, 0.5)
+        layer_node, kv_node, attend_node = tape.nodes
+        # Rules fed gradients near the float64 limit overflow inside their matmuls.
+        grads = layer_node.grad_fn(np.full(seq.shape, 1e308), np.full(c.shape, 1e308))
+        grads += attend_node.grad_fn(np.full(ctx.shape, 1e308))
+        grads += kv_node.grad_fn(None)
+        assert not all(np.isfinite(g).all() for g in grads)
+        inputs[0].data[...] = 1e300
+        inputs[3].data[...] = 1e300
+        with pytest.raises(NumericsError, match="lstm"):
+            ad.lstm_layer(*inputs)
+        with pytest.raises(NumericsError, match="attention"):
+            ad.attend(queries[0], memory, 1e308)

@@ -87,6 +87,16 @@ def test_train_writes_checkpoint_and_report(data_dir, config_file, tmp_path):
     assert int(manifest["parameters"]) > 0
 
 
+def test_train_reports_gradient_clipping_on_stderr(data_dir, tmp_path, capsys):
+    config = tmp_path / "clip.cfg"
+    config.write_text(CONFIG + "clip_norm=0.000001\n")
+    assert main(["train", "--model", "ffnn", "--mode", "E", "--data", str(data_dir),
+                 "--config", str(config), "--out", str(tmp_path / "clip")]) == 0
+    err = capsys.readouterr().err
+    assert "clipped gradient norm" in err
+    assert "at epoch 1 batch 0" in err
+
+
 def test_train_deterministic_across_runs(data_dir, config_file, tmp_path):
     vals = []
     for name in ("r1", "r2"):

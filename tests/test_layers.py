@@ -9,8 +9,8 @@ from pvcast.autodiff import Tape, Tensor, backward
 from pvcast.errors import ContractError, NumericsError, ShapeError
 from pvcast.gradcheck import check_gradients
 from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
-                           TemporalTransform, attention, dense_forward,
-                           lstm_step, temporal_transform)
+                           TemporalTransform, attend_projected, dense_forward,
+                           lstm_sequence, lstm_step, temporal_transform)
 
 RNG = np.random.default_rng(2024)
 
@@ -129,7 +129,36 @@ def test_lstm_hidden_state_bounded():
         assert np.all(np.abs(h.data) < 1.0)
 
 
+def test_lstm_sequence_matches_steps_and_checks_widths():
+    rng = _rng()
+    layer = LstmLayer(3, 4, rng=rng)
+    x = rng.normal(size=(2, 5, 3))
+    h_seq, c_last = lstm_sequence(layer, Tensor(x))
+    h, c = layer.initial_state(2)
+    for t in range(5):
+        h, c = lstm_step(layer, Tensor(x[:, t]), (h, c))
+        assert np.allclose(h_seq.data[:, t], h.data, rtol=0.0, atol=1e-15)
+    assert np.allclose(c_last.data, c.data, rtol=0.0, atol=1e-15)
+    with pytest.raises(ShapeError):
+        lstm_sequence(layer, Tensor(np.zeros((2, 5, 4))))
+
+
 # ------------------------------------------------------------- attention ---
+
+
+def _attend(layer: AttentionLayer, q, k, v) -> Tensor:
+    """The model's attention path: keys and values projected once into a
+    memory, then projected queries attend to it."""
+    memory = layer.project_keys_values(ad.as_tensor(k), ad.as_tensor(v))
+    return attend_projected(layer.w_q(ad.as_tensor(q)), memory)
+
+
+def _attention_weights(layer: AttentionLayer, q, k) -> Tensor:
+    """The weights of _attend, read through the same op: with identity
+    values each context row is its weight row, exactly."""
+    kp_t = ad.swap_last_axes(layer.w_k(ad.as_tensor(k)))
+    memory = ad.attention_memory(kp_t, Tensor(np.eye(kp_t.shape[-1])))
+    return attend_projected(layer.w_q(ad.as_tensor(q)), memory)
 
 
 def test_attention_single_key_degeneracy():
@@ -138,7 +167,7 @@ def test_attention_single_key_degeneracy():
     q = rng.normal(size=(4, 3))
     k = rng.normal(size=(1, 3))
     v = rng.normal(size=(1, 3))
-    out = attention(Tensor(q), Tensor(k), Tensor(v), layer)
+    out = _attend(layer, Tensor(q), Tensor(k), Tensor(v))
     projected_v = v @ layer.w_v.weights.data + layer.w_v.bias.data
     assert out.data.shape == (4, 2)
     for row in out.data:
@@ -153,7 +182,8 @@ def test_attention_identity_projections_hand_example():
     q = Tensor([[1.0]])
     k = Tensor([[1.0], [-1.0]])
     v = Tensor([[1.0], [0.0]])
-    out, weights = attention(q, k, v, layer, return_weights=True)
+    out = _attend(layer, q, k, v)
+    weights = _attention_weights(layer, q, k)
     e = np.exp(1.0)
     expected_w = np.array([e, 1.0 / e]) / (e + 1.0 / e)
     assert weights.data[0] == pytest.approx(expected_w, abs=1e-10)
@@ -163,16 +193,16 @@ def test_attention_identity_projections_hand_example():
 def test_attention_weights_rows_sum_to_one():
     rng = _rng()
     layer = AttentionLayer(5, 4, 4, width=3, rng=rng)
-    q, k, v = rng.normal(size=(6, 5)), rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
-    _, weights = attention(Tensor(q), Tensor(k), Tensor(v), layer, return_weights=True)
+    q, k = rng.normal(size=(6, 5)), rng.normal(size=(9, 4))
+    weights = _attention_weights(layer, Tensor(q), Tensor(k))
     assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_attention_key_value_step_mismatch():
     layer = AttentionLayer(3, 3, 3, width=2, rng=_rng())
     with pytest.raises(ShapeError):
-        attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))),
-                  Tensor(np.zeros((5, 3))), layer)
+        _attend(layer, Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))),
+                Tensor(np.zeros((5, 3))))
 
 
 def test_attention_joint_permutation_of_keys_values_invariant():
@@ -182,8 +212,8 @@ def test_attention_joint_permutation_of_keys_values_invariant():
     k = rng.normal(size=(7, 4))
     v = rng.normal(size=(7, 4))
     perm = rng.permutation(7)
-    base = attention(Tensor(q), Tensor(k), Tensor(v), layer).data
-    permuted = attention(Tensor(q), Tensor(k[perm]), Tensor(v[perm]), layer).data
+    base = _attend(layer, Tensor(q), Tensor(k), Tensor(v)).data
+    permuted = _attend(layer, Tensor(q), Tensor(k[perm]), Tensor(v[perm])).data
     assert np.allclose(base, permuted, atol=1e-12)
 
 
@@ -204,7 +234,7 @@ def test_attention_gradient_matches_finite_differences():
     mix = rng.normal(size=(2, 2))
 
     def build_loss():
-        out = attention(Tensor(q), Tensor(kv), Tensor(kv), layer)
+        out = _attend(layer, Tensor(q), Tensor(kv), Tensor(kv))
         return ad.sum_all(ad.mul(out, Tensor(mix)))
 
     params = [p for _, p in layer.parameters()]

@@ -1,5 +1,7 @@
 """Loss functions, the fit loop, early stopping, and checkpoint round-trips."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -231,14 +233,14 @@ def test_fit_seeded_s2s_attn_numerics_are_pinned(mode):
     assert report.val_nrmse == [val_nrmse]
 
 
-MAX_TAPE_NODES_C4_STEP = 1069
+MAX_TAPE_NODES_C4_STEP = 548
 
 
 def test_teacher_forced_s2s_attn_step_tape_size():
     # Criterion-4 scale: 192 encoder steps, 32 units, batch 32. One node per
-    # LSTM step and one key transpose per attention layer give 1,069 nodes in
-    # all (1,115 with a transpose per decoder step, 8,027 with a node per gate
-    # op). A later fused or batched change may lower the bound.
+    # encoder layer, one per decoder LSTM step, one per attention query step
+    # and one key/value node per attention layer give 548 nodes in all. A
+    # later fused or batched change may lower the bound.
     rng = np.random.default_rng(0)
     cfg = ModelConfig(family="s2s_attn", target_mode="pdf", units_per_layer=32,
                       input_steps=192)
@@ -250,9 +252,12 @@ def test_teacher_forced_s2s_attn_step_tape_size():
     with Tape() as tape:
         outputs = model.forward_batch(inputs, p0, teacher, "teacher_forcing")
         _batch_loss("kl", outputs, teacher, 1e-9)
-    lstm_nodes = sum(node.op == "lstm" for node in tape.nodes)
-    assert lstm_nodes == cfg.depth * (192 + cfg.output_steps)
-    assert sum(node.op == "swap" for node in tape.nodes) == cfg.depth
+    ops = Counter(node.op for node in tape.nodes)
+    assert ops["lstm_layer"] == cfg.depth
+    assert ops["lstm"] == cfg.depth * cfg.output_steps
+    assert ops["attention"] == cfg.depth * cfg.output_steps
+    assert ops["attention_kv"] == cfg.depth
+    assert ops["swap"] == cfg.depth
     assert len(tape) <= MAX_TAPE_NODES_C4_STEP
 
 
