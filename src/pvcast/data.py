@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, islice
 
 import numpy as np
 
@@ -26,6 +27,7 @@ SLOTS_PER_HOUR = HOUR // GRID_STEP
 NWP_CHANNELS = ("temp_c", "pressure_kpa", "ghi_wm2", "wind_ms", "rh_pct")
 PV_CSV_HEADER = ("timestamp", "power_w")
 NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
+CSV_CHUNK_ROWS = 4096
 
 
 def parse_timestamp(text: str) -> int:
@@ -70,74 +72,206 @@ class RawNwpSeries:
     channels: np.ndarray  # (n, 5) in NWP_CHANNELS order
 
 
-def _check_monotone(stamps: np.ndarray, what: str) -> None:
+def _check_monotone(stamps: np.ndarray, what: str, path) -> None:
     diffs = np.diff(stamps)
     bad = np.nonzero(diffs <= 0)[0]
     if bad.size:
         i = int(bad[0])
         raise DataError(
-            f"{what} timestamps not strictly increasing at row {i + 2}: "
+            f"{what} timestamps not strictly increasing at row {_record_line(path, i)}: "
             f"{format_timestamp(int(stamps[i]))} then {format_timestamp(int(stamps[i + 1]))}")
 
 
-def _read_rows(path, header: tuple) -> list[list[str]]:
+def _records(reader, stop: float):
+    """(line, fields) of each non-blank record that starts before line `stop`
+    of the reader's input, counting lines from 1 at the reader's first line."""
+    while reader.line_num < stop:
+        line = reader.line_num + 1
+        row = next(reader, None)
+        if row is None:
+            return
+        if row:
+            yield line, row
+
+
+def _record_line(path, index: int) -> int:
+    """File line on which the index-th data record (0-based) starts."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        next(reader)
+        return next(islice(_records(reader, math.inf), index, None))[0]
+
+
+# write_csv's stamp layout, with a digit wherever it has "d".
+_FIXED_HEAD = np.frombuffer(b"dddd-dd-ddTdd:dd:00Z,", dtype=np.uint8)
+_DIGIT = _FIXED_HEAD == ord("d")
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+
+
+def _fixed_minutes(lines: list[str]) -> np.ndarray | None:
+    """Minutes since the epoch of lines that each start with a stamp in
+    write_csv's layout, from integer arithmetic on its digits; None if any
+    line does not, or names a date or time that does not exist."""
+    try:
+        head = np.array(lines, dtype="S21")  # each line's first 21 characters
+    except UnicodeEncodeError:
+        return None
+    raw = head.view(np.uint8).reshape(-1, 21)
+    digits = raw[:, _DIGIT]
+    if not ((digits >= ord("0")).all() and (digits <= ord("9")).all()
+            and (raw[:, ~_DIGIT] == _FIXED_HEAD[~_DIGIT]).all()):
+        return None
+    pairs = 10 * digits[:, 0::2].astype(np.int64) + digits[:, 1::2] - 11 * ord("0")
+    year = 100 * pairs[:, 0] + pairs[:, 1]
+    month, day, hour, minute = pairs[:, 2:].T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not (((month >= 1) & (month <= 12) & (day >= 1) & (year >= 1)).all()
+            and (day <= _MONTH_DAYS[month - 1] + (leap & (month == 2))).all()
+            and (hour < 24).all() and (minute < 60).all()):
+        return None
+    # Days since 1970-01-01 in the proleptic Gregorian calendar, as Python's
+    # datetime counts them; 477 leap days fall before 1970. numpy's S16 ->
+    # datetime64 cast is not used: with numpy 2.4 it crashes the interpreter
+    # when an invalid date follows a few hundred valid ones.
+    before = year - 1
+    days = (365 * (year - 1970) + before // 4 - before // 100 + before // 400 - 477
+            + _DAYS_BEFORE_MONTH[month - 1] + (leap & (month > 2)) + day - 1)
+    return days * DAY + hour * HOUR + minute
+
+
+def _parse_fixed(lines: list[str], n_values: int):
+    """Stamps and values of lines in write_csv's layout, exactly as the row
+    loop would read them, with float() per value. None if any line is in
+    another layout or any value does not parse."""
+    stamps = _fixed_minutes(lines)
+    if stamps is None:
+        return None
+    tails = [line[21:] for line in lines]
+    cells = ",".join(tails).split(",")
+    # float() strips the line end with other whitespace, so each cell reads as
+    # csv.reader's field would. The cell count alone shows one value on every
+    # line; more values per line need a count per line.
+    if len(cells) != n_values * len(lines) or (
+            n_values > 1 and any(t.count(",") != n_values - 1 for t in tails)):
+        return None
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return None
+    return stamps, values.reshape(len(lines), n_values)
+
+
+def _parse_rows(path, reader, stop: int, lines_before: int, n_fields: int):
+    """The row loop over the records that start in one chunk: csv.reader
+    fields, parse_timestamp and float(). Returns stamps, values, the file line
+    of each row, and the first ParseError (no later row is read)."""
+    stamps, values, lines = [], [], []
+    for offset, row in _records(reader, stop):
+        line = lines_before + offset
+        if len(row) != n_fields:
+            return stamps, values, lines, ParseError(
+                f"{path}: line {line}: expected {n_fields} fields, got {len(row)}")
         try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            stamp = parse_timestamp(row[0])
+            row_values = [float(v) for v in row[1:]]
+        except (ParseError, ValueError) as exc:
+            return stamps, values, lines, ParseError(f"{path}: line {line}: {exc}")
+        stamps.append(stamp)
+        values.append(row_values)
+        lines.append(line)
+    return stamps, values, lines, None
+
+
+def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndarray]:
+    """Stamps and (rows, values) of one CSV file, read CSV_CHUNK_ROWS lines
+    at a time. A chunk in write_csv's layout is parsed vectorized; any other
+    goes through the row loop. `first_problem(values)` returns the index and
+    message of the first row whose values fail a check, or None. Errors name
+    the file line and come in row order, as in a plain row loop."""
+    n_values = len(header) - 1
+    stamps = [np.empty(0, dtype=np.int64)]
+    values = [np.empty((0, n_values))]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ParseError(f"{path}: empty file")
         if tuple(h.strip() for h in first) != header:
             raise ParseError(f"{path}: expected header {','.join(header)}")
-        return [row for row in reader if row]
+        done = reader.line_num
+        while chunk := list(islice(fh, CSV_CHUNK_ROWS)):
+            parsed = _parse_fixed(chunk, n_values)
+            if parsed is not None:
+                lines, error = range(done + 1, done + 1 + len(chunk)), None
+                done += len(chunk)
+            else:
+                # A quoted record may run past the chunk: the reader then
+                # takes its remaining lines from the file.
+                reader = csv.reader(chain(chunk, fh))
+                chunk_stamps, chunk_values, lines, error = _parse_rows(
+                    path, reader, len(chunk), done, n_values + 1)
+                parsed = (np.array(chunk_stamps, dtype=np.int64),
+                          np.array(chunk_values).reshape(-1, n_values))
+                done += reader.line_num
+            problem = first_problem(parsed[1])
+            if problem is not None:
+                raise DataError(f"{path}: line {lines[problem[0]]}: {problem[1]}")
+            if error is not None:
+                raise error
+            stamps.append(parsed[0])
+            values.append(parsed[1])
+    return np.concatenate(stamps), np.concatenate(values)
+
+
+def _first_nwp_problem(chans: np.ndarray):
+    finite = np.isfinite(chans)
+    rh = chans[:, 4]
+    bad = np.flatnonzero(~finite.all(axis=1) | ~((rh >= 0.0) & (rh <= 100.0))
+                         | (chans[:, 2] < 0.0))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    row = chans[i]
+    if not finite[i].all():
+        k = int(np.argmin(finite[i]))
+        return i, f"non-finite {NWP_CHANNELS[k]} {row[k]}"
+    if not 0.0 <= row[4] <= 100.0:
+        return i, f"humidity {row[4]} outside [0, 100]"
+    return i, f"negative irradiance {row[2]}"
 
 
 def ingest_csv(pv_path, nwp_path, p_max: float) -> tuple[RawPvSeries, RawNwpSeries]:
     """Parse and validate the PV and weather CSV files.
 
     PV power below 0 or up to 5% above p_max is clipped (counted as a
-    warning); beyond 5% is a data error. Timestamps must strictly increase.
+    warning); beyond 5% is a data error, and so is a non-finite value in any
+    channel. Timestamps must strictly increase. Errors name the file line.
     """
     if p_max <= 0:
         raise ContractError("p_max must be positive")
+    limit = p_max * 1.05
 
-    pv_rows = _read_rows(pv_path, PV_CSV_HEADER)
-    stamps = np.empty(len(pv_rows), dtype=np.int64)
-    power = np.empty(len(pv_rows))
-    clipped = 0
-    for i, row in enumerate(pv_rows):
-        if len(row) != 2:
-            raise ParseError(f"{pv_path}: line {i + 2}: expected 2 fields, got {len(row)}")
-        try:
-            stamps[i] = parse_timestamp(row[0])
-            value = float(row[1])
-        except (ParseError, ValueError) as exc:
-            raise ParseError(f"{pv_path}: line {i + 2}: {exc}") from None
-        if value > p_max * 1.05:
-            raise DataError(
-                f"{pv_path}: line {i + 2}: power {value} exceeds rated {p_max} by more than 5%")
-        if value < 0.0 or value > p_max:
-            clipped += 1
-            value = min(max(value, 0.0), p_max)
-        power[i] = value
-    _check_monotone(stamps, "PV")
+    def first_pv_problem(power: np.ndarray):
+        bad = np.flatnonzero(~(np.isfinite(power[:, 0]) & (power[:, 0] <= limit)))
+        if not bad.size:
+            return None
+        i = int(bad[0])
+        value = power[i, 0]
+        if not np.isfinite(value):
+            return i, f"non-finite power_w {value}"
+        return i, f"power {value} exceeds rated {p_max} by more than 5%"
 
-    nwp_rows = _read_rows(nwp_path, NWP_CSV_HEADER)
-    nstamps = np.empty(len(nwp_rows), dtype=np.int64)
-    chans = np.empty((len(nwp_rows), 5))
-    for i, row in enumerate(nwp_rows):
-        if len(row) != 6:
-            raise ParseError(f"{nwp_path}: line {i + 2}: expected 6 fields, got {len(row)}")
-        try:
-            nstamps[i] = parse_timestamp(row[0])
-            chans[i] = [float(v) for v in row[1:]]
-        except (ParseError, ValueError) as exc:
-            raise ParseError(f"{nwp_path}: line {i + 2}: {exc}") from None
-        if not 0.0 <= chans[i, 4] <= 100.0:
-            raise DataError(f"{nwp_path}: line {i + 2}: humidity {chans[i, 4]} outside [0, 100]")
-        if chans[i, 2] < 0.0:
-            raise DataError(f"{nwp_path}: line {i + 2}: negative irradiance {chans[i, 2]}")
-    _check_monotone(nstamps, "NWP")
+    stamps, power = _read_table(pv_path, PV_CSV_HEADER, first_pv_problem)
+    power = power[:, 0]
+    low, high = power < 0.0, power > p_max
+    clipped = int(np.count_nonzero(low | high))
+    power[low] = 0.0
+    power[high] = p_max
+    _check_monotone(stamps, "PV", pv_path)
+
+    nstamps, chans = _read_table(nwp_path, NWP_CSV_HEADER, _first_nwp_problem)
+    _check_monotone(nstamps, "NWP", nwp_path)
 
     return (RawPvSeries(stamps, power, float(p_max), clipped),
             RawNwpSeries(nstamps, chans))
@@ -149,7 +283,8 @@ def ingest_csv(pv_path, nwp_path, p_max: float) -> tuple[RawPvSeries, RawNwpSeri
 
 
 def bin_distribution(minute_values, p_max: float, bins: int = 50) -> np.ndarray:
-    """Histogram of sub-hourly power over uniform bins of [0, p_max].
+    """Histogram of sub-hourly power over uniform bins of [0, p_max], over
+    the last axis: (..., minutes) values give (..., bins) probabilities.
 
     Bin k covers [k*p_max/bins, (k+1)*p_max/bins); the last bin is closed
     above so the rated maximum itself lands in bin bins-1.
@@ -159,8 +294,12 @@ def bin_distribution(minute_values, p_max: float, bins: int = 50) -> np.ndarray:
         raise ContractError("bin_distribution needs at least one value")
     values = np.clip(values, 0.0, p_max)
     idx = np.minimum((values * bins / p_max).astype(np.int64), bins - 1)
-    counts = np.bincount(idx, minlength=bins).astype(np.float64)
-    return counts / counts.sum()
+    # One bincount for every histogram: row r counts into bins [r*bins, (r+1)*bins).
+    rows = idx.reshape(-1, idx.shape[-1])
+    offsets = bins * np.arange(rows.shape[0], dtype=np.int64)[:, None]
+    counts = np.bincount((rows + offsets).ravel(), minlength=rows.shape[0] * bins)
+    counts = counts.reshape(values.shape[:-1] + (bins,)).astype(np.float64)
+    return counts / counts.sum(axis=-1, keepdims=True)
 
 
 def expected_value(probs) -> float:
@@ -286,10 +425,7 @@ def _build_grid(pv: RawPvSeries, nwp: RawNwpSeries, bins: int,
         features[:, ch] = np.interp(slot_stamps, nwp.timestamps, nwp.channels[:, ch])
     features[:, 5] = pv_15
 
-    hour_minutes = pv_window.reshape(n_hours, HOUR)
-    targets = np.empty((n_hours, bins))
-    for h in range(n_hours):
-        targets[h] = bin_distribution(hour_minutes[h], pv.p_max, bins)
+    targets = bin_distribution(pv_window.reshape(n_hours, HOUR), pv.p_max, bins)
 
     return first_hour, features, targets
 
@@ -613,9 +749,6 @@ def synth_generate(days: int, seed: int = 0, p_max: float = 5000.0,
     channels = np.column_stack([temp, pressure, ghi, wind, rh])
     return (RawPvSeries(minutes, pv, float(p_max)),
             RawNwpSeries(hour_stamps, channels))
-
-
-CSV_CHUNK_ROWS = 4096
 
 
 def write_csv(pv: RawPvSeries, nwp: RawNwpSeries, pv_path, nwp_path) -> None:

@@ -2,6 +2,7 @@
 and the synthetic generator."""
 
 import csv
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -137,6 +138,297 @@ def test_write_csv_bytes_match_csv_writer_reference(tmp_path):
         assert got.endswith(b"\r\n")
 
 
+# The row loop ingest_csv ran before chunked ingest, kept verbatim as the
+# reference the vectorized path must match bitwise (it drops blank rows from
+# the line count and keeps non-finite values, so cases with either compare
+# arrays only).
+def _reference_read_rows(path, header):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if tuple(h.strip() for h in first) != header:
+            raise ParseError(f"{path}: expected header {','.join(header)}")
+        return [row for row in reader if row]
+
+
+def _reference_check_monotone(stamps, what):
+    bad = np.nonzero(np.diff(stamps) <= 0)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(
+            f"{what} timestamps not strictly increasing at row {i + 2}: "
+            f"{format_timestamp(int(stamps[i]))} then {format_timestamp(int(stamps[i + 1]))}")
+
+
+def _reference_ingest(pv_path, nwp_path, p_max):
+    pv_rows = _reference_read_rows(pv_path, PV_CSV_HEADER)
+    stamps = np.empty(len(pv_rows), dtype=np.int64)
+    power = np.empty(len(pv_rows))
+    clipped = 0
+    for i, row in enumerate(pv_rows):
+        if len(row) != 2:
+            raise ParseError(f"{pv_path}: line {i + 2}: expected 2 fields, got {len(row)}")
+        try:
+            stamps[i] = data.parse_timestamp(row[0])
+            value = float(row[1])
+        except (ParseError, ValueError) as exc:
+            raise ParseError(f"{pv_path}: line {i + 2}: {exc}") from None
+        if value > p_max * 1.05:
+            raise DataError(
+                f"{pv_path}: line {i + 2}: power {value} exceeds rated {p_max} by more than 5%")
+        if value < 0.0 or value > p_max:
+            clipped += 1
+            value = min(max(value, 0.0), p_max)
+        power[i] = value
+    _reference_check_monotone(stamps, "PV")
+
+    nwp_rows = _reference_read_rows(nwp_path, NWP_CSV_HEADER)
+    nstamps = np.empty(len(nwp_rows), dtype=np.int64)
+    chans = np.empty((len(nwp_rows), 5))
+    for i, row in enumerate(nwp_rows):
+        if len(row) != 6:
+            raise ParseError(f"{nwp_path}: line {i + 2}: expected 6 fields, got {len(row)}")
+        try:
+            nstamps[i] = data.parse_timestamp(row[0])
+            chans[i] = [float(v) for v in row[1:]]
+        except (ParseError, ValueError) as exc:
+            raise ParseError(f"{nwp_path}: line {i + 2}: {exc}") from None
+        if not 0.0 <= chans[i, 4] <= 100.0:
+            raise DataError(f"{nwp_path}: line {i + 2}: humidity {chans[i, 4]} outside [0, 100]")
+        if chans[i, 2] < 0.0:
+            raise DataError(f"{nwp_path}: line {i + 2}: negative irradiance {chans[i, 2]}")
+    _reference_check_monotone(nstamps, "NWP")
+    return RawPvSeries(stamps, power, float(p_max), clipped), RawNwpSeries(nstamps, chans)
+
+
+def _written_files(tmp_path, days=6, start="1970-01-01T00:00:00Z"):
+    pv, nwp = synth_generate(days, seed=5, p_max=P_MAX,
+                             start_minute=data.parse_timestamp(start))
+    pv.power[3:6] = [-0.0001, -3.0, 1040.0]  # written as -0.000, clipped twice
+    paths = tmp_path / "pv.csv", tmp_path / "nwp.csv"
+    write_csv(pv, nwp, *paths)
+    return paths
+
+
+def _edit(path, edit):
+    """Rewrite a file through edit(lines); lines keep their ends, [0] is the header."""
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    with open(path, "w", newline="") as fh:
+        fh.writelines(edit(lines))
+
+
+def _set(index, make):
+    def edit(lines):
+        stamp, rest = lines[index].split(",", 1)
+        lines[index] = make(stamp, rest)
+        return lines
+    return edit
+
+
+def _offset_stamp(stamp, rest):
+    minute = data.parse_timestamp(stamp)
+    local = datetime.fromtimestamp(minute * 60, tz=timezone(timedelta(hours=1)))
+    return f"{local.isoformat()},{rest}"
+
+
+def _line_ends(end):
+    return lambda lines: [line.replace("\r\n", end) for line in lines]
+
+
+def _truncate(rows):
+    return lambda lines: lines[:rows + 1]
+
+
+INGEST_CASES = {
+    "crlf": (None, None),
+    "lf": (_line_ends("\n"), _line_ends("\n")),
+    "cr": (_line_ends("\r"), None),
+    "quoted": (_set(10, lambda s, r: f'"{s}","{r[:-2]}"\r\n'),
+               _set(7, lambda s, r: f'"{s}",{r}')),
+    # a quoted value whose record runs from the first chunk's last line into
+    # the next chunk
+    "quoted_newline_across_chunk": (_set(4096, lambda s, r: f'{s},"{r}"\r\n'), None),
+    "offset_stamps": (lambda lines: _set(4100, _offset_stamp)(_set(5, _offset_stamp)(lines)),
+                      _set(3, _offset_stamp)),
+    "no_z": (_set(4097, lambda s, r: f"{s[:-1]},{r}"), _set(2, lambda s, r: f"{s[:-1]},{r}")),
+    "fractional_seconds": (_set(200, lambda s, r: f"{s[:-1]}.000Z,{r}"), None),
+    "spaces_in_values": (_set(9, lambda s, r: f"{s}, {r[:-2]} \r\n"),
+                         _set(4, lambda s, r: f"{s}, {r}")),
+    "blank_lines": (lambda lines: lines[:3] + ["\r\n"] + lines[3:4097] + ["\r\n"] + lines[4097:],
+                    lambda lines: lines[:5] + ["\n"] + lines[5:]),
+    "rows_4095": (_truncate(4095), None),
+    "rows_4096": (_truncate(4096), None),
+    "rows_4097": (_truncate(4097), None),
+    "rows_4097_slow_tail": (lambda lines: _set(4097, _offset_stamp)(lines[:4098]), None),
+    "rows_4097_lf": (lambda lines: _line_ends("\n")(lines[:4098]), None),
+}
+
+
+def _assert_same_ingest(got, want):
+    for a, b in zip(got, want):
+        for name in ("timestamps", "power", "channels"):
+            if hasattr(b, name):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes(), name
+    assert got[0].clip_warnings == want[0].clip_warnings
+    assert got[0].p_max == want[0].p_max
+
+
+@pytest.mark.parametrize("start", ["1970-01-01T00:00:00Z", "2020-02-27T00:00:00Z",
+                                   "2000-02-28T00:00:00Z", "1900-02-27T00:00:00Z"])
+@pytest.mark.parametrize("case", sorted(INGEST_CASES))
+def test_ingest_matches_row_loop_reference(tmp_path, case, start):
+    pv_path, nwp_path = _written_files(tmp_path, start=start)
+    for path, edit in zip((pv_path, nwp_path), INGEST_CASES[case]):
+        if edit is not None:
+            _edit(path, edit)
+    got = ingest_csv(pv_path, nwp_path, P_MAX)
+    _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
+    assert got[0].clip_warnings == 2 and got[0].power[3] == 0.0
+    if start.startswith("2020"):
+        leap_day = data.parse_timestamp("2020-02-29T12:00:00Z")
+        assert leap_day in got[0].timestamps and leap_day in got[1].timestamps
+
+
+def test_fixed_layout_stamps_match_parse_timestamp():
+    valid = ["0001-01-01T00:00", "1899-12-31T23:59", "1900-02-28T12:00", "1900-03-01T00:00",
+             "1969-12-31T23:59", "1970-01-01T00:00", "2000-02-29T00:01", "2020-12-31T23:59",
+             "2100-02-28T00:00", "2100-03-01T00:00", "9999-12-31T23:59"]
+    lines = [f"{stamp}:00Z,1.0\n" for stamp in valid]
+    assert data._fixed_minutes(lines).tolist() == [data.parse_timestamp(f"{s}:00Z")
+                                                   for s in valid]
+    invalid = ["0000-01-01T00:00", "1900-02-29T00:00", "2021-02-29T00:00", "2100-02-29T00:00",
+               "2021-04-31T00:00", "2021-00-10T00:00", "2021-13-10T00:00", "2021-01-00T00:00",
+               "2021-01-01T24:00", "2021-01-01T23:60", "2021-01-01 00:00", "2021-01-0a:00:00"]
+    for stamp in invalid:
+        assert data._fixed_minutes(lines[:3] + [f"{stamp}:00Z,1.0\n"]) is None, stamp
+    for line in ["2021-01-01T00:00:30Z,1.0\n", "2021-01-01T00:00:00+00:00,1.0\n",
+                 "2021-01-01T00:00:00Z;1.0\n", "2021-01-01T00:00:00Z\n", "\n",
+                 "2021-01-01T00:00:00Ż,1.0\n"]:
+        assert data._fixed_minutes(lines[:3] + [line]) is None, line
+
+
+def _swap_stamps(index):
+    def edit(lines):
+        (a, ra), (b, rb) = (line.split(",", 1) for line in lines[index:index + 2])
+        lines[index:index + 2] = [f"{b},{ra}", f"{a},{rb}"]
+        return lines
+    return edit
+
+
+INGEST_ERROR_CASES = {
+    "bad_value": (_set(5000, lambda s, r: f"{s},abc\r\n"), None),
+    "three_fields": (_set(5000, lambda s, r: f"{s},{r[:-2]},1\r\n"), None),
+    "bad_stamp": (_set(5000, lambda s, r: f"2021-13-01T00:00:00Z,{r}"), None),
+    "year_zero": (_set(5000, lambda s, r: f"0000-01-01T00:00:00Z,{r}"), None),
+    "odd_minute_second": (_set(5000, lambda s, r: f"{s[:-3]}30Z,{r}"), None),
+    "leading_space_stamp": (_set(5000, lambda s, r: f" {s},{r}"), None),
+    "overshoot": (_set(5000, lambda s, r: f"{s},1060.0\r\n"), None),
+    "inversion": (_swap_stamps(5000), None),
+    "humidity": (None, _set(100, lambda s, r: f"{s},{r.rsplit(',', 1)[0]},140.0\r\n")),
+    "negative_ghi": (None, _set(100, lambda s, r: f"{s},1,2,-5,3,{r.rsplit(',', 1)[1]}")),
+    # a value error earlier in a row-loop chunk wins over a later parse error,
+    # and the other way round
+    "data_then_parse_in_slow_chunk": (
+        lambda lines: _set(4300, lambda s, r: f"{s},abc\r\n")(
+            _set(4200, lambda s, r: f'"{s}",1060.0\r\n')(lines)), None),
+    "parse_then_data_in_slow_chunk": (
+        lambda lines: _set(4300, lambda s, r: f"{s},1060.0\r\n")(
+            _set(4200, lambda s, r: f'"{s}",abc\r\n')(lines)), None),
+    "bad_value_lf": (lambda lines: _set(5000, lambda s, r: f"{s},abc\n")(
+        _line_ends("\n")(lines)), None),
+    # five and seven fields: the right count of values over the two lines
+    "nwp_field_counts_even_out": (None, lambda lines: _set(21, lambda s, r: f"{s},1,{r}")(
+        _set(20, lambda s, r: f"{s},{r.split(',', 1)[1]}")(lines))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGEST_ERROR_CASES))
+def test_ingest_errors_match_row_loop_reference(tmp_path, case):
+    pv_path, nwp_path = _written_files(tmp_path)
+    for path, edit in zip((pv_path, nwp_path), INGEST_ERROR_CASES[case]):
+        if edit is not None:
+            _edit(path, edit)
+    with pytest.raises((ParseError, DataError)) as want:
+        _reference_ingest(pv_path, nwp_path, P_MAX)
+    with pytest.raises(want.type) as got:
+        ingest_csv(pv_path, nwp_path, P_MAX)
+    assert str(got.value) == str(want.value)
+
+
+def test_ingest_errors_name_file_lines_after_blank_lines_and_multiline_records(tmp_path):
+    pv_path = tmp_path / "pv.csv"
+    pv_path.write_text("timestamp,power_w\n2021-01-01T00:00:00Z,1.0\n\n"
+                       "2021-01-01T00:01:00Z,not-a-number\n")
+    with pytest.raises(ParseError, match=r"pv.csv: line 4: "):
+        ingest_csv(pv_path, _small_nwp(tmp_path), P_MAX)
+
+    pv_path.write_text("timestamp,power_w\n2021-01-01T00:00:00Z,1.0\n\n"
+                       "2021-01-01T00:02:00Z,1.0\n2021-01-01T00:01:00Z,1.0\n")
+    with pytest.raises(DataError, match="at row 4: 2021-01-01T00:02:00Z then"):
+        ingest_csv(pv_path, _small_nwp(tmp_path), P_MAX)
+
+    # a quoted record over two lines, from the first chunk into the second
+    pv_path, nwp_path = _written_files(tmp_path)
+    _edit(pv_path, lambda lines: _set(5000, lambda s, r: f"{s},abc\r\n")(
+        _set(4096, lambda s, r: f'{s},"{r}"\r\n')(lines)))
+    with pytest.raises(ParseError, match=r"pv.csv: line 5002: could not convert"):
+        ingest_csv(pv_path, nwp_path, P_MAX)
+
+    nwp_path = _nwp_csv(tmp_path, ["", "2021-01-01T00:00:00Z,5,101,0,3,60", "",
+                                   "2021-01-01T01:00:00Z,5,101,-1,3,60"])
+    pv_path = _pv_csv(tmp_path, ["2021-01-01T00:00:00Z,1.0"])
+    with pytest.raises(DataError, match=r"nwp.csv: line 5: negative irradiance -1.0"):
+        ingest_csv(pv_path, nwp_path, P_MAX)
+
+
+NON_FINITE_CASES = [
+    ("pv", "nan", "power_w"), ("pv", "inf", "power_w"), ("pv", "-inf", "power_w"),
+    ("nwp", "nan,101,0,3,60", "temp_c"), ("nwp", "5,inf,0,3,60", "pressure_kpa"),
+    ("nwp", "5,101,nan,3,60", "ghi_wm2"), ("nwp", "5,101,0,-inf,60", "wind_ms"),
+    ("nwp", "5,101,0,3,nan", "rh_pct"),
+]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["fixed", "row_loop"])
+@pytest.mark.parametrize("which,values,channel", NON_FINITE_CASES)
+def test_ingest_rejects_non_finite_values(tmp_path, which, values, channel, quoted):
+    stamp = '"2021-01-01T01:00:00Z"' if quoted else "2021-01-01T01:00:00Z"
+    pv_rows = ["2021-01-01T00:00:00Z,1.0", f"{stamp},1.0"]
+    nwp_rows = ["2021-01-01T00:00:00Z,5,101,0,3,60", f"{stamp},5,101,0,3,61"]
+    if which == "pv":
+        pv_rows[1] = f"{stamp},{values}"
+    else:
+        nwp_rows[1] = f"{stamp},{values}"
+    pv_path, nwp_path = _pv_csv(tmp_path, pv_rows), _nwp_csv(tmp_path, nwp_rows)
+    with pytest.raises(DataError, match=rf"{which}.csv: line 3: non-finite {channel} "):
+        ingest_csv(pv_path, nwp_path, P_MAX)
+
+
+def test_ingest_of_written_files_never_falls_back_to_row_loop(tmp_path, monkeypatch):
+    calls = []
+    row_loop = data._parse_rows
+
+    def counted(*args):
+        calls.append(args[2])
+        return row_loop(*args)
+
+    monkeypatch.setattr(data, "_parse_rows", counted)
+    pv_path, nwp_path = _written_files(tmp_path)
+    pv, nwp = ingest_csv(pv_path, nwp_path, P_MAX)
+    assert (pv.timestamps.size, nwp.timestamps.size) == (6 * DAY, 6 * 24)
+    assert calls == []
+    # the counter sees a chunk the fixed layout cannot read
+    _edit(pv_path, _set(5000, _offset_stamp))
+    ingest_csv(pv_path, nwp_path, P_MAX)
+    assert calls == [data.CSV_CHUNK_ROWS]
+
+
 # ------------------------------------------------------------------ bins ---
 
 
@@ -162,6 +454,29 @@ def test_bin_distribution_split_mass():
 def test_bin_distribution_empty_is_error():
     with pytest.raises(ContractError):
         bin_distribution([], P_MAX)
+
+
+def _reference_bin_distribution(minute_values, p_max, bins=50):
+    """One histogram per call, as before the batched bincount."""
+    values = np.clip(np.asarray(minute_values, dtype=np.float64), 0.0, p_max)
+    idx = np.minimum((values * bins / p_max).astype(np.int64), bins - 1)
+    counts = np.bincount(idx, minlength=bins).astype(np.float64)
+    return counts / counts.sum()
+
+
+@pytest.mark.parametrize("bins", [50, 7])
+def test_batched_bin_distribution_matches_per_hour_loop(bins):
+    pv, nwp = synth_generate(8, seed=3, p_max=P_MAX)
+    pv.power[:120] = np.linspace(-5.0, 1.2 * P_MAX, 120)
+    _, _, targets = data._build_grid(pv, nwp, bins, min_days=6)
+    hours = pv.power.reshape(-1, HOUR)
+    assert targets.shape == (hours.shape[0], bins)
+    reference = np.stack([_reference_bin_distribution(h, P_MAX, bins) for h in hours])
+    assert targets.tobytes() == reference.tobytes()
+    cube = bin_distribution(hours.reshape(4, -1, HOUR), P_MAX, bins)
+    assert cube.shape == (4, hours.shape[0] // 4, bins)
+    assert cube.tobytes() == reference.tobytes()
+    assert bin_distribution(hours[5], P_MAX, bins).tobytes() == reference[5].tobytes()
 
 
 def test_expected_value_examples():
