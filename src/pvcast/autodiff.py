@@ -38,11 +38,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the stored values."""
-        return self.data.ravel()
-
     def ensure_grad(self) -> np.ndarray:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -279,6 +274,22 @@ def concat(a, b, axis: int = -1) -> Tensor:
         return (ga if a.requires_grad else None, gb if b.requires_grad else None)
 
     return _emit("concat", (a, b), out, grad_fn)
+
+
+def stack(tensors, axis: int = 0) -> Tensor:
+    """Join equal-shape tensors along a new axis, one tape node for all."""
+    tensors = tuple(as_tensor(t) for t in tensors)
+    for t in tensors[1:]:
+        if t.shape != tensors[0].shape:
+            raise ShapeError(f"stack shapes {tensors[0].shape} and {t.shape} differ")
+    out = np.stack([t.data for t in tensors], axis=axis)
+    ax = axis % out.ndim
+
+    def grad_fn(g):
+        return tuple(np.take(g, i, axis=ax) if t.requires_grad else None
+                     for i, t in enumerate(tensors))
+
+    return _emit("stack", tensors, out, grad_fn)
 
 
 def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:

@@ -496,10 +496,6 @@ class Sample:
             raise ContractError("sample has no targets")
         return expected_value(self.target_pdf)
 
-    @property
-    def history_e(self) -> np.ndarray:
-        return expected_value(self.history_pdf)
-
     def input_span(self) -> tuple[int, int]:
         return (self.anchor - self.input_steps * GRID_STEP,
                 self.anchor + self.output_steps * HOUR)

@@ -113,8 +113,9 @@ class Model:
 
     def forward_batch(self, inputs: np.ndarray, p0: np.ndarray,
                       teacher: np.ndarray | None, mode: str,
-                      nwp_ahead: np.ndarray | None = None,
-                      input_log: list | None = None) -> list[Tensor]:
+                      nwp_ahead: np.ndarray | None = None) -> Tensor:
+        """The whole batch's forecast as one (batch, output_steps, step_width)
+        tensor: distributions in pdf mode, unclipped expected values otherwise."""
         raise NotImplementedError
 
     def forward_samples(self, samples: list[Sample],
@@ -125,9 +126,8 @@ class Model:
             raise ContractError(f"unknown decoding mode '{mode}'")
         inputs, p0, teacher, _, nwp = sample_arrays(samples, cfg,
                                                     targets=mode == "teacher_forcing")
-        outs = self.forward_batch(inputs, p0, teacher, mode, nwp)
-        steps = np.stack([o.data for o in outs], axis=1)
-        return [assemble_forecast(cfg, s) for s in steps]
+        out = self.forward_batch(inputs, p0, teacher, mode, nwp)
+        return [assemble_forecast(cfg, s) for s in out.data]
 
     def forward(self, sample: Sample, mode: str = "self_recurrent") -> Forecast:
         """Run one sample through the model and assemble a Forecast."""
@@ -207,17 +207,13 @@ class OneBlockModel(Model):
         out.extend((f"transform.{n}", p) for n, p in self.transform.parameters())
         return out
 
-    def forward_batch(self, inputs, p0, teacher, mode, nwp_ahead=None, input_log=None):
+    def forward_batch(self, inputs, p0, teacher, mode, nwp_ahead=None):
         cfg = self.config
         seq = Tensor(inputs)
         for layer in self.layers:
             seq = layer(seq) if cfg.family == "ffnn" else ly.lstm_sequence(layer, seq)[0]
         out = ly.temporal_transform(self.transform, seq)
-        if cfg.target_mode == "pdf":
-            out = ad.softmax(out)
-        return [ad.reshape(ad.slice_axis(out, 1, t, t + 1),
-                           (inputs.shape[0], cfg.step_width))
-                for t in range(cfg.output_steps)]
+        return ad.softmax(out) if cfg.target_mode == "pdf" else out
 
 
 class Seq2SeqModel(Model):
@@ -267,7 +263,7 @@ class Seq2SeqModel(Model):
         out.extend((f"head.{n}", p) for n, p in self.head.parameters())
         return out
 
-    def forward_batch(self, inputs, p0, teacher, mode, nwp_ahead=None, input_log=None):
+    def forward_batch(self, inputs, p0, teacher, mode, nwp_ahead=None):
         cfg = self.config
         if mode == "teacher_forcing" and teacher is None:
             raise ContractError("teacher forcing requires target values")
@@ -286,18 +282,10 @@ class Seq2SeqModel(Model):
         feedback = Tensor(p0)
         outputs = []
         for t in range(cfg.output_steps):
-            if t == 0:
-                step_in = feedback
-                if input_log is not None:
-                    input_log.append("p0")
-            elif mode == "teacher_forcing":
+            if t > 0 and mode == "teacher_forcing":
                 step_in = Tensor(teacher[:, t - 1])
-                if input_log is not None:
-                    input_log.append("truth")
             else:
                 step_in = feedback
-                if input_log is not None:
-                    input_log.append("model")
             if cfg.decoder_nwp:
                 step_in = ad.concat(step_in, Tensor(nwp_ahead[:, t]), axis=-1)
 
@@ -319,7 +307,7 @@ class Seq2SeqModel(Model):
             else:
                 feedback = Tensor(np.clip(out.data, 0.0, 1.0))
             outputs.append(out)
-        return outputs
+        return ad.stack(outputs, axis=1)
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> Model:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SgdNesterov, Tape, Tensor, backward
-from .data import Sample, expected_value
+from .data import Sample
 from .errors import ConfigError, ContractError, FormatError, NumericsError, TrainingError
 from .metrics import nrmse
 from .models import Forecast, Model, ModelConfig, build_model, sample_arrays
@@ -65,81 +65,53 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 
 
-def _step_tensors(f) -> list[Tensor]:
-    """Normalize a forecast-like argument to one tensor per step."""
-    if isinstance(f, Forecast):
-        f = f.steps
-    if isinstance(f, (list, tuple)) and f and isinstance(f[0], Tensor):
-        return list(f)
-    arr = f if isinstance(f, Tensor) else Tensor(np.asarray(f, dtype=np.float64))
-    if arr.data.ndim == 1:
-        arr = ad.reshape(arr, (arr.shape[0], 1))
-    return [ad.reshape(ad.slice_axis(arr, 0, t, t + 1), arr.shape[1:])
-            for t in range(arr.shape[0])]
+def _summed_loss(kind: str, out: Tensor, target: np.ndarray,
+                 epsilon_floor: float = 1e-9) -> Tensor:
+    """KL divergence of the target from the forecast ("kl") or squared error
+    ("mse"), summed over every entry of two equal-shape arrays.
 
-
-def kl_loss(f, p, epsilon_floor: float = 1e-9) -> Tensor:
-    """Summed KL divergence of the target from the forecast over all steps.
-
-    Terms with zero target probability contribute nothing; the forecast is
+    KL terms with zero target probability contribute nothing; the forecast is
     clamped to epsilon_floor inside the logarithm only, so it stays a valid
     distribution while the loss remains finite and differentiable.
     """
-    steps = _step_tensors(f)
-    targets = np.asarray(p, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[None]
-    if len(steps) != targets.shape[0] or steps[0].shape[-1] != targets.shape[-1]:
+    if out.shape != target.shape:
         raise ContractError(
-            f"kl_loss shape mismatch: forecast {len(steps)}x{steps[0].shape[-1]}, "
-            f"targets {targets.shape}")
-    total = None
-    plogp = 0.0
-    for t, out in enumerate(steps):
-        pt = targets[t]
-        safe = np.where(pt > 0.0, pt, 1.0)
-        plogp += float((pt * np.log(safe)).sum())
-        term = ad.sum_all(ad.mul(Tensor(pt), ad.clamped_log(out, epsilon_floor)))
-        total = term if total is None else ad.add(total, term)
-    return ad.add(ad.scale(total, -1.0), Tensor(plogp))
+            f"{kind} loss shape mismatch: forecast {out.shape}, targets {target.shape}")
+    if kind == "mse":
+        diff = ad.sub(out, Tensor(target))
+        return ad.sum_all(ad.mul(diff, diff))
+    safe = np.where(target > 0.0, target, 1.0)
+    plogp = float((target * np.log(safe)).sum())
+    cross = ad.sum_all(ad.mul(Tensor(target), ad.clamped_log(out, epsilon_floor)))
+    return ad.add(ad.scale(cross, -1.0), Tensor(plogp))
+
+
+def _steps(f) -> Tensor:
+    """A forecast-like argument as one (steps, width) tensor; (steps,) has width 1."""
+    if isinstance(f, Forecast):
+        f = f.steps
+    f = ad.as_tensor(f)
+    return ad.reshape(f, (f.shape[0], 1)) if f.data.ndim == 1 else f
+
+
+def kl_loss(f, p, epsilon_floor: float = 1e-9) -> Tensor:
+    """Summed KL divergence of the target from the forecast over all steps."""
+    return _summed_loss("kl", _steps(f), _steps(p).data, epsilon_floor)
 
 
 def mse_loss(f, p) -> Tensor:
     """Mean squared error over the forecast steps."""
-    steps = _step_tensors(f)
-    targets = np.asarray(p, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    if len(steps) != targets.shape[0]:
-        raise ContractError(
-            f"mse_loss shape mismatch: forecast {len(steps)} steps, targets {targets.shape}")
-    total = None
-    for t, out in enumerate(steps):
-        diff = ad.sub(out, Tensor(targets[t]))
-        term = ad.sum_all(ad.mul(diff, diff))
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / len(steps))
+    out = _steps(f)
+    return ad.scale(_summed_loss("mse", out, _steps(p).data), 1.0 / out.shape[0])
 
 
-def _batch_loss(kind: str, outputs: list[Tensor], teacher: np.ndarray,
+def _batch_loss(kind: str, outputs: Tensor, teacher: np.ndarray,
                 epsilon_floor: float) -> Tensor:
-    """Per-sample loss averaged over the batch, on batched step tensors."""
-    batch = outputs[0].shape[0]
-    total = None
-    plogp = 0.0
-    for t, out in enumerate(outputs):
-        target_t = teacher[:, t]
-        if kind == "kl":
-            safe = np.where(target_t > 0.0, target_t, 1.0)
-            plogp += float((target_t * np.log(safe)).sum())
-            term = ad.sum_all(ad.mul(Tensor(target_t), ad.clamped_log(out, epsilon_floor)))
-        else:
-            diff = ad.sub(out, Tensor(target_t))
-            term = ad.sum_all(ad.mul(diff, diff))
-        total = term if total is None else ad.add(total, term)
-    if kind == "kl":
-        return ad.scale(ad.add(ad.scale(total, -1.0), Tensor(plogp)), 1.0 / batch)
-    return ad.scale(total, 1.0 / (len(outputs) * batch))
+    """Per-sample loss averaged over the batch (and, for mse, the steps), on
+    forward_batch's (batch, steps, width) output."""
+    batch, steps = outputs.shape[:2]
+    total = _summed_loss(kind, outputs, teacher, epsilon_floor)
+    return ad.scale(total, 1.0 / batch if kind == "kl" else 1.0 / (steps * batch))
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +119,10 @@ def _batch_loss(kind: str, outputs: list[Tensor], teacher: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _forecast_expected(outputs: list[Tensor], cfg: ModelConfig) -> np.ndarray:
-    """(batch, steps) expected values from batched step outputs."""
-    cols = []
-    for out in outputs:
-        if cfg.target_mode == "pdf":
-            cols.append(expected_value(out.data))
-        else:
-            cols.append(np.clip(out.data[:, 0], 0.0, 1.0))
-    return np.stack(cols, axis=1)
-
-
 def validation_nrmse(model: Model, samples: list[Sample]) -> float:
     """Mean per-window nRMSE of self-recurrent forecasts, in normalized power."""
-    cfg = model.config
-    inputs, p0, _, target_e, nwp = sample_arrays(samples, cfg)
-    outputs = model.forward_batch(inputs, p0, None, "self_recurrent", nwp)
-    forecast_e = _forecast_expected(outputs, cfg)
-    scores = [nrmse(forecast_e[i], target_e[i], 1.0) for i in range(len(samples))]
+    forecasts = model.forward_samples(samples)
+    scores = [nrmse(f.expected, s.target_e, 1.0) for f, s in zip(forecasts, samples)]
     return float(np.mean(scores))
 
 
@@ -178,7 +136,7 @@ def _restore(model: Model, snapshot: list[np.ndarray]) -> None:
 
 
 def fit(model: Model, train_samples: list[Sample], val_samples: list[Sample],
-        cfg: TrainConfig, input_log: list | None = None) -> TrainReport:
+        cfg: TrainConfig) -> TrainReport:
     """Teacher-forced mini-batch training with early stopping.
 
     After each epoch the model is evaluated self-recurrently on the
@@ -215,7 +173,7 @@ def fit(model: Model, train_samples: list[Sample], val_samples: list[Sample],
                 with Tape() as tape:
                     outputs = model.forward_batch(
                         inputs[idx], p0[idx], teacher[idx], "teacher_forcing",
-                        nwp[idx] if nwp is not None else None, input_log)
+                        nwp[idx] if nwp is not None else None)
                     loss = _batch_loss(loss_kind, outputs, teacher[idx], cfg.epsilon_floor)
                 value = loss.item()
                 if not np.isfinite(value):

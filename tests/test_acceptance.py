@@ -18,7 +18,7 @@ from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            lstm_step, temporal_transform)
 from pvcast.metrics import crps, evaluate, nme, nrmse, skill
 from pvcast.models import (ModelConfig, benchmark_config, build_model,
-                           count_parameters)
+                           count_parameters, sample_arrays)
 from pvcast.training import (TrainConfig, fit, kl_loss, load_checkpoint,
                              mse_loss, save_checkpoint)
 
@@ -104,11 +104,7 @@ def test_criterion_1_gradient_suite():
 
     def graph_loss():
         outs = model.forward_batch(inputs, p0, teacher, "teacher_forcing")
-        total = None
-        for t, out in enumerate(outs):
-            term = kl_loss(out, teacher[:, t])
-            total = term if total is None else ad.add(total, term)
-        return total
+        return kl_loss(ad.reshape(outs, outs.shape[1:]), teacher[0])
 
     worst["full_s2s_attn_pdf"] = check_gradients(
         graph_loss, [p for _, p in model.parameters()])
@@ -270,10 +266,10 @@ def test_criterion_5_probabilistic_validity():
         batch = 250
         inputs = rng.uniform(0, 1, (batch, 32, 6))
         p0 = rng.dirichlet(np.ones(50), size=batch)
-        outs = model.forward_batch(inputs, p0, None, "self_recurrent")
-        for out in outs:
-            assert np.all(out.data >= 0.0)
-            assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) < 1e-9)
+        outs = model.forward_batch(inputs, p0, None, "self_recurrent").data
+        assert outs.shape == (batch, cfg.output_steps, cfg.bins)
+        assert np.all(outs >= 0.0)
+        assert np.all(np.abs(outs.sum(axis=-1) - 1.0) < 1e-9)
         forecasts += batch
 
     for _ in range(100):
@@ -366,6 +362,25 @@ def test_criterion_6_pipeline_invariants(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _decoder_reads_only_the_teacher(model, samples) -> bool:
+    """Teacher-forced step k+1 reads teacher row k: changing that row keeps
+    steps 0..k bitwise and moves step k+1, and the self-recurrent feedback,
+    fed back as the teacher, replays the self-recurrent forecast bitwise."""
+    inputs, p0, teacher, _, _ = sample_arrays(samples, model.config)
+    forced = model.forward_batch(inputs, p0, teacher, "teacher_forcing").data
+    ok = True
+    for k in range(teacher.shape[1] - 1):
+        changed = teacher.copy()
+        changed[:, k] = np.where(teacher[:, k] > 0.5, 0.0, 1.0)
+        out = model.forward_batch(inputs, p0, changed, "teacher_forcing").data
+        ok = ok and np.array_equal(out[:, :k + 1], forced[:, :k + 1]) and all(
+            not np.array_equal(a, b) for a, b in zip(out[:, k + 1], forced[:, k + 1]))
+    recurrent = model.forward_batch(inputs, p0, None, "self_recurrent").data
+    feedback = recurrent if model.config.target_mode == "pdf" else np.clip(recurrent, 0, 1)
+    replay = model.forward_batch(inputs, p0, feedback, "teacher_forcing").data
+    return ok and np.array_equal(replay, recurrent)
+
+
 def test_criterion_7_mode_contract():
     started = time.time()
     pv, nwp = synth_generate(10, seed=5, p_max=P_MAX)
@@ -373,6 +388,7 @@ def test_criterion_7_mode_contract():
     sample = prep.splits.train[0]
 
     step1_ok = True
+    tf_ok = True
     for family in ("s2s", "s2s_attn"):
         for mode in ("pdf", "expected"):
             model = build_model(ModelConfig(family=family, target_mode=mode,
@@ -383,13 +399,26 @@ def test_criterion_7_mode_contract():
             if not np.array_equal(np.atleast_1d(teacher.steps[0]),
                                   np.atleast_1d(recurrent.steps[0])):
                 step1_ok = False
+            tf_ok = tf_ok and _decoder_reads_only_the_teacher(model, prep.splits.train[:2])
 
+    # Every taped forward pass of a fit is teacher-forced on its batch's own
+    # target rows.
+    train = prep.splits.train
     model = build_model(ModelConfig(family="s2s_attn", target_mode="pdf",
                                     units_per_layer=5, input_steps=96), seed=3)
-    log: list = []
-    fit(model, prep.splits.train, prep.splits.val or prep.splits.test,
-        TrainConfig(batch_size=8, max_epochs=1, patience=5, seed=1), input_log=log)
-    tf_ok = bool(log) and set(log) <= {"p0", "truth"}
+    inner, taped = model.forward_batch, []
+
+    def spy(inputs, p0, teacher, mode, nwp_ahead=None):
+        if ad._active_tape() is not None:
+            taped.append(mode == "teacher_forcing" and all(
+                any(np.array_equal(s.input, x) and np.array_equal(s.target_pdf, y)
+                    for s in train) for x, y in zip(inputs, teacher)))
+        return inner(inputs, p0, teacher, mode, nwp_ahead)
+
+    model.forward_batch = spy
+    fit(model, train, prep.splits.val or prep.splits.test,
+        TrainConfig(batch_size=8, max_epochs=1, patience=5, seed=1))
+    tf_ok = tf_ok and len(taped) == -(-len(train) // 8) and all(taped)
 
     elapsed = time.time() - started
     ok = step1_ok and tf_ok

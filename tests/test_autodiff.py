@@ -191,6 +191,39 @@ def test_concat_gradient_routes_slices():
     assert np.array_equal(b.grad, [1.0])
 
 
+def test_stack_gradients_match_finite_differences():
+    rng = np.random.default_rng(8)
+    parts = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
+    mix = Tensor(rng.normal(size=(2, 4, 3)))
+    out = ad.stack(parts, axis=1)
+    assert np.array_equal(out.data, np.stack([p.data for p in parts], axis=1))
+    assert check_gradients(lambda: ad.sum_all(ad.mul(ad.stack(parts, axis=1), mix)),
+                           parts) < 1e-6
+
+
+def test_stack_with_mixed_requires_grad_routes_only_to_trainable_inputs():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0])
+    c = Tensor([5.0, 6.0], requires_grad=True)
+    weights = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    with Tape() as tape:
+        out = ad.stack([a, b, c])
+        loss = ad.sum_all(ad.mul(out, weights))
+    assert out.requires_grad and [n.op for n in tape.nodes] == ["stack", "mul", "sum"]
+    backward(tape, loss)
+    assert np.array_equal(a.grad, [1.0, 2.0])
+    assert b.grad is None
+    assert np.array_equal(c.grad, [5.0, 6.0])
+    with Tape() as tape:
+        assert not ad.stack([b, Tensor([0.0, 0.0])]).requires_grad
+    assert len(tape) == 0
+
+
+def test_stack_shape_error_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
+        ad.stack([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=1)
+
+
 def test_backward_sum_gives_ones():
     x = Tensor(np.zeros((2, 3)), requires_grad=True)
     with Tape() as tape:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pvcast.autodiff import Tensor
 from pvcast.data import (DAY, HOUR, RawNwpSeries, RawPvSeries, consolidate,
                          make_samples)
 from pvcast.errors import ConfigError, ContractError
@@ -10,7 +11,7 @@ from pvcast.layers import DenseLayer
 from pvcast.metrics import nrmse
 from pvcast.models import (BENCHMARK_UNITS, Forecast, ModelConfig,
                            benchmark_config, build_model, count_parameters,
-                           persistence_forecast)
+                           persistence_forecast, sample_arrays)
 
 P_MAX = 1000.0
 
@@ -105,6 +106,39 @@ def test_step_one_identical_under_both_decoding_modes(family, mode):
         assert np.array_equal(teacher.steps[0], recurrent.steps[0])
     else:
         assert teacher.steps[0] == recurrent.steps[0]
+
+
+@pytest.mark.parametrize("family", ["s2s", "s2s_attn"])
+@pytest.mark.parametrize("mode", ["pdf", "expected"])
+def test_teacher_forced_step_reads_the_previous_teacher_row(family, mode):
+    samples, _ = _micro_samples()
+    model = build_model(_micro_config(family, mode), seed=3)
+    inputs, p0, teacher, _, _ = sample_arrays(samples[:3], model.config)
+    forced = model.forward_batch(inputs, p0, teacher, "teacher_forcing").data
+    assert forced.shape == (3, 24, model.config.step_width)
+    for k in (0, 11, 22):
+        changed = teacher.copy()
+        changed[:, k] = np.where(teacher[:, k] > 0.5, 0.0, 1.0)  # differs in every entry
+        out = model.forward_batch(inputs, p0, changed, "teacher_forcing").data
+        assert np.array_equal(out[:, :k + 1], forced[:, :k + 1])
+        assert all(not np.array_equal(out[i, k + 1], forced[i, k + 1]) for i in range(3))
+    # Fed back as the teacher, the self-recurrent decoder's own feedback
+    # reproduces its forecast bitwise.
+    recurrent = model.forward_batch(inputs, p0, None, "self_recurrent").data
+    feedback = recurrent if mode == "pdf" else np.clip(recurrent, 0.0, 1.0)
+    replay = model.forward_batch(inputs, p0, feedback, "teacher_forcing").data
+    assert np.array_equal(replay, recurrent)
+
+
+@pytest.mark.parametrize("family", ["ffnn", "lstm", "s2s", "s2s_attn"])
+@pytest.mark.parametrize("mode", ["pdf", "expected"])
+def test_forward_batch_returns_one_forecast_tensor(family, mode):
+    samples, _ = _micro_samples()
+    model = build_model(_micro_config(family, mode), seed=1)
+    inputs, p0, _, _, _ = sample_arrays(samples[:3], model.config)
+    out = model.forward_batch(inputs, p0, None, "self_recurrent")
+    assert isinstance(out, Tensor)
+    assert out.shape == (3, 24, model.config.step_width)
 
 
 @pytest.mark.parametrize("family", ["ffnn", "lstm", "s2s", "s2s_attn"])
