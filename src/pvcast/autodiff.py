@@ -7,11 +7,11 @@ gradients additively, so fan-out sums contributions and callers are expected
 to zero gradients between batches. Every forward operation checks its output
 for NaN/Inf and raises ``NumericsError`` instead of propagating bad values.
 
-``lstm_cell`` is one fused node per recurrence step and ``lstm_layer`` one
-per layer over a whole sequence; both record a second output (the cell
-state) and take a gradient for each. ``attend`` is one node per attention
-query step; the key and value gradients of all steps are computed together
-by the node that ``attention_memory`` records.
+``lstm_layer`` is the one LSTM op: one fused node per layer over a whole
+sequence, or per step for a one-step input. It records a second output
+(the cell state) and takes a gradient for each. ``attend`` is one node
+per attention query step; the key and value gradients of all steps are
+computed together by the node that ``attention_memory`` records.
 """
 
 import math
@@ -353,7 +353,8 @@ def _lstm_gates(pre: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarr
                 h_next: np.ndarray) -> None:
     """Turn pre-activations into gate activations (blocks i, f, g, o) in
     place and write c' = f*c + i*g, tanh(c') and h' = o*tanh(c'), in the
-    operand order of the composite cell. `c_next` may be `c`."""
+    operand order of the cell built from matmul/add/slice/sigmoid/tanh/mul
+    nodes, so the values equal that composite's bitwise. `c_next` may be `c`."""
     u = c_next.shape[-1]
     # A contiguous copy keeps tanh on the same numpy loop as for a standalone
     # array, so the values match ad.tanh to the last bit on any build.
@@ -397,61 +398,6 @@ def _lstm_pre_grad(grad_h, grad_c, gates: np.ndarray, c: np.ndarray, tc: np.ndar
     return dc_prev
 
 
-def lstm_cell(x, h, c, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
-    """One LSTM step recorded as a single two-output tape node.
-
-    With pre = (x @ w_x + h @ w_h) + bias split into gate blocks (i, f, g, o),
-    i, f, o = sigmoid, g = tanh, it returns h' = o*tanh(c') and
-    c' = f*c + i*g. Forward and backward repeat the arithmetic of the same
-    cell built from matmul/add/slice/sigmoid/tanh/mul nodes, operand for
-    operand, so the results are bitwise identical to it.
-    """
-    x, h, c, w_x, w_h, bias = (as_tensor(t) for t in (x, h, c, w_x, w_h, bias))
-    if x.data.ndim < 2 or h.data.ndim < 2:
-        raise ShapeError(f"lstm needs >=2-D input and state, got {x.shape} and {h.shape}")
-    u = c.shape[-1]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            xw = x.data @ w_x.data
-            hw = h.data @ w_h.data
-            pre = (xw + hw) + bias.data  # non-finite values are rejected below
-    except ValueError as exc:
-        raise ShapeError(f"lstm shapes do not fit: x {x.shape} @ w_x {w_x.shape}, "
-                         f"h {h.shape} @ w_h {w_h.shape}, bias {bias.shape}") from exc
-    _check_finite("lstm", pre)
-    if pre.shape[-1] != 4 * u or c.shape != pre.shape[:-1] + (u,):
-        raise ShapeError(f"lstm cell state {c.shape} does not fit gates {pre.shape}")
-    xw_shape, hw_shape = xw.shape, hw.shape
-    gates = pre  # turned into activations in place
-    c_next, tc, h_next = (np.empty(c.shape) for _ in range(3))
-    _lstm_gates(gates, c.data, c_next, tc, h_next)
-    _check_finite("lstm", c_next)
-    _check_finite("lstm", h_next)
-
-    def grad_fn(grad_h, grad_c):
-        d_pre = np.empty_like(gates)
-        dc_prev = _lstm_pre_grad(grad_h, grad_c, gates, c.data, tc, d_pre)
-        d_xw = _unbroadcast(d_pre, xw_shape)
-        d_hw = _unbroadcast(d_pre, hw_shape)
-        return (
-            _unbroadcast(d_xw @ _swap(w_x.data), x.shape) if x.requires_grad else None,
-            _unbroadcast(d_hw @ _swap(w_h.data), h.shape) if h.requires_grad else None,
-            dc_prev if c.requires_grad else None,
-            _unbroadcast(_swap(x.data) @ d_xw, w_x.shape) if w_x.requires_grad else None,
-            _unbroadcast(_swap(h.data) @ d_hw, w_h.shape) if w_h.requires_grad else None,
-            _unbroadcast(d_pre, bias.shape) if bias.requires_grad else None,
-        )
-
-    inputs = (x, h, c, w_x, w_h, bias)
-    requires = any(t.requires_grad for t in inputs)
-    h_out = Tensor(h_next, requires_grad=requires)
-    c_out = Tensor(c_next, requires_grad=requires)
-    tape = _active_tape()
-    if tape is not None and requires:
-        tape.nodes.append(Node("lstm", inputs, h_out, grad_fn, aux=c_out))
-    return h_out, c_out
-
-
 # Steps whose input projection a forward-only lstm_layer computes in one GEMM.
 # The buffer then holds 32 steps instead of all of them (480 at the published
 # window), while each GEMM still has 32 x batch rows.
@@ -459,27 +405,33 @@ _PROJECTION_CHUNK = 32
 
 
 def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
-    """An LSTM layer over a whole (batch, steps, in) input as one two-output
-    tape node: every step's h as (batch, steps, units), and the last c.
+    """An LSTM layer as one two-output tape node. Over a (batch, steps, in)
+    input it returns every step's h as (batch, steps, units) and the last c;
+    a (batch, in) input is one step, and h comes back as (batch, units).
 
-    The schedule is layer-major (Appleyard et al. 2016): one GEMM projects
-    the input of every step into a (steps, batch, 4u) gate buffer, and the
-    loop adds only h @ w_h and the gate arithmetic, in lstm_cell's operand
-    order, so the outputs equal those of a chain of lstm_cell nodes. The
-    reverse sweep keeps only dh @ w_hᵀ and elementwise work inside the loop,
-    writing d(pre) over the gates; the x, w_x, w_h and bias gradients then
-    take one GEMM or reduction each. Those sum over steps in another order
-    than the chain does, so the weight gradients may differ in the last
-    bits. The rule frees its cache, so it runs once.
+    With pre = (x @ w_x + h @ w_h) + bias split into gate blocks (i, f, g, o),
+    i, f, o = sigmoid and g = tanh, each step gives c' = f*c + i*g and
+    h' = o*tanh(c'). The schedule is layer-major (Appleyard et al. 2016): one
+    GEMM projects the input of every step into a (steps, batch, 4u) gate
+    buffer, and the loop adds only h @ w_h and the gate arithmetic, operand
+    for operand as the composite cell does, so the outputs equal those of a
+    chain of composite cells. The reverse sweep keeps only dh @ w_hᵀ and
+    elementwise work inside the loop, writing d(pre) over the gates; the x,
+    w_x, w_h and bias gradients then take one GEMM or reduction each. Over
+    one step these equal the composite's bitwise; over more they sum over
+    steps in another order than the chain does, so the weight gradients may
+    differ in the last bits. The rule frees its cache, so it runs once.
 
     When no tape records the node, no backward cache is kept and the input
     is projected _PROJECTION_CHUNK steps at a time.
     """
     x, h0, c0, w_x, w_h, bias = (as_tensor(t) for t in (x, h0, c0, w_x, w_h, bias))
-    if x.data.ndim != 3 or x.shape[1] == 0 or h0.data.ndim != 2:
-        raise ShapeError(f"lstm_layer needs (batch, steps>0, in) input and (batch, units) "
-                         f"state, got {x.shape} and {h0.shape}")
-    batch, steps, width = x.shape
+    rank = x.data.ndim
+    if rank not in (2, 3) or rank == 3 and x.shape[1] == 0 or h0.data.ndim != 2:
+        raise ShapeError(f"lstm_layer needs (batch, in) or (batch, steps>0, in) input and "
+                         f"(batch, units) state, got {x.shape} and {h0.shape}")
+    # A (batch, in) input is read as (batch, 1, in) through views.
+    batch, steps, width = x.shape[0], x.shape[1] if rank == 3 else 1, x.shape[-1]
     u = h0.shape[1]
     if (c0.shape != (batch, u) or h0.shape[0] != batch or w_x.shape != (width, 4 * u)
             or w_h.shape != (u, 4 * u) or bias.shape != (4 * u,)):
@@ -490,7 +442,7 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
     tape = _active_tape()
     record = tape is not None and requires
 
-    xs = np.swapaxes(x.data, 0, 1)  # (steps, batch, in)
+    xs = np.swapaxes(x.data.reshape(batch, steps, width), 0, 1)  # (steps, batch, in)
     chunk = steps if record else min(_PROJECTION_CHUNK, steps)
     gates = np.empty((chunk, batch, 4 * u))  # projections, then activations
     hs = np.empty((steps + 1, batch, u))
@@ -520,7 +472,8 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
         c = cs[steps].copy()
     _check_finite("lstm_layer", c)
     _check_finite("lstm_layer", hs)
-    h_seq = Tensor(np.swapaxes(hs[1:], 0, 1), requires_grad=requires)
+    h_seq = Tensor(np.swapaxes(hs[1:], 0, 1).reshape(x.shape[:-1] + (u,)),
+                   requires_grad=requires)
     c_last = Tensor(c, requires_grad=requires)
     if not record:
         return h_seq, c_last
@@ -531,7 +484,7 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
             raise ContractError("lstm_layer backward ran twice on one tape")
         d_pre, cs, tcs, x_rows = cache
         cache.clear()
-        ext = None if grad_seq is None else np.swapaxes(grad_seq, 0, 1)
+        ext = None if grad_seq is None else np.swapaxes(grad_seq.reshape(batch, steps, u), 0, 1)
         dh, dc = None, grad_c
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps - 1, -1, -1):
@@ -546,6 +499,7 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
             d_x = None
             if x.requires_grad:
                 d_x = np.swapaxes((rows @ _swap(w_x.data)).reshape(steps, batch, width), 0, 1)
+                d_x = d_x.reshape(x.shape)
             return (
                 d_x,
                 dh if h0.requires_grad else None,

@@ -224,6 +224,12 @@ def cmd_benchmark(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     prepared = _prepare(args, values)
+    train, val, test = prepared.splits
+    if not val or not test:  # fail before training eight models, not after
+        raise DataError(
+            f"benchmark needs nonempty val and test splits, got {len(train)}/{len(val)}/"
+            f"{len(test)} train/val/test and {prepared.splits.discarded} discarded; use more "
+            f"days, a smaller window_days or a smaller stride_hours")
     seed = train_config_from(values).seed
 
     persistence = build_model(ModelConfig(
@@ -239,8 +245,7 @@ def cmd_benchmark(args) -> int:
 
     p_max = prepared.dataset.p_max
     report_rows = []
-    for split_name, samples in (("val", prepared.splits.val),
-                                ("test", prepared.splits.test)):
+    for split_name, samples in (("val", val), ("test", test)):
         part = evaluate(models, samples, p_max, split_name)
         report_rows.extend(part.rows)
     full = EvalReport(report_rows)
@@ -248,7 +253,7 @@ def cmd_benchmark(args) -> int:
     (out / "report.txt").write_text(full.to_text())
     print(full.to_text())
 
-    example = prepared.splits.test[0] if prepared.splits.test else prepared.splits.val[0]
+    example = test[0]
     actual = example.target_e
     for model in models:
         forecast = model.forward(example)

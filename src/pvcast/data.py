@@ -366,10 +366,6 @@ class AlignedDataset:
             raise ContractError(f"minute {minute} is not hour-aligned")
         return offset // HOUR
 
-    def denormalize(self, channel: int, values: np.ndarray) -> np.ndarray:
-        lo, hi = self.norm_min[channel], self.norm_max[channel]
-        return values * (hi - lo) + lo
-
 
 def _fill_minute_gaps(stamps: np.ndarray, values: np.ndarray, max_gap: int,
                       what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
 
-ACTIVATIONS = ("none", "sigmoid", "tanh")
+ACTIVATIONS = ("none", "tanh")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple) -> np.ndarray:
@@ -45,22 +45,14 @@ class DenseLayer:
 
 
 def dense_forward(layer: DenseLayer, x) -> Tensor:
-    """activation(x @ W + b), broadcast over any leading axes."""
+    """activation(x @ W + b) for a (..., batch, in) input, broadcast over any
+    leading axes; a 1-D input raises matmul's ShapeError."""
     x = ad.as_tensor(x)
     if x.shape[-1] != layer.in_features:
         raise ShapeError(
             f"dense expects last axis {layer.in_features}, got input shape {x.shape}")
-    squeeze = x.data.ndim == 1
-    if squeeze:
-        x = ad.reshape(x, (1, x.shape[0]))
     y = ad.add(ad.matmul(x, layer.weights), layer.bias)
-    if layer.activation == "sigmoid":
-        y = ad.sigmoid(y)
-    elif layer.activation == "tanh":
-        y = ad.tanh(y)
-    if squeeze:
-        y = ad.reshape(y, (layer.out_features,))
-    return y
+    return ad.tanh(y) if layer.activation == "tanh" else y
 
 
 class LstmLayer:
@@ -91,15 +83,14 @@ class LstmLayer:
 
 
 def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """One recurrence step: c' = f*c + i*g, h' = o*tanh(c'), one fused tape node."""
-    x_t = ad.as_tensor(x_t)
+    """One recurrence step of a (batch, in) input: c' = f*c + i*g,
+    h' = o*tanh(c'), one lstm_layer node. A wrong input width raises
+    lstm_layer's ShapeError."""
     h, c = state
-    if x_t.shape[-1] != layer.input_size:
-        raise ShapeError(f"lstm input width {x_t.shape[-1]}, expected {layer.input_size}")
     if h.shape[-1] != layer.units or c.shape[-1] != layer.units:
         raise ContractError(
             f"lstm state width {h.shape[-1]}/{c.shape[-1]}, expected {layer.units}")
-    return ad.lstm_cell(x_t, h, c, layer.w_x, layer.w_h, layer.bias)
+    return ad.lstm_layer(x_t, h, c, layer.w_x, layer.w_h, layer.bias)
 
 
 def lstm_sequence(layer: LstmLayer, x) -> tuple[Tensor, Tensor]:

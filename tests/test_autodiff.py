@@ -374,12 +374,13 @@ def test_identical_seeds_identical_trajectories():
 
 
 # ---------------------------------------------------------------------------
-# Fused LSTM cell and gradient release
+# One-step lstm_layer (the LSTM cell) and gradient release
 # ---------------------------------------------------------------------------
 
 
 def _composite_lstm_cell(x, h, c, w_x, w_h, bias):
-    """The LSTM step as separate primitive nodes, the reference for lstm_cell."""
+    """The LSTM step as separate primitive nodes, the reference for one-step
+    lstm_layer."""
     u = c.shape[-1]
     pre = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(h, w_h)), bias)
     i = ad.sigmoid(ad.slice_axis(pre, -1, 0, u))
@@ -422,7 +423,8 @@ def _run_cell(cell, loss_kind: str, x_grad: bool):
 @pytest.mark.parametrize("loss_kind", ["both", "h", "c", "chain"])
 def test_lstm_cell_bitwise_equals_composite(loss_kind, x_grad):
     h_ref, c_ref, grads_ref, nodes_ref = _run_cell(_composite_lstm_cell, loss_kind, x_grad)
-    h_new, c_new, grads_new, nodes_new = _run_cell(ad.lstm_cell, loss_kind, x_grad)
+    h_new, c_new, grads_new, nodes_new = _run_cell(ad.lstm_layer, loss_kind, x_grad)
+    assert h_new.shape == c_new.shape == (3, 5)
     assert np.array_equal(h_new, h_ref)
     assert np.array_equal(c_new, c_ref)
     for name, ref, new in zip(("x", "h", "c", "w_x", "w_h", "bias"), grads_ref, grads_new):
@@ -439,7 +441,7 @@ def test_lstm_cell_gradients_match_finite_differences():
     inputs, mix_h, mix_c = _cell_inputs(x_grad=True)
 
     def build_loss():
-        h2, c2 = ad.lstm_cell(*inputs)
+        h2, c2 = ad.lstm_layer(*inputs)
         return ad.add(ad.sum_all(ad.mul(h2, Tensor(mix_h))),
                       ad.sum_all(ad.mul(c2, Tensor(mix_c))))
 
@@ -451,17 +453,33 @@ def test_lstm_cell_overflow_names_lstm():
     inputs[0].data[...] = 1e300
     inputs[3].data[...] = 1e300
     with pytest.raises(NumericsError, match="lstm"):
-        ad.lstm_cell(*inputs)
+        ad.lstm_layer(*inputs)
 
 
 def test_lstm_cell_shape_errors():
     inputs, _, _ = _cell_inputs(x_grad=False)
     bad_x = [Tensor(np.zeros((3, 7)))] + inputs[1:]
-    with pytest.raises(ShapeError):
-        ad.lstm_cell(*bad_x)
+    with pytest.raises(ShapeError, match=r"x \(3, 7\)"):
+        ad.lstm_layer(*bad_x)
     bad_c = inputs[:2] + [Tensor(np.zeros((6, 5)))] + inputs[3:]
-    with pytest.raises(ShapeError):
-        ad.lstm_cell(*bad_c)
+    with pytest.raises(ShapeError, match=r"c0 \(6, 5\)"):
+        ad.lstm_layer(*bad_c)
+    bad_rows = [Tensor(np.zeros((4, 4)))] + inputs[1:]  # batch 4 against a state of 3
+    with pytest.raises(ShapeError, match=r"x \(4, 4\), h0 \(3, 5\)"):
+        ad.lstm_layer(*bad_rows)
+    for shape in [(4,), (3, 1, 1, 4)]:
+        with pytest.raises(ShapeError, match="lstm_layer needs"):
+            ad.lstm_layer(Tensor(np.zeros(shape)), *inputs[1:])
+
+
+def test_lstm_cell_untaped_equals_taped():
+    inputs, _, _ = _cell_inputs(x_grad=True)
+    h_free, c_free = ad.lstm_layer(*inputs)
+    with Tape() as tape:
+        h_taped, c_taped = ad.lstm_layer(*inputs)
+    assert [n.op for n in tape.nodes] == ["lstm_layer"]
+    assert np.array_equal(h_free.data, h_taped.data)
+    assert np.array_equal(c_free.data, c_taped.data)
 
 
 def test_backward_releases_intermediate_gradients():
@@ -470,8 +488,8 @@ def test_backward_releases_intermediate_gradients():
     head = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
     params = [w_x, w_h, bias, head]
     with Tape() as tape:
-        h2, c2 = ad.lstm_cell(x, h, c, w_x, w_h, bias)
-        h3, _ = ad.lstm_cell(x, h2, c2, w_x, w_h, bias)
+        h2, c2 = ad.lstm_layer(x, h, c, w_x, w_h, bias)
+        h3, _ = ad.lstm_layer(x, h2, c2, w_x, w_h, bias)
         loss = ad.sum_all(ad.tanh(ad.matmul(h3, head)))
     backward(tape, loss)
     for p in params:
@@ -497,12 +515,12 @@ def _close(new, ref, rel: float = 1e-12) -> bool:
 
 
 def _chain_lstm_layer(x, h0, c0, w_x, w_h, bias):
-    """The layer as one lstm_cell node per step, the reference for lstm_layer."""
+    """The layer as one composite cell per step, the reference for lstm_layer."""
     batch, steps, width = x.shape
     h, c, seq = h0, c0, None
     for t in range(steps):
         x_t = ad.reshape(ad.slice_axis(x, 1, t, t + 1), (batch, width))
-        h, c = ad.lstm_cell(x_t, h, c, w_x, w_h, bias)
+        h, c = _composite_lstm_cell(x_t, h, c, w_x, w_h, bias)
         h_t = ad.reshape(h, (batch, 1, h.shape[-1]))
         seq = h_t if seq is None else ad.concat(seq, h_t, axis=1)
     return seq, c

@@ -192,3 +192,20 @@ def test_benchmark_report_layout(data_dir, config_file, tmp_path):
         stem = name.lower().replace("-", "_")
         assert (out / f"{stem}.svg").exists()
     assert (out / "manifest.txt").exists()
+
+
+def test_benchmark_rejects_an_empty_split_before_training(tmp_path, capsys):
+    # Nine days at the default 5-day windows split 3/1/0, 3 discarded.
+    data = tmp_path / "short"
+    assert main(["gen-data", "--days", "9", "--seed", "0", "--out", str(data)]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("max_epochs=1\nunits=4\n")
+    out = tmp_path / "bench"
+    capsys.readouterr()
+    assert main(["benchmark", "--data", str(data), "--config", str(config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "3/1/0 train/val/test and 3 discarded" in err
+    assert "more days" in err and "window_days" in err and "stride_hours" in err
+    assert not list(out.glob("*.ckpt"))
+    assert not (out / "manifest.txt").exists()

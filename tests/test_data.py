@@ -527,16 +527,28 @@ def _ramp_nwp(days):
     return RawNwpSeries(stamps, chans)
 
 
+def _physical_grid(pv, nwp):
+    """consolidate's dataset and the physical-unit grid it normalizes."""
+    _, grid, _ = data._build_grid(pv, nwp, bins=50, min_days=6)
+    ds = consolidate(pv, nwp)
+    assert np.array_equal(ds.norm_min, grid.min(axis=0))
+    assert np.array_equal(ds.norm_max, grid.max(axis=0))
+    span = ds.norm_max - ds.norm_min  # a constant channel scales to 0
+    scaled = np.divide(grid - ds.norm_min, span, out=np.zeros_like(grid), where=span > 0)
+    assert np.array_equal(ds.features, scaled)
+    return grid, ds
+
+
 def test_consolidate_interpolates_nwp_linearly():
-    ds = consolidate(_constant_pv(6), _ramp_nwp(6))
-    temp = ds.denormalize(0, ds.features[:, 0])
+    grid, _ = _physical_grid(_constant_pv(6), _ramp_nwp(6))
+    temp = grid[:, 0]
     # hours alternate 10, 14: quarter-hour stamps read 10, 11, 12, 13, 14
     assert temp[:5] == pytest.approx([10.0, 11.0, 12.0, 13.0, 14.0], abs=1e-9)
 
 
 def test_consolidate_constant_pv_average():
-    ds = consolidate(_constant_pv(6, level=100.0), _ramp_nwp(6))
-    pv = ds.denormalize(5, ds.features[:, 5])
+    grid, _ = _physical_grid(_constant_pv(6, level=100.0), _ramp_nwp(6))
+    pv = grid[:, 5]
     assert pv[:4] == pytest.approx([100.0] * 4, abs=1e-9)
 
 
@@ -545,8 +557,8 @@ def test_consolidate_alternating_pv_matches_mean_oracle():
     n = days * DAY
     values = np.where(np.arange(n) % 2 == 0, 0.0, 200.0)
     pv = RawPvSeries(np.arange(n, dtype=np.int64), values.astype(float), P_MAX)
-    ds = consolidate(pv, _ramp_nwp(days))
-    got = ds.denormalize(5, ds.features[:, 5])
+    grid, _ = _physical_grid(pv, _ramp_nwp(days))
+    got = grid[:, 5]
     expected = values.reshape(-1, 15).mean(axis=1)  # independent mean oracle
     assert np.allclose(got, expected, atol=1e-9)
     hourly = got.reshape(-1, 4).mean(axis=1)
@@ -555,8 +567,8 @@ def test_consolidate_alternating_pv_matches_mean_oracle():
 
 def test_consolidate_energy_conservation_per_hour():
     pv, nwp = synth_generate(8, seed=13, p_max=P_MAX)
-    ds = consolidate(pv, nwp)
-    pv15 = ds.denormalize(5, ds.features[:, 5])
+    grid, ds = _physical_grid(pv, nwp)
+    pv15 = grid[:, 5]
     per_hour_15 = pv15.reshape(-1, 4).sum(axis=1) * 15.0
     minutes = pv.power[:ds.n_hours * HOUR].reshape(-1, HOUR)
     per_hour_1 = minutes.sum(axis=1) * 1.0
@@ -581,8 +593,8 @@ def test_consolidate_fills_short_gap():
     pv = _constant_pv(7)
     keep = (pv.timestamps < 2 * DAY) | (pv.timestamps >= 2 * DAY + 90)
     gappy = RawPvSeries(pv.timestamps[keep], pv.power[keep], P_MAX)
-    ds = consolidate(gappy, _ramp_nwp(7))
-    pv15 = ds.denormalize(5, ds.features[:, 5])
+    grid, _ = _physical_grid(gappy, _ramp_nwp(7))
+    pv15 = grid[:, 5]
     assert np.allclose(pv15, 100.0, atol=1e-9)  # linear fill of a flat signal
 
 

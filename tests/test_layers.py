@@ -6,7 +6,7 @@ import pytest
 
 from pvcast import autodiff as ad
 from pvcast.autodiff import Tape, Tensor, backward
-from pvcast.errors import ContractError, NumericsError, ShapeError
+from pvcast.errors import ConfigError, ContractError, NumericsError, ShapeError
 from pvcast.gradcheck import check_gradients
 from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attend_projected, dense_forward,
@@ -26,7 +26,7 @@ def test_dense_identity():
     layer = DenseLayer(3, 3, rng=_rng())
     layer.weights.data[...] = np.eye(3)
     layer.bias.data[...] = 0.0
-    x = np.array([1.0, -2.0, 0.5])
+    x = np.array([[1.0, -2.0, 0.5]])
     assert np.array_equal(dense_forward(layer, Tensor(x)).data, x)
 
 
@@ -34,14 +34,22 @@ def test_dense_hand_arithmetic():
     layer = DenseLayer(2, 1, rng=_rng())
     layer.weights.data[...] = [[1.0], [1.0]]
     layer.bias.data[...] = [0.5]
-    out = dense_forward(layer, Tensor([1.0, 2.0]))
-    assert out.data == pytest.approx([3.5])
+    out = dense_forward(layer, Tensor([[1.0, 2.0]]))
+    assert out.shape == (1, 1)
+    assert out.data[0] == pytest.approx([3.5])
 
 
 def test_dense_shape_error():
     layer = DenseLayer(3, 2, rng=_rng())
     with pytest.raises(ShapeError):
         dense_forward(layer, Tensor(np.zeros((5, 4))))
+    with pytest.raises(ShapeError, match=r"\(3,\)"):  # a 1-D input is no batch
+        dense_forward(layer, Tensor(np.zeros(3)))
+
+
+def test_dense_rejects_an_unknown_activation():
+    with pytest.raises(ConfigError, match="sigmoid"):
+        DenseLayer(3, 2, activation="sigmoid", rng=_rng())
 
 
 def test_dense_gradient_matches_finite_differences():

@@ -376,8 +376,8 @@ MAX_TAPE_NODES_C4_STEP = 457
 
 
 def test_teacher_forced_s2s_attn_step_tape_size():
-    # Criterion-4 scale: 192 encoder steps, 32 units, batch 32. One node per
-    # encoder layer, one per decoder LSTM step, one per attention query step,
+    # Criterion-4 scale: 192 encoder steps, 32 units, batch 32. One lstm_layer
+    # node per encoder layer and per decoder step, one per attention query step,
     # one key/value node per attention layer, and one stack of the decoder's
     # outputs feeding one loss over the whole forecast give 457 nodes.
     rng = np.random.default_rng(0)
@@ -392,8 +392,8 @@ def test_teacher_forced_s2s_attn_step_tape_size():
         outputs = model.forward_batch(inputs, p0, teacher, "teacher_forcing")
         _batch_loss("kl", outputs, teacher, 1e-9)
     ops = Counter(node.op for node in tape.nodes)
-    assert ops["lstm_layer"] == cfg.depth
-    assert ops["lstm"] == cfg.depth * cfg.output_steps
+    assert ops["lstm_layer"] == cfg.depth * (1 + cfg.output_steps)
+    assert ops["lstm"] == 0
     assert ops["attention"] == cfg.depth * cfg.output_steps
     assert ops["attention_kv"] == cfg.depth
     assert ops["swap"] == cfg.depth
