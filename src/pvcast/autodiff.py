@@ -155,6 +155,26 @@ def matmul(a, b) -> Tensor:
     return _emit("matmul", (a, b), out, grad_fn)
 
 
+def affine(x, w, b) -> Tensor:
+    """x @ w + b as one tape node, with batch broadcasting over x's leading
+    axes; values and gradients are bitwise those of add(matmul(x, w), b)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"affine needs >=2-D input and 2-D weights, got {x.shape} x {w.shape}")
+    if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"affine shapes do not fit: x {x.shape}, w {w.shape}, b {b.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x.data @ w.data  # non-finite results are rejected in _emit
+        out += b.data
+
+    def grad_fn(g):
+        return (_unbroadcast(g @ _swap(w.data), x.shape) if x.requires_grad else None,
+                _unbroadcast(_swap(x.data) @ g, w.shape) if w.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _emit("affine", (x, w, b), out, grad_fn)
+
+
 def _binary(op: str, a, b, fwd, da, db) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     try:
@@ -354,7 +374,8 @@ def _lstm_gates(pre: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarr
     """Turn pre-activations into gate activations (blocks i, f, g, o) in
     place and write c' = f*c + i*g, tanh(c') and h' = o*tanh(c'), in the
     operand order of the cell built from matmul/add/slice/sigmoid/tanh/mul
-    nodes, so the values equal that composite's bitwise. `c_next` may be `c`."""
+    nodes, so the values equal that composite's bitwise. `c_next` may be `c`.
+    The caller holds the errstate that lets overflow through to its check."""
     u = c_next.shape[-1]
     # A contiguous copy keeps tanh on the same numpy loop as for a standalone
     # array, so the values match ad.tanh to the last bit on any build.
@@ -362,9 +383,8 @@ def _lstm_gates(pre: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarr
     _sigmoid(pre, out=pre)
     pre[..., 2 * u:3 * u] = candidate
     i, f, g, o = (pre[..., k * u:(k + 1) * u] for k in range(4))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(f, c, out=c_next)
-        c_next += i * g  # non-finite values are rejected by the callers
+    np.multiply(f, c, out=c_next)
+    c_next += i * g  # non-finite values are rejected by the caller
     np.tanh(c_next, out=tc)
     np.multiply(o, tc, out=h_next)
 

@@ -112,6 +112,19 @@ def _prepare(args, values: dict) -> PreparedData:
         bins=values["bins"])
 
 
+def _require_splits(prepared: PreparedData, command: str, needed: tuple[str, ...]) -> None:
+    """Fail before any training when a split the command needs is empty,
+    with the split counts and how to get more windows."""
+    splits = prepared.splits
+    counts = {"train": len(splits.train), "val": len(splits.val), "test": len(splits.test)}
+    if not all(counts[name] for name in needed):
+        raise DataError(
+            f"{command} needs nonempty {', '.join(needed)} splits, got "
+            f"{counts['train']}/{counts['val']}/{counts['test']} train/val/test and "
+            f"{splits.discarded} discarded; use more days, a smaller window_days or a "
+            f"smaller stride_hours")
+
+
 def _model_config(family: str, mode: str, values: dict) -> ModelConfig:
     return ModelConfig(
         family=family, target_mode=mode, units_per_layer=values["units"],
@@ -194,6 +207,7 @@ def cmd_train(args) -> int:
     started = time.time()
 
     prepared = _prepare(args, values)
+    _require_splits(prepared, "train", ("train", "val"))
     seed = train_config_from(values).seed
     model, report, ckpt = _train_one(args.model, mode, prepared, values, out, seed)
     entries = {
@@ -224,12 +238,8 @@ def cmd_benchmark(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     prepared = _prepare(args, values)
-    train, val, test = prepared.splits
-    if not val or not test:  # fail before training eight models, not after
-        raise DataError(
-            f"benchmark needs nonempty val and test splits, got {len(train)}/{len(val)}/"
-            f"{len(test)} train/val/test and {prepared.splits.discarded} discarded; use more "
-            f"days, a smaller window_days or a smaller stride_hours")
+    _require_splits(prepared, "benchmark", ("train", "val", "test"))
+    _, val, test = prepared.splits
     seed = train_config_from(values).seed
 
     persistence = build_model(ModelConfig(

@@ -46,12 +46,13 @@ class DenseLayer:
 
 def dense_forward(layer: DenseLayer, x) -> Tensor:
     """activation(x @ W + b) for a (..., batch, in) input, broadcast over any
-    leading axes; a 1-D input raises matmul's ShapeError."""
+    leading axes, with the affine map as one tape node; a 1-D input raises
+    affine's ShapeError."""
     x = ad.as_tensor(x)
     if x.shape[-1] != layer.in_features:
         raise ShapeError(
             f"dense expects last axis {layer.in_features}, got input shape {x.shape}")
-    y = ad.add(ad.matmul(x, layer.weights), layer.bias)
+    y = ad.affine(x, layer.weights, layer.bias)
     return ad.tanh(y) if layer.activation == "tanh" else y
 
 

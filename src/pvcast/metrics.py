@@ -111,28 +111,17 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-# Windows per forward_samples call: a group pays the per-step Python cost of
-# a forward pass once. At the published widths each window in flight holds
-# about 1.5 MB: the stacked encoder output (480 steps x 110 units x 8 B =
-# 0.42 MB), projected keys and values for both attention layers (4 x 0.21 MB)
-# and one key projection before its transpose. Groups of 4 raised the peak RSS
-# of a published-width evaluate by 10-13%, groups of 8 by 30%, pairs by 4-5%.
-_EVAL_GROUP = 2
-
-
 def _mean_metrics(model, samples: list[Sample], p_max: float):
     """Per-window metrics averaged uniformly over the sample windows."""
     nrmses, nmes, crpss = [], [], []
     is_pdf = model.config.target_mode == "pdf" or model.config.family == "persistence"
-    for g0 in range(0, len(samples), _EVAL_GROUP):
-        group = samples[g0:g0 + _EVAL_GROUP]
-        for sample, forecast in zip(group, model.forward_samples(group, "self_recurrent")):
-            fe = forecast.expected * p_max
-            pe = sample.target_e * p_max
-            nrmses.append(nrmse(fe, pe, p_max))
-            nmes.append(nme(fe, pe, p_max))
-            if is_pdf:
-                crpss.append(crps(forecast.steps, sample.target_pdf))
+    for sample, forecast in zip(samples, model.forward_samples(samples, "self_recurrent")):
+        fe = forecast.expected * p_max
+        pe = sample.target_e * p_max
+        nrmses.append(nrmse(fe, pe, p_max))
+        nmes.append(nme(fe, pe, p_max))
+        if is_pdf:
+            crpss.append(crps(forecast.steps, sample.target_pdf))
     return (float(np.mean(nrmses)), float(np.mean(nmes)),
             float(np.mean(crpss)) if crpss else None)
 

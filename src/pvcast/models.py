@@ -120,18 +120,44 @@ class Model:
 
     def forward_samples(self, samples: list[Sample],
                         mode: str = "self_recurrent") -> list[Forecast]:
-        """Run the samples through forward_batch as one batch; one Forecast each."""
+        """Run the samples through forward_batch in groups of _forward_group
+        windows, in order; one Forecast each."""
         cfg = self.config
         if mode not in ("teacher_forcing", "self_recurrent"):
             raise ContractError(f"unknown decoding mode '{mode}'")
-        inputs, p0, teacher, _, nwp = sample_arrays(samples, cfg,
-                                                    targets=mode == "teacher_forcing")
-        out = self.forward_batch(inputs, p0, teacher, mode, nwp)
-        return [assemble_forecast(cfg, s) for s in out.data]
+        group = _forward_group(cfg)
+        forecasts = []
+        for g0 in range(0, len(samples), group):
+            inputs, p0, teacher, _, nwp = sample_arrays(samples[g0:g0 + group], cfg,
+                                                        targets=mode == "teacher_forcing")
+            out = self.forward_batch(inputs, p0, teacher, mode, nwp)
+            forecasts.extend(assemble_forecast(cfg, s) for s in out.data)
+        return forecasts
 
     def forward(self, sample: Sample, mode: str = "self_recurrent") -> Forecast:
         """Run one sample through the model and assemble a Forecast."""
         return self.forward_samples([sample], mode)[0]
+
+
+# Estimated activation bytes one forward_samples group may hold. A wider group
+# pays the forward pass's per-step Python cost, and streams each weight, once
+# for more windows, so it runs faster; this budget keeps evaluate and
+# validation bounded however many windows they score. A window counts as three
+# (input_steps, units) float64 arrays, what an ffnn layer's input, affine output
+# and tanh output hold; one over the budget runs alone. Measured untaped peaks
+# (tracemalloc, one call, 480 steps, published widths, pdf/E): ffnn 7.4/7.7 MB
+# for 1 window, lstm 3.4 MB for 2, s2s 4.8/5.0 MB for 4 and s2s_attn 5.3/5.5 MB
+# for 4, against 6.3 MB (6 MiB). At 32 units and 192 steps, buffers that do not
+# scale with the units weigh more: 42 s2s_attn windows peak at 6.8 MB. Groups
+# of 8 s2s_attn windows ran a published-width evaluate faster still, but at 6 MB
+# (12%) more peak RSS than groups of 4.
+_FORWARD_BYTES = 6 * 2**20
+
+
+def _forward_group(cfg: ModelConfig) -> int:
+    """Windows per forward_batch call under the _FORWARD_BYTES budget; a
+    window larger than the budget runs alone."""
+    return max(1, _FORWARD_BYTES // (3 * 8 * cfg.input_steps * cfg.units_per_layer))
 
 
 def sample_arrays(samples: list[Sample], cfg: ModelConfig, targets: bool = True):
@@ -278,6 +304,7 @@ class Seq2SeqModel(Model):
             dec_states.append((h_last, c_last))
         # The top layer's outputs are the keys and values of every attention layer.
         memories = [layer.project_keys_values(seq, seq) for layer in self.attn]
+        del seq  # untaped, this frees the encoder output before the decoder runs
 
         feedback = Tensor(p0)
         outputs = []

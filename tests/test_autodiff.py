@@ -57,6 +57,53 @@ def test_matmul_batched_gradients():
     assert check_gradients(build_loss, [a, b]) < 1e-6
 
 
+def _affine_run(op, x_shape, trainable):
+    """Output and input gradients of op(x, w, b) under a tanh-and-mix loss,
+    from fixed seeded values; `trainable` names the inputs that take grads."""
+    rng = np.random.default_rng(23)
+    x, w, b = (Tensor(rng.normal(size=shape), requires_grad=name in trainable)
+               for name, shape in (("x", x_shape), ("w", (x_shape[-1], 5)), ("b", (5,))))
+    mix = Tensor(rng.normal(size=x_shape[:-1] + (5,)))
+    with Tape() as tape:
+        out = op(x, w, b)
+        loss = ad.sum_all(ad.mul(ad.tanh(out), mix))
+    backward(tape, loss)
+    return out.data, [t.grad for t in (x, w, b)], [n.op for n in tape.nodes]
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+@pytest.mark.parametrize("trainable", ["xwb", "x", "w", "b", "wb"])
+def test_affine_bitwise_equals_matmul_add(x_shape, trainable):
+    out, grads, ops = _affine_run(ad.affine, x_shape, trainable)
+    ref_out, ref_grads, _ = _affine_run(lambda x, w, b: ad.add(ad.matmul(x, w), b),
+                                        x_shape, trainable)
+    assert ops[0] == "affine" and ops.count("affine") == 1
+    assert np.array_equal(out, ref_out)
+    for name, g, ref in zip("xwb", grads, ref_grads):
+        if name in trainable:
+            assert g.shape == ref.shape and np.array_equal(g, ref), name
+        else:
+            assert g is None and ref is None, name
+
+
+def test_affine_gradients_match_finite_differences():
+    rng = np.random.default_rng(29)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+    mix = Tensor(rng.normal(size=(2, 3, 5)))
+    assert check_gradients(lambda: ad.sum_all(ad.mul(ad.tanh(ad.affine(x, w, b)), mix)),
+                           [x, w, b]) < 1e-6
+
+
+def test_affine_shape_errors():
+    w, b = Tensor(np.zeros((4, 5))), Tensor(np.zeros(5))
+    with pytest.raises(ShapeError, match=r"x \(3, 6\), w \(4, 5\)"):
+        ad.affine(Tensor(np.zeros((3, 6))), w, b)
+    with pytest.raises(ShapeError, match=r">=2-D input.*\(4,\)"):
+        ad.affine(Tensor(np.zeros(4)), w, b)
+
+
 def test_softmax_uniform_and_ratio():
     out = ad.softmax(Tensor([0.0, 0.0, 0.0, 0.0]))
     assert np.allclose(out.data, 0.25, atol=1e-15)

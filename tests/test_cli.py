@@ -209,3 +209,20 @@ def test_benchmark_rejects_an_empty_split_before_training(tmp_path, capsys):
     assert "more days" in err and "window_days" in err and "stride_hours" in err
     assert not list(out.glob("*.ckpt"))
     assert not (out / "manifest.txt").exists()
+
+
+def test_train_rejects_an_empty_val_split_before_training(tmp_path, capsys):
+    # Split seed 1 leaves 5/0/0 train/val/test windows of nine days, 2 discarded.
+    data = tmp_path / "short"
+    assert main(["gen-data", "--days", "9", "--seed", "0", "--out", str(data)]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("max_epochs=1\nunits=4\nsplit_seed=1\n")
+    out = tmp_path / "train"
+    capsys.readouterr()
+    assert main(["train", "--model", "s2s", "--data", str(data), "--config", str(config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "5/0/0 train/val/test and 2 discarded" in err
+    assert "more days" in err and "window_days" in err and "stride_hours" in err
+    assert not list(out.glob("*.ckpt"))
+    assert not (out / "manifest.txt").exists()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pvcast import models as pvmodels
 from pvcast.data import DAY, HOUR, RawNwpSeries, RawPvSeries, consolidate, make_samples
 from pvcast.errors import ContractError
 from pvcast.metrics import EvalReport, crps, evaluate, nme, nrmse, skill
@@ -237,7 +238,7 @@ BATCHED_EVAL_CONFIGS = [
 
 
 @pytest.mark.parametrize("n_windows", [1, 3, 4])
-def test_batched_evaluate_matches_per_window_forward(n_windows):
+def test_batched_evaluate_matches_per_window_forward(monkeypatch, n_windows):
     samples = _samples()[:n_windows]
     assert len(samples) == n_windows
     models = [build_model(ModelConfig(family="persistence", input_steps=96))]
@@ -249,19 +250,27 @@ def test_batched_evaluate_matches_per_window_forward(n_windows):
             calls[_name] = calls.get(_name, 0) + 1
             return _inner(*args, **kwargs)
         model.forward_batch = counted
-    report = evaluate(models, samples, P_MAX, "test")
-    # Pairs of windows per forward_batch call, the last one partial for odd n.
-    assert calls == {m.config: math.ceil(n_windows / 2) for m in models[1:]}
     expected = _per_window_rows(models, samples)
-    assert len(report.rows) == len(expected)
-    for row, ref in zip(report.rows, expected):
-        got = (row.model, row.nrmse, row.nme, row.crps, row.s_nrmse, row.s_crps)
-        assert got[0] == ref[0]
-        for a, b in zip(got[1:], ref[1:]):
-            assert (a is None) == (b is None), row.model
-            if a is not None:
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-12), row.model
-        assert row.n_samples == n_windows
+    # At 4 units the default budget takes every window in one group; a
+    # two-window budget makes pairs, the last one partial for odd n.
+    for budget_windows in (None, 2):
+        if budget_windows is not None:
+            monkeypatch.setattr(pvmodels, "_FORWARD_BYTES", budget_windows * 3 * 8 * 96 * 4)
+        calls.clear()
+        report = evaluate(models, samples, P_MAX, "test")
+        groups = {m.config: pvmodels._forward_group(m.config) for m in models[1:]}
+        assert set(groups.values()) == {budget_windows or 682}
+        # One forward_batch call per budget group.
+        assert calls == {cfg: math.ceil(n_windows / g) for cfg, g in groups.items()}
+        assert len(report.rows) == len(expected)
+        for row, ref in zip(report.rows, expected):
+            got = (row.model, row.nrmse, row.nme, row.crps, row.s_nrmse, row.s_crps)
+            assert got[0] == ref[0]
+            for a, b in zip(got[1:], ref[1:]):
+                assert (a is None) == (b is None), row.model
+                if a is not None:
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-12), row.model
+            assert row.n_samples == n_windows
 
 
 def test_report_csv_layout():

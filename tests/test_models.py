@@ -1,15 +1,18 @@
 """Model construction, parameter budgets, decoding modes, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pvcast import models
 from pvcast.autodiff import Tensor
 from pvcast.data import (DAY, HOUR, RawNwpSeries, RawPvSeries, consolidate,
-                         make_samples)
+                         make_samples, synth_generate)
 from pvcast.errors import ConfigError, ContractError
 from pvcast.layers import DenseLayer
 from pvcast.metrics import nrmse
-from pvcast.models import (BENCHMARK_UNITS, Forecast, ModelConfig,
+from pvcast.models import (BENCHMARK_UNITS, Forecast, ModelConfig, assemble_forecast,
                            benchmark_config, build_model, count_parameters,
                            persistence_forecast, sample_arrays)
 
@@ -158,6 +161,109 @@ def test_forward_deterministic(family):
     a = model.forward(samples[0]).steps
     b = model.forward(samples[0]).steps
     assert np.array_equal(a, b)
+
+
+def spy_forward_batch(model):
+    """Wrap model.forward_batch; returns the list of its calls' batch widths."""
+    widths, inner = [], model.forward_batch
+
+    def spy(inputs, *args, **kwargs):
+        widths.append(inputs.shape[0])
+        return inner(inputs, *args, **kwargs)
+
+    model.forward_batch = spy
+    return widths
+
+
+def budget_for(cfg, windows):
+    """A _FORWARD_BYTES value that gives groups of `windows` for cfg."""
+    return windows * 3 * 8 * cfg.input_steps * cfg.units_per_layer
+
+
+@pytest.mark.parametrize("family,mode,decoding", [
+    ("s2s_attn", "pdf", "self_recurrent"), ("s2s_attn", "expected", "teacher_forcing"),
+    ("s2s", "pdf", "self_recurrent"), ("lstm", "expected", "self_recurrent"),
+    ("ffnn", "pdf", "self_recurrent")])
+@pytest.mark.parametrize("group", [1, 2, 3])
+def test_forward_samples_runs_budget_groups_in_order(monkeypatch, family, mode,
+                                                     decoding, group):
+    samples, _ = _micro_samples()
+    n = len(samples)
+    assert n == 7  # not a multiple of 2 or 3: the last group is partial
+    cfg = _micro_config(family, mode)
+    model = build_model(cfg, seed=4)
+    reference = model.forward_batch
+    monkeypatch.setattr(models, "_FORWARD_BYTES", budget_for(cfg, group))
+    assert models._forward_group(cfg) == group
+    widths = spy_forward_batch(model)
+    forecasts = model.forward_samples(samples, decoding)
+    assert widths == [min(group, n - g0) for g0 in range(0, n, group)]
+    # Bitwise what forward_batch gives for each group of consecutive windows.
+    teacher_forced = decoding == "teacher_forcing"
+    for g0 in range(0, n, group):
+        inputs, p0, teacher, _, nwp = sample_arrays(samples[g0:g0 + group], cfg,
+                                                    targets=teacher_forced)
+        out = reference(inputs, p0, teacher, decoding, nwp).data
+        for got, steps in zip(forecasts[g0:g0 + group], out):
+            assert np.array_equal(got.steps, assemble_forecast(cfg, steps).steps)
+    # One window at a time is forward(); other group widths agree to rounding,
+    # since a BLAS GEMM may round a row differently at another row count.
+    singles = [model.forward(s, decoding).steps for s in samples]
+    for got, single in zip(forecasts, singles):
+        if group == 1:
+            assert np.array_equal(got.steps, single)
+        np.testing.assert_allclose(got.steps, single, rtol=1e-12, atol=1e-15)
+
+
+def test_forward_group_follows_the_budget():
+    assert models._FORWARD_BYTES == 6 * 2**20
+    groups = {key: models._forward_group(benchmark_config(*key)) for key in BENCHMARK_UNITS}
+    assert groups == {("ffnn", "expected"): 1, ("ffnn", "pdf"): 1,
+                      ("lstm", "expected"): 2, ("lstm", "pdf"): 2,
+                      ("s2s", "expected"): 4, ("s2s", "pdf"): 4,
+                      ("s2s_attn", "expected"): 4, ("s2s_attn", "pdf"): 4}
+    # Criterion 4's s2s_attn: a 9-window validation split is one call.
+    assert models._forward_group(ModelConfig(family="s2s_attn", units_per_layer=32,
+                                             input_steps=192)) == 42
+
+
+@pytest.fixture(scope="module")
+def published_windows():
+    """Eight windows of 5-day (480-step) input, the published window length."""
+    pv, nwp = synth_generate(13, seed=7, p_max=P_MAX)
+    samples = make_samples(consolidate(pv, nwp), stride_hours=24, input_steps=480)
+    assert len(samples) == 8
+    return samples
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family,mode", [("ffnn", "expected"), ("lstm", "pdf"),
+                                         ("s2s", "expected"), ("s2s_attn", "expected")])
+def test_forward_samples_peak_memory_stays_within_the_budget(published_windows,
+                                                             family, mode):
+    # The wider mode of each family at the published widths, over two groups.
+    cfg = benchmark_config(family, mode)
+    model = build_model(cfg, seed=1)
+    group = models._forward_group(cfg)
+    windows = published_windows[:2 * group]
+    model.forward_samples(windows[:1])  # lazy numpy and BLAS set-up
+    peak = traced_peak(lambda: model.forward_samples(windows))
+    if budget_for(cfg, 1) <= models._FORWARD_BYTES:
+        assert peak <= models._FORWARD_BYTES
+    else:
+        # ffnn: one window is over the budget and runs alone, so two windows
+        # peak as high as one does.
+        assert group == 1
+        assert peak <= 1.05 * traced_peak(lambda: model.forward_samples(windows[:1]))
 
 
 def test_expected_mode_outputs_clipped_to_unit_interval():

@@ -9,8 +9,11 @@ from pvcast import autodiff as ad
 from pvcast.autodiff import Tape, Tensor, backward
 from pvcast.data import DAY, HOUR, RawNwpSeries, RawPvSeries, consolidate, make_samples
 from pvcast.errors import ConfigError, ContractError, FormatError, TrainingError
+from pvcast import models
 from pvcast.gradcheck import check_gradients
-from pvcast.models import Forecast, ModelConfig, build_model, count_parameters
+from pvcast.metrics import nrmse
+from pvcast.models import (Forecast, ModelConfig, assemble_forecast, build_model,
+                           count_parameters, sample_arrays)
 from pvcast.training import (TrainConfig, _batch_loss, fit, kl_loss, load_checkpoint,
                              mse_loss, save_checkpoint, validation_nrmse)
 
@@ -276,6 +279,34 @@ def test_fit_best_epoch_is_minimum_and_weights_restored():
     assert validation_nrmse(model, samples[4:6]) == pytest.approx(best, abs=1e-15)
 
 
+def test_validation_nrmse_runs_budget_groups(monkeypatch):
+    samples = _samples(days=10)
+    assert len(samples) == 9
+    cfg = _config("s2s_attn", "pdf")
+    model = build_model(cfg, seed=2)
+    reference = model.forward_batch
+    # Groups of two windows: four pairs and one single.
+    monkeypatch.setattr(models, "_FORWARD_BYTES",
+                        2 * 3 * 8 * cfg.input_steps * cfg.units_per_layer)
+    widths = []
+
+    def spy(inputs, *args, **kwargs):
+        widths.append(inputs.shape[0])
+        return reference(inputs, *args, **kwargs)
+
+    model.forward_batch = spy
+    score = validation_nrmse(model, samples)
+    assert widths == [2, 2, 2, 2, 1]
+    scores = []
+    for g0 in range(0, len(samples), 2):
+        group = samples[g0:g0 + 2]
+        inputs, p0, _, _, nwp = sample_arrays(group, cfg, targets=False)
+        out = reference(inputs, p0, None, "self_recurrent", nwp).data
+        scores += [nrmse(assemble_forecast(cfg, steps).expected, s.target_e, 1.0)
+                   for steps, s in zip(out, group)]
+    assert score == float(np.mean(scores))
+
+
 def test_fit_training_loss_decreases_on_constant_target():
     samples = _samples(days=8, constant_level=0.4)
     model = build_model(_config("ffnn", "expected", units_per_layer=2), seed=2)
@@ -372,14 +403,15 @@ def test_fit_seeded_s2s_attn_numerics_are_pinned(mode):
     assert report.val_nrmse == [val_nrmse]
 
 
-MAX_TAPE_NODES_C4_STEP = 457
+MAX_TAPE_NODES_C4_STEP = 381
 
 
 def test_teacher_forced_s2s_attn_step_tape_size():
     # Criterion-4 scale: 192 encoder steps, 32 units, batch 32. One lstm_layer
     # node per encoder layer and per decoder step, one per attention query step,
-    # one key/value node per attention layer, and one stack of the decoder's
-    # outputs feeding one loss over the whole forecast give 457 nodes.
+    # one key/value node per attention layer, one affine node per dense layer
+    # call, and one stack of the decoder's outputs feeding one loss over the
+    # whole forecast give 381 nodes.
     rng = np.random.default_rng(0)
     cfg = ModelConfig(family="s2s_attn", target_mode="pdf", units_per_layer=32,
                       input_steps=192)
@@ -398,6 +430,10 @@ def test_teacher_forced_s2s_attn_step_tape_size():
     assert ops["attention_kv"] == cfg.depth
     assert ops["swap"] == cfg.depth
     assert ops["stack"] == ops["clamped_log"] == ops["sum"] == 1
+    # Per decoder step and layer a query projection, per step the head, and
+    # per attention layer the key and value projections.
+    assert ops["affine"] == cfg.output_steps * (cfg.depth + 1) + 2 * cfg.depth == 76
+    assert ops["matmul"] == 0
     assert len(tape) == MAX_TAPE_NODES_C4_STEP
 
 
