@@ -8,10 +8,10 @@ to zero gradients between batches. Every forward operation checks its output
 for NaN/Inf and raises ``NumericsError`` instead of propagating bad values.
 
 ``lstm_layer`` is the one LSTM op: one fused node per layer over a whole
-sequence, or per step for a one-step input. It records a second output
-(the cell state) and takes a gradient for each. ``attend`` is one node
-per attention query step; the key and value gradients of all steps are
-computed together by the node that ``attention_memory`` records.
+sequence, or per step for a one-step input, with the last h and c as two
+more outputs that each take a gradient. ``attend`` is one node per attention
+query step, its query projection included; the key and value gradients of
+all steps are computed together by the node that ``attention_memory`` records.
 """
 
 import math
@@ -59,13 +59,13 @@ class Tensor:
 class Node:
     """One recorded operation: kind, input tensors, output tensor, grad rule.
 
-    A two-output op keeps its second output in ``aux``; its ``grad_fn`` then
-    takes one gradient per output, None for an output that received none.
+    A multi-output op keeps its further outputs in the ``aux`` tuple; its
+    ``grad_fn`` takes one gradient per output, None for one that received none.
     """
 
     __slots__ = ("op", "inputs", "output", "grad_fn", "aux")
 
-    def __init__(self, op, inputs, output, grad_fn, aux=None):
+    def __init__(self, op, inputs, output, grad_fn, aux=()):
         self.op = op
         self.inputs = inputs
         self.output = output
@@ -219,16 +219,6 @@ def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.where(d >= 0, 1.0, e), denom, out=out)
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = _sigmoid(x.data)
-
-    def grad_fn(g):
-        return (g * out * (1.0 - out) if x.requires_grad else None,)
-
-    return _emit("sigmoid", (x,), out, grad_fn)
-
-
 def tanh(x) -> Tensor:
     x = as_tensor(x)
     out = np.tanh(x.data)
@@ -310,22 +300,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
                      for i, t in enumerate(tensors))
 
     return _emit("stack", tensors, out, grad_fn)
-
-
-def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
-    ax = axis % x.data.ndim
-    idx = tuple(slice(None) if i != ax else slice(start, stop) for i in range(x.data.ndim))
-    out = x.data[idx].copy()
-
-    def grad_fn(g):
-        if not x.requires_grad:
-            return (None,)
-        gx = np.zeros_like(x.data)
-        gx[idx] = g
-        return (gx,)
-
-    return _emit("slice", (x,), out, grad_fn)
 
 
 def reshape(x, shape: tuple) -> Tensor:
@@ -424,10 +398,10 @@ def _lstm_pre_grad(grad_h, grad_c, gates: np.ndarray, c: np.ndarray, tc: np.ndar
 _PROJECTION_CHUNK = 32
 
 
-def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
-    """An LSTM layer as one two-output tape node. Over a (batch, steps, in)
-    input it returns every step's h as (batch, steps, units) and the last c;
-    a (batch, in) input is one step, and h comes back as (batch, units).
+def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
+    """An LSTM layer as one three-output tape node. Over a (batch, steps, in)
+    input it returns every step's h as (batch, steps, units), then the last h
+    and c; a (batch, in) input is one step, and h comes back as (batch, units).
 
     With pre = (x @ w_x + h @ w_h) + bias split into gate blocks (i, f, g, o),
     i, f, o = sigmoid and g = tanh, each step gives c' = f*c + i*g and
@@ -442,8 +416,9 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
     steps in another order than the chain does, so the weight gradients may
     differ in the last bits. The rule frees its cache, so it runs once.
 
-    When no tape records the node, no backward cache is kept and the input
-    is projected _PROJECTION_CHUNK steps at a time.
+    When no tape records the node, no backward cache is kept, the input is
+    projected _PROJECTION_CHUNK steps at a time, and the last h is a copy, so
+    a caller that drops h_seq frees the step buffer.
     """
     x, h0, c0, w_x, w_h, bias = (as_tensor(t) for t in (x, h0, c0, w_x, w_h, bias))
     rank = x.data.ndim
@@ -488,31 +463,28 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
                 _lstm_gates(pre, cs[t], cs[t + 1], tcs[t], hs[t + 1])
             else:
                 _lstm_gates(pre, c, c, tc, hs[t + 1])
-    if record:
-        c = cs[steps].copy()
+    h, c = (hs[steps], cs[steps].copy()) if record else (hs[steps].copy(), c)
     _check_finite("lstm_layer", c)
     _check_finite("lstm_layer", hs)
     h_seq = Tensor(np.swapaxes(hs[1:], 0, 1).reshape(x.shape[:-1] + (u,)),
                    requires_grad=requires)
-    c_last = Tensor(c, requires_grad=requires)
+    h_last, c_last = (Tensor(a, requires_grad=requires) for a in (h, c))
     if not record:
-        return h_seq, c_last
+        return h_seq, h_last, c_last
     cache = [gates, cs, tcs, block]
 
-    def grad_fn(grad_seq, grad_c):
+    def grad_fn(grad_seq, grad_h, grad_c):
         if not cache:
             raise ContractError("lstm_layer backward ran twice on one tape")
         d_pre, cs, tcs, x_rows = cache
         cache.clear()
         ext = None if grad_seq is None else np.swapaxes(grad_seq.reshape(batch, steps, u), 0, 1)
-        dh, dc = None, grad_c
+        dh, dc = grad_h, grad_c  # the last h's gradient joins the last step's
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps - 1, -1, -1):
-                if ext is None:
-                    grad_h = dh
-                else:
-                    grad_h = ext[t] if dh is None else ext[t] + dh
-                dc = _lstm_pre_grad(grad_h, dc, d_pre[t], cs[t], tcs[t], out=d_pre[t])
+                if ext is not None:
+                    dh = ext[t] if dh is None else ext[t] + dh
+                dc = _lstm_pre_grad(dh, dc, d_pre[t], cs[t], tcs[t], out=d_pre[t])
                 if t or h0.requires_grad:
                     dh = d_pre[t] @ _swap(w_h.data)
             rows = d_pre.reshape(steps * batch, 4 * u)
@@ -529,8 +501,8 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor]:
                 rows.sum(axis=0) if bias.requires_grad else None,
             )
 
-    tape.nodes.append(Node("lstm_layer", inputs, h_seq, grad_fn, aux=c_last))
-    return h_seq, c_last
+    tape.nodes.append(Node("lstm_layer", inputs, h_seq, grad_fn, aux=(h_last, c_last)))
+    return h_seq, h_last, c_last
 
 
 # ---------------------------------------------------------------------------
@@ -590,45 +562,55 @@ def attention_memory(kp_t, vp) -> KeyValueMemory:
     return memory
 
 
-def attend(qp, memory: KeyValueMemory, scale: float) -> Tensor:
-    """softmax((qp @ kp_t) * scale) @ vp as one tape node.
+def attend(query, w_q, b_q, memory: KeyValueMemory) -> Tensor:
+    """softmax((qp @ kp_t) / sqrt(width)) @ vp with qp = query @ w_q + b_q, as
+    one tape node: a (..., q) query gives a (..., value width) context.
 
-    Forward and the query gradient repeat the matmul/scale/softmax/matmul
-    composite operand for operand; the key and value gradients are left to
+    Each query is read as a (..., 1, q) row, so that forward and the query,
+    w_q and b_q gradients repeat the affine/matmul/scale/softmax/matmul
+    composite operand for operand. The key and value gradients are left to
     the memory's node (see KeyValueMemory), so the memory must have been
     created under the tape that records the queries.
     """
-    qp = as_tensor(qp)
+    query, w_q, b_q = as_tensor(query), as_tensor(w_q), as_tensor(b_q)
     kp_t, vp, token = memory.kp_t.data, memory.vp.data, memory.token
-    if (qp.data.ndim != kp_t.ndim or qp.shape[:-2] != kp_t.shape[:-2]
-            or qp.shape[-1] != kp_t.shape[-2]):
-        raise ShapeError(f"queries {qp.shape} do not fit keys {kp_t.shape}")
+    width = kp_t.shape[-2]
+    if (query.data.ndim != kp_t.ndim - 1 or query.shape[:-1] != kp_t.shape[:-2]
+            or w_q.shape != (query.shape[-1], width) or b_q.shape != (width,)):
+        raise ShapeError(f"attend shapes do not fit: query {query.shape}, w_q {w_q.shape}, "
+                         f"b_q {b_q.shape}, keys {kp_t.shape}")
     tape = _active_tape()
     if (tape is not None and (memory.tape is None or memory.tape() is not tape)
             and (memory.kp_t.requires_grad or memory.vp.requires_grad)):
         raise ContractError("attend: the key/value memory was not created under the "
                             "recording tape, so its keys and values would get no "
                             "gradient; call attention_memory inside that tape")
-    scale = float(scale)
+    rows = np.expand_dims(query.data, -2)
+    scale = 1.0 / math.sqrt(width)
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = (qp.data @ kp_t) * scale
-    _check_finite("attention", scores)
-    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = ex / ex.sum(axis=-1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = weights @ vp  # non-finite results are rejected in _emit
+        qp = rows @ w_q.data
+        qp += b_q.data
+        scores = (qp @ kp_t) * scale
+        _check_finite("attention", scores)
+        ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = ex / ex.sum(axis=-1, keepdims=True)
+        out = np.squeeze(weights @ vp, -2)  # non-finite results are rejected in _emit
 
     def grad_fn(g):
+        g = np.expand_dims(g, -2)
         with np.errstate(over="ignore", invalid="ignore"):
             d_weights = g @ _swap(vp)
             inner = (d_weights * weights).sum(axis=-1, keepdims=True)
             d_scores = (weights * (d_weights - inner)) * scale
             if token.requires_grad:
-                memory.rows.append((qp.data, d_scores, weights, g))
-            d_qp = d_scores @ _swap(kp_t) if qp.requires_grad else None
-        return d_qp, np.zeros(()) if token.requires_grad else None
+                memory.rows.append((qp, d_scores, weights, g))
+            d_qp = d_scores @ _swap(kp_t)
+            return ((d_qp @ _swap(w_q.data)).reshape(query.shape) if query.requires_grad else None,
+                    _unbroadcast(_swap(rows) @ d_qp, w_q.shape) if w_q.requires_grad else None,
+                    _unbroadcast(d_qp, b_q.shape) if b_q.requires_grad else None,
+                    np.zeros(()) if token.requires_grad else None)
 
-    return _emit("attention", (qp, token), out, grad_fn)
+    return _emit("attention", (query, w_q, b_q, token), out, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -650,19 +632,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.ensure_grad()[...] += 1.0
     for node in reversed(tape.nodes):
-        out, aux = node.output, node.aux
-        if aux is None:
-            if out.grad is None:
-                continue
-            grads = node.grad_fn(out.grad)
-        else:
-            if out.grad is None and aux.grad is None:
-                continue
-            grads = node.grad_fn(out.grad, aux.grad)
-            if aux is not loss:
-                aux.grad = None
-        if out is not loss:
-            out.grad = None
+        outputs = (node.output,) + node.aux
+        if all(t.grad is None for t in outputs):
+            continue
+        grads = node.grad_fn(*(t.grad for t in outputs))
+        for t in outputs:
+            if t is not loss:
+                t.grad = None
         for t, gt in zip(node.inputs, grads):
             if gt is not None and t.requires_grad:
                 t.ensure_grad()[...] += gt

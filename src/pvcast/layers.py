@@ -91,13 +91,13 @@ def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor]) -> tuple[Tens
     if h.shape[-1] != layer.units or c.shape[-1] != layer.units:
         raise ContractError(
             f"lstm state width {h.shape[-1]}/{c.shape[-1]}, expected {layer.units}")
-    return ad.lstm_layer(x_t, h, c, layer.w_x, layer.w_h, layer.bias)
+    return ad.lstm_layer(x_t, h, c, layer.w_x, layer.w_h, layer.bias)[1:]
 
 
-def lstm_sequence(layer: LstmLayer, x) -> tuple[Tensor, Tensor]:
+def lstm_sequence(layer: LstmLayer, x) -> tuple[Tensor, Tensor, Tensor]:
     """The layer over a whole (batch, steps, in) input from a zero state,
-    one fused tape node: every step's h as (batch, steps, units), and the
-    last c. A wrong input width raises lstm_layer's ShapeError."""
+    one fused tape node: every step's h as (batch, steps, units), then the
+    last h and c. A wrong input width raises lstm_layer's ShapeError."""
     x = ad.as_tensor(x)
     h, c = layer.initial_state(x.shape[0])
     return ad.lstm_layer(x, h, c, layer.w_x, layer.w_h, layer.bias)
@@ -130,9 +130,9 @@ class AttentionLayer:
         return ad.attention_memory(ad.swap_last_axes(self.w_k(k)), self.w_v(v))
 
 
-def attend_projected(qp: Tensor, memory: ad.KeyValueMemory) -> Tensor:
-    """softmax((qp Kᵀ) / sqrt(width)) V for projected queries, one tape node."""
-    return ad.attend(qp, memory, 1.0 / math.sqrt(memory.kp_t.shape[-2]))
+def attend_projected(layer: AttentionLayer, query, memory: ad.KeyValueMemory) -> Tensor:
+    """softmax((q W_q + b_q) Kᵀ / sqrt(width)) V for (..., query_size) queries, one node."""
+    return ad.attend(query, layer.w_q.weights, layer.w_q.bias, memory)
 
 
 class TemporalTransform:

@@ -2,7 +2,8 @@
 encoder-decoder models with and without attention, in expected-value and
 binned-distribution target modes.
 
-Decoder wiring for the attention variant, per step:
+Decoder wiring for the attention variant, per step, where each context is
+one attend node that projects its (batch, q) query itself:
   layer 1: query = concat(step input, layer-1 hidden state); keys/values are
            the encoder's top-layer output sequence; the resulting context is
            concatenated with the step input and fed to LSTM layer 1.
@@ -295,12 +296,10 @@ class Seq2SeqModel(Model):
             raise ContractError("teacher forcing requires target values")
         if cfg.decoder_nwp and nwp_ahead is None:
             raise ContractError("decoder_nwp models need forecast-day weather")
-        batch, steps = inputs.shape[0], inputs.shape[1]
         seq = Tensor(inputs)
         dec_states = []  # the encoder layers' last states seed the decoder layers
         for layer in self.encoder:
-            seq, c_last = ly.lstm_sequence(layer, seq)
-            h_last = ad.reshape(ad.slice_axis(seq, 1, steps - 1, steps), (batch, layer.units))
+            seq, h_last, c_last = ly.lstm_sequence(layer, seq)
             dec_states.append((h_last, c_last))
         # The top layer's outputs are the keys and values of every attention layer.
         memories = [layer.project_keys_values(seq, seq) for layer in self.attn]
@@ -320,13 +319,9 @@ class Seq2SeqModel(Model):
             for i, layer in enumerate(self.decoder):
                 if self.attention:
                     query = ad.concat(h, dec_states[i][0], axis=-1) if i == 0 else dec_states[i][0]
-                    qp = self.attn[i].w_q(ad.reshape(query, (batch, 1, query.shape[-1])))
-                    ctx = ly.attend_projected(qp, memories[i])
-                    ctx = ad.reshape(ctx, (batch, self.attn_width))
-                    h = ad.concat(ctx, h, axis=-1)
-                h_i, c_i = ly.lstm_step(layer, h, dec_states[i])
-                dec_states[i] = (h_i, c_i)
-                h = h_i
+                    h = ad.concat(ly.attend_projected(self.attn[i], query, memories[i]), h, axis=-1)
+                h, c = ly.lstm_step(layer, h, dec_states[i])
+                dec_states[i] = (h, c)
             out = self.head(h)
             if cfg.target_mode == "pdf":
                 out = ad.softmax(out)

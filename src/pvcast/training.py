@@ -296,6 +296,8 @@ def load_checkpoint(path) -> Model:
             if len(payload) != count * 8:
                 raise FormatError(f"truncated payload for parameter '{name}'")
             blocks.append((name, np.frombuffer(payload, dtype="<f8").reshape(shape)))
+        if extra := len(fh.read()):
+            raise FormatError(f"checkpoint has {extra} bytes after the last parameter block")
 
     model = build_model(config, seed=0)
     params = model.parameters()

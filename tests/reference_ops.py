@@ -1,8 +1,36 @@
-"""Central finite-difference gradient checking for tapes and models."""
+"""Test-only references: the sigmoid and slice ops that composite LSTM cells
+are built from (the package fuses both into lstm_layer), and central
+finite-difference gradient checking for tapes and models."""
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward
+from pvcast.autodiff import Tape, Tensor, _emit, _sigmoid, as_tensor, backward
+
+
+def sigmoid(x) -> Tensor:
+    x = as_tensor(x)
+    out = _sigmoid(x.data)
+
+    def grad_fn(g):
+        return (g * out * (1.0 - out) if x.requires_grad else None,)
+
+    return _emit("sigmoid", (x,), out, grad_fn)
+
+
+def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
+    x = as_tensor(x)
+    ax = axis % x.data.ndim
+    idx = tuple(slice(None) if i != ax else slice(start, stop) for i in range(x.data.ndim))
+    out = x.data[idx].copy()
+
+    def grad_fn(g):
+        if not x.requires_grad:
+            return (None,)
+        gx = np.zeros_like(x.data)
+        gx[idx] = g
+        return (gx,)
+
+    return _emit("slice", (x,), out, grad_fn)
 
 
 def numeric_gradient(f, array: np.ndarray, h: float = 1e-5) -> np.ndarray:

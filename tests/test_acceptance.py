@@ -13,7 +13,6 @@ from pvcast import data
 from pvcast.autodiff import Tensor
 from pvcast.data import (DAY, HOUR, build_splits, consolidate, make_samples,
                          split, synth_generate)
-from pvcast.gradcheck import check_gradients
 from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attend_projected, dense_forward,
                            lstm_step, temporal_transform)
@@ -22,6 +21,8 @@ from pvcast.models import (ModelConfig, benchmark_config, build_model,
                            count_parameters, sample_arrays)
 from pvcast.training import (TrainConfig, fit, kl_loss, load_checkpoint,
                              mse_loss, save_checkpoint)
+
+from reference_ops import check_gradients, sigmoid
 
 GRADCHECK_SEED = 42          # documented seed for every randomized gradient check
 BENCH_DATA_SEED = 7          # documented seeds for the synthetic skill benchmark
@@ -70,10 +71,11 @@ def test_criterion_1_gradient_suite():
     q = rng.normal(size=(2, 3))
     kv = rng.normal(size=(4, 3))
     mix_a = rng.normal(size=(2, 2))
+    kv_rows = np.broadcast_to(kv, (2,) + kv.shape)  # one key/value sequence per query
     worst["attention"] = check_gradients(
         lambda: ad.sum_all(ad.mul(
-            attend_projected(attn.w_q(Tensor(q)),
-                             attn.project_keys_values(Tensor(kv), Tensor(kv))),
+            attend_projected(attn, Tensor(q),
+                             attn.project_keys_values(Tensor(kv_rows), Tensor(kv_rows))),
             Tensor(mix_a))),
         [p for _, p in attn.parameters()])
 
@@ -92,7 +94,7 @@ def test_criterion_1_gradient_suite():
 
     pred = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
     p_mse = rng.uniform(0, 1, size=(4, 1))
-    worst["mse_loss"] = check_gradients(lambda: mse_loss(ad.sigmoid(pred), p_mse),
+    worst["mse_loss"] = check_gradients(lambda: mse_loss(sigmoid(pred), p_mse),
                                         [pred])
 
     # Full graph: attention encoder-decoder with binned output and KL loss.

@@ -2,6 +2,7 @@
 tape mechanics, and the Nesterov optimizer update rule."""
 
 import gc
+import math
 import warnings
 import weakref
 
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from pvcast import autodiff as ad
 from pvcast.autodiff import SgdNesterov, Tape, Tensor, backward
 from pvcast.errors import ContractError, DomainError, NumericsError, ShapeError
-from pvcast.gradcheck import check_gradients, max_relative_error, numeric_gradient
+
+from reference_ops import (check_gradients, max_relative_error, numeric_gradient, sigmoid,
+                           slice_axis)
 
 
 def test_matmul_identity():
@@ -146,7 +149,7 @@ def test_softmax_permutation_equivariant(values, rnd):
 
 
 def test_elementwise_values():
-    assert ad.sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
+    assert sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
     assert ad.tanh(Tensor([0.0])).data[0] == 0.0
     assert ad.add(Tensor([1.0]), Tensor([2.0])).data[0] == 3.0
     assert ad.sub(Tensor([1.0]), Tensor([2.0])).data[0] == -1.0
@@ -155,7 +158,7 @@ def test_elementwise_values():
 
 
 def test_sigmoid_saturates_without_overflow():
-    out = ad.sigmoid(Tensor([-1000.0, 1000.0])).data
+    out = sigmoid(Tensor([-1000.0, 1000.0])).data
     assert out[0] == 0.0 and out[1] == 1.0
 
 
@@ -195,7 +198,7 @@ def test_sigmoid_gradient_matches_finite_differences():
     x = Tensor([1.0], requires_grad=True)
 
     def build_loss():
-        return ad.sum_all(ad.sigmoid(x))
+        return ad.sum_all(sigmoid(x))
 
     with Tape() as tape:
         loss = build_loss()
@@ -306,7 +309,7 @@ def test_backward_rejects_nonscalar_loss():
 def test_slice_gradients():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape() as tape:
-        part = ad.slice_axis(x, 1, 1, 3)
+        part = slice_axis(x, 1, 1, 3)
         loss = ad.sum_all(part)
     backward(tape, loss)
     assert np.array_equal(x.grad, [[0, 1, 1], [0, 1, 1]])
@@ -430,10 +433,10 @@ def _composite_lstm_cell(x, h, c, w_x, w_h, bias):
     lstm_layer."""
     u = c.shape[-1]
     pre = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(h, w_h)), bias)
-    i = ad.sigmoid(ad.slice_axis(pre, -1, 0, u))
-    f = ad.sigmoid(ad.slice_axis(pre, -1, u, 2 * u))
-    g = ad.tanh(ad.slice_axis(pre, -1, 2 * u, 3 * u))
-    o = ad.sigmoid(ad.slice_axis(pre, -1, 3 * u, 4 * u))
+    i = sigmoid(slice_axis(pre, -1, 0, u))
+    f = sigmoid(slice_axis(pre, -1, u, 2 * u))
+    g = ad.tanh(slice_axis(pre, -1, 2 * u, 3 * u))
+    o = sigmoid(slice_axis(pre, -1, 3 * u, 4 * u))
     c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
     return ad.mul(o, ad.tanh(c_next)), c_next
 
@@ -449,13 +452,19 @@ def _cell_inputs(x_grad: bool):
     return tensors, mix_h, mix_c
 
 
+def _seq_and_c(outputs):
+    """h_seq and the last c of lstm_layer's (h_seq, h_last, c_last), or of a
+    composite's (h, c)."""
+    return outputs[0], outputs[-1]
+
+
 def _run_cell(cell, loss_kind: str, x_grad: bool):
     inputs, mix_h, mix_c = _cell_inputs(x_grad)
     x, h, c, w_x, w_h, bias = inputs
     with Tape() as tape:
-        h2, c2 = cell(x, h, c, w_x, w_h, bias)
+        h2, c2 = _seq_and_c(cell(x, h, c, w_x, w_h, bias))
         if loss_kind == "chain":  # a second step consumes both outputs
-            h2, c2 = cell(x, h2, c2, w_x, w_h, bias)
+            h2, c2 = _seq_and_c(cell(x, h2, c2, w_x, w_h, bias))
         terms = []
         if loss_kind in ("both", "h", "chain"):
             terms.append(ad.sum_all(ad.mul(h2, Tensor(mix_h))))
@@ -488,7 +497,7 @@ def test_lstm_cell_gradients_match_finite_differences():
     inputs, mix_h, mix_c = _cell_inputs(x_grad=True)
 
     def build_loss():
-        h2, c2 = ad.lstm_layer(*inputs)
+        h2, _, c2 = ad.lstm_layer(*inputs)
         return ad.add(ad.sum_all(ad.mul(h2, Tensor(mix_h))),
                       ad.sum_all(ad.mul(c2, Tensor(mix_c))))
 
@@ -521,12 +530,12 @@ def test_lstm_cell_shape_errors():
 
 def test_lstm_cell_untaped_equals_taped():
     inputs, _, _ = _cell_inputs(x_grad=True)
-    h_free, c_free = ad.lstm_layer(*inputs)
+    free = ad.lstm_layer(*inputs)
     with Tape() as tape:
-        h_taped, c_taped = ad.lstm_layer(*inputs)
+        taped = ad.lstm_layer(*inputs)
     assert [n.op for n in tape.nodes] == ["lstm_layer"]
-    assert np.array_equal(h_free.data, h_taped.data)
-    assert np.array_equal(c_free.data, c_taped.data)
+    for a, b in zip(free, taped):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_backward_releases_intermediate_gradients():
@@ -535,8 +544,8 @@ def test_backward_releases_intermediate_gradients():
     head = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
     params = [w_x, w_h, bias, head]
     with Tape() as tape:
-        h2, c2 = ad.lstm_layer(x, h, c, w_x, w_h, bias)
-        h3, _ = ad.lstm_layer(x, h2, c2, w_x, w_h, bias)
+        h2, _, c2 = ad.lstm_layer(x, h, c, w_x, w_h, bias)
+        h3, _, _ = ad.lstm_layer(x, h2, c2, w_x, w_h, bias)
         loss = ad.sum_all(ad.tanh(ad.matmul(h3, head)))
     backward(tape, loss)
     for p in params:
@@ -544,8 +553,8 @@ def test_backward_releases_intermediate_gradients():
     for leaf in (x, h, c):
         assert leaf.grad is not None
     assert loss.grad is not None and float(loss.grad) == 1.0
-    intermediates = [n.output for n in tape.nodes] + [n.aux for n in tape.nodes if n.aux]
-    assert len(intermediates) == len(tape) + 2
+    intermediates = [n.output for n in tape.nodes] + [t for n in tape.nodes for t in n.aux]
+    assert len(intermediates) == len(tape) + 4
     for t in intermediates:
         if t is not loss:
             assert t.grad is None
@@ -566,7 +575,7 @@ def _chain_lstm_layer(x, h0, c0, w_x, w_h, bias):
     batch, steps, width = x.shape
     h, c, seq = h0, c0, None
     for t in range(steps):
-        x_t = ad.reshape(ad.slice_axis(x, 1, t, t + 1), (batch, width))
+        x_t = ad.reshape(slice_axis(x, 1, t, t + 1), (batch, width))
         h, c = _composite_lstm_cell(x_t, h, c, w_x, w_h, bias)
         h_t = ad.reshape(h, (batch, 1, h.shape[-1]))
         seq = h_t if seq is None else ad.concat(seq, h_t, axis=1)
@@ -591,9 +600,9 @@ def _run_layers(op, loss_kind: str, x_grad: bool, depth: int = 1):
     mix_h = rng.normal(size=(3, 6, 5))
     mix_c = rng.normal(size=(3, 5))
     with Tape() as tape:
-        seq, c = op(*inputs)
+        seq, c = _seq_and_c(op(*inputs))
         if depth == 2:
-            seq, c = op(seq, *upper)
+            seq, c = _seq_and_c(op(seq, *upper))
         terms = []
         if loss_kind in ("both", "h"):
             terms.append(ad.sum_all(ad.mul(seq, Tensor(mix_h))))
@@ -629,7 +638,7 @@ def test_lstm_layer_gradients_match_finite_differences():
     mix_h, mix_c = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5))
 
     def build_loss():
-        seq, c = ad.lstm_layer(*inputs)
+        seq, _, c = ad.lstm_layer(*inputs)
         return ad.add(ad.sum_all(ad.mul(seq, Tensor(mix_h))),
                       ad.sum_all(ad.mul(c, Tensor(mix_c))))
 
@@ -640,12 +649,12 @@ def test_lstm_layer_forward_only_projects_in_chunks_with_equal_values():
     # More steps than one projection chunk, with a partial last chunk.
     steps = 2 * ad._PROJECTION_CHUNK + 5
     inputs = _layer_inputs(x_grad=False, steps=steps)
-    seq_free, c_free = ad.lstm_layer(*inputs)
+    free = ad.lstm_layer(*inputs)
     with Tape() as tape:
-        seq_taped, c_taped = ad.lstm_layer(*inputs)
+        taped = ad.lstm_layer(*inputs)
     assert len(tape) == 1
-    assert np.array_equal(seq_free.data, seq_taped.data)
-    assert np.array_equal(c_free.data, c_taped.data)
+    for a, b in zip(free, taped):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_lstm_layer_overflow_names_lstm():
@@ -663,35 +672,79 @@ def test_lstm_layer_shape_errors_and_single_backward():
     with pytest.raises(ShapeError):
         ad.lstm_layer(inputs[0], Tensor(np.zeros((2, 5))), *inputs[2:])
     with Tape() as tape:
-        seq, _ = ad.lstm_layer(*inputs)
+        seq, _, _ = ad.lstm_layer(*inputs)
         loss = ad.sum_all(seq)
     backward(tape, loss)
     with pytest.raises(ContractError, match="twice"):
         backward(tape, loss)
 
 
-def _composite_attend(qp, memory, scale):
-    """Attention as matmul/scale/softmax/matmul nodes, the reference for attend."""
-    scores = ad.scale(ad.matmul(qp, memory.kp_t), scale)
-    return ad.matmul(ad.softmax(scores), memory.vp)
+def _last_h_loss(inputs, last_h, seq_term: bool):
+    """A loss on the layer's last h as read by `last_h(h_seq, h_last)`, plus
+    its last c and, if `seq_term`, every step's h; the loss and every input's
+    gradient."""
+    rng = np.random.default_rng(5)
+    for t in inputs:
+        t.grad = None
+    with Tape() as tape:
+        seq, h_last, c = ad.lstm_layer(*inputs)
+        loss = ad.add(ad.sum_all(ad.mul(last_h(seq, h_last), Tensor(rng.normal(size=(3, 5))))),
+                      ad.sum_all(ad.mul(c, Tensor(rng.normal(size=(3, 5))))))
+        if seq_term:
+            loss = ad.add(loss, ad.sum_all(ad.mul(seq, Tensor(rng.normal(size=seq.shape)))))
+    backward(tape, loss)
+    return loss.item(), [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("seq_term", [True, False])
+@pytest.mark.parametrize("steps", [6, 1])
+def test_lstm_layer_last_h_equals_sliced_sequence_bitwise(steps, seq_term):
+    inputs = _layer_inputs(x_grad=True, steps=steps)
+    one_step = [Tensor(inputs[0].data[:, 0], requires_grad=True)] + inputs[1:]
+    for layer_inputs in (inputs, one_step):
+        seq, h_last, _ = ad.lstm_layer(*layer_inputs)
+        want = seq.data if seq.data.ndim == 2 else seq.data[:, -1]
+        assert np.array_equal(h_last.data, want)
+        # The slice+reshape composite that the decoder used to read the last h through.
+        if seq.data.ndim == 2:
+            composite = lambda seq, _: seq
+        else:
+            composite = lambda seq, _: ad.reshape(slice_axis(seq, 1, steps - 1, steps), (3, 5))
+        loss_ref, grads_ref = _last_h_loss(layer_inputs, composite, seq_term)
+        loss_new, grads_new = _last_h_loss(layer_inputs, lambda _, h_last: h_last, seq_term)
+        assert loss_new == loss_ref
+        for name, ref, new in zip(("x", "h0", "c0", "w_x", "w_h", "bias"), grads_ref, grads_new):
+            assert np.array_equal(new, ref), name
+
+
+def _composite_attend(query, w_q, b_q, memory):
+    """Attention as reshape/affine/matmul/scale/softmax/matmul/reshape nodes
+    over (batch, 1, q) query rows, the reference for attend."""
+    rows = ad.reshape(query, query.shape[:-1] + (1, query.shape[-1]))
+    scores = ad.matmul(ad.affine(rows, w_q, b_q), memory.kp_t)
+    scores = ad.scale(scores, 1.0 / math.sqrt(memory.kp_t.shape[-2]))
+    out = ad.matmul(ad.softmax(scores), memory.vp)
+    return ad.reshape(out, query.shape[:-1] + memory.vp.shape[-1:])
 
 
 def _attention_inputs():
     rng = np.random.default_rng(12)
-    batch, width, keys, steps = 3, 4, 7, 4
-    queries = [Tensor(rng.normal(size=(batch, 1, width)), requires_grad=True)
+    batch, q_size, width, keys, steps = 3, 5, 4, 7, 4
+    queries = [Tensor(rng.normal(size=(batch, q_size)), requires_grad=True)
                for _ in range(steps)]
+    w_q = Tensor(rng.normal(size=(q_size, width)), requires_grad=True)
+    b_q = Tensor(rng.normal(size=width), requires_grad=True)
     kp_t = Tensor(rng.normal(size=(batch, width, keys)), requires_grad=True)
     vp = Tensor(rng.normal(size=(batch, keys, width)), requires_grad=True)
-    mixes = [rng.normal(size=(batch, 1, width)) for _ in range(steps)]
-    return queries, kp_t, vp, mixes
+    mixes = [rng.normal(size=(batch, width)) for _ in range(steps)]
+    return queries, w_q, b_q, kp_t, vp, mixes
 
 
-def _attention_loss(attend, queries, kp_t, vp, mixes):
+def _attention_loss(attend, queries, w_q, b_q, kp_t, vp, mixes):
     memory = ad.attention_memory(kp_t, vp)
     loss = None
-    for qp, mix in zip(queries, mixes):  # every step reads the same keys
-        term = ad.sum_all(ad.mul(attend(qp, memory, 0.5), Tensor(mix)))
+    for query, mix in zip(queries, mixes):  # every step reads the same keys
+        term = ad.sum_all(ad.mul(attend(query, w_q, b_q, memory), Tensor(mix)))
         loss = term if loss is None else ad.add(loss, term)
     return loss
 
@@ -699,58 +752,77 @@ def _attention_loss(attend, queries, kp_t, vp, mixes):
 def test_attend_matches_composite_over_shared_keys():
     results = []
     for attend in (_composite_attend, ad.attend):
-        queries, kp_t, vp, mixes = _attention_inputs()
+        queries, w_q, b_q, kp_t, vp, mixes = _attention_inputs()
         with Tape() as tape:
-            loss = _attention_loss(attend, queries, kp_t, vp, mixes)
+            loss = _attention_loss(attend, queries, w_q, b_q, kp_t, vp, mixes)
         backward(tape, loss)
-        results.append((loss.item(), [q.grad for q in queries], kp_t.grad, vp.grad, tape))
+        results.append((loss.item(), [q.grad for q in queries] + [w_q.grad, b_q.grad],
+                        kp_t.grad, vp.grad, tape))
     (loss_ref, dq_ref, dk_ref, dv_ref, _), (loss_new, dq_new, dk_new, dv_new, tape) = results
     assert loss_new == loss_ref
-    for new, ref in zip(dq_new, dq_ref):
+    for new, ref in zip(dq_new, dq_ref):  # every query, then w_q and b_q
         assert np.array_equal(new, ref)
     assert _close(dk_new, dk_ref) and _close(dv_new, dv_ref)
     ops = [n.op for n in tape.nodes]
     assert ops.count("attention") == 4 and ops.count("attention_kv") == 1
     assert ops.index("attention_kv") < ops.index("attention")
+    assert "affine" not in ops and "reshape" not in ops
 
 
 def test_attend_gradients_match_finite_differences():
-    queries, kp_t, vp, mixes = _attention_inputs()
+    queries, w_q, b_q, kp_t, vp, mixes = _attention_inputs()
     assert check_gradients(
-        lambda: _attention_loss(ad.attend, queries, kp_t, vp, mixes),
-        queries + [kp_t, vp]) < 1e-6
+        lambda: _attention_loss(ad.attend, queries, w_q, b_q, kp_t, vp, mixes),
+        queries + [w_q, b_q, kp_t, vp]) < 1e-6
+
+
+def test_attend_shape_errors():
+    queries, w_q, b_q, kp_t, vp, _ = _attention_inputs()
+    memory = ad.attention_memory(kp_t, vp)
+    for query, w, b in [
+        (Tensor(np.zeros((3, 1, 5))), w_q, b_q),  # a query row already, one axis too many
+        (Tensor(np.zeros(5)), w_q, b_q),          # no batch axis
+        (Tensor(np.zeros((2, 5))), w_q, b_q),     # batch 2 against 3 key sequences
+        (queries[0], Tensor(np.zeros((6, 4))), b_q),
+        (queries[0], Tensor(np.zeros((5, 3))), b_q),
+        (queries[0], w_q, Tensor(np.zeros(3))),
+        (queries[0], w_q, Tensor(np.zeros((1, 4)))),
+    ]:
+        with pytest.raises(ShapeError, match="attend shapes"):
+            ad.attend(query, w, b, memory)
 
 
 def test_attend_rejects_a_memory_from_another_tape():
-    queries, kp_t, vp, _ = _attention_inputs()
+    queries, w_q, b_q, kp_t, vp, _ = _attention_inputs()
     outside = ad.attention_memory(kp_t, vp)  # no tape: no attention_kv node
     with Tape():
         with pytest.raises(ContractError, match="attention_memory"):
-            ad.attend(queries[0], outside, 0.5)
+            ad.attend(queries[0], w_q, b_q, outside)
     with Tape() as outer:
         memory = ad.attention_memory(kp_t, vp)
         with Tape() as inner:
             with pytest.raises(ContractError, match="attention_memory"):
-                ad.attend(queries[0], memory, 0.5)
-        ad.attend(queries[0], memory, 0.5)
+                ad.attend(queries[0], w_q, b_q, memory)
+        ad.attend(queries[0], w_q, b_q, memory)
     assert len(inner) == 0 and [n.op for n in outer.nodes] == ["attention_kv", "attention"]
     assert memory.rows == []
     # Constant keys and values need no memory node, and reading outside a tape records nothing.
     frozen = ad.attention_memory(Tensor(kp_t.data), Tensor(vp.data))
     with Tape() as tape:
-        ad.attend(queries[0], frozen, 0.5)
+        ad.attend(queries[0], w_q, b_q, frozen)
     assert [n.op for n in tape.nodes] == ["attention"]
-    assert ad.attend(queries[0], memory, 0.5).shape == queries[0].shape
+    assert ad.attend(queries[0], w_q, b_q, memory).shape == (3, 4)
 
 
 def test_sequence_op_tapes_are_freed_without_the_cycle_collector():
     inputs = _layer_inputs(x_grad=True)
-    queries, kp_t, vp, mixes = _attention_inputs()
+    queries, w_q, b_q, kp_t, vp, mixes = _attention_inputs()
     gc.disable()
     try:
         with Tape() as tape:
-            seq, _ = ad.lstm_layer(*inputs)
-            loss = ad.add(ad.sum_all(seq), _attention_loss(ad.attend, queries, kp_t, vp, mixes))
+            seq, _, _ = ad.lstm_layer(*inputs)
+            loss = ad.add(ad.sum_all(seq),
+                          _attention_loss(ad.attend, queries, w_q, b_q, kp_t, vp, mixes))
         backward(tape, loss)
         freed = weakref.ref(tape)
         del tape, loss, seq
@@ -761,16 +833,16 @@ def test_sequence_op_tapes_are_freed_without_the_cycle_collector():
 
 def test_sequence_ops_overflow_without_runtime_warnings():
     inputs = _layer_inputs(x_grad=True)
-    queries, kp_t, vp, _ = _attention_inputs()
+    queries, w_q, b_q, kp_t, vp, _ = _attention_inputs()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            seq, c = ad.lstm_layer(*inputs)
+            seq, h_last, c = ad.lstm_layer(*inputs)
             memory = ad.attention_memory(kp_t, vp)
-            ctx = ad.attend(queries[0], memory, 0.5)
+            ctx = ad.attend(queries[0], w_q, b_q, memory)
         layer_node, kv_node, attend_node = tape.nodes
         # Rules fed gradients near the float64 limit overflow inside their matmuls.
-        grads = layer_node.grad_fn(np.full(seq.shape, 1e308), np.full(c.shape, 1e308))
+        grads = layer_node.grad_fn(*(np.full(t.shape, 1e308) for t in (seq, h_last, c)))
         grads += attend_node.grad_fn(np.full(ctx.shape, 1e308))
         grads += kv_node.grad_fn(None)
         assert not all(np.isfinite(g).all() for g in grads)
@@ -779,4 +851,4 @@ def test_sequence_ops_overflow_without_runtime_warnings():
         with pytest.raises(NumericsError, match="lstm"):
             ad.lstm_layer(*inputs)
         with pytest.raises(NumericsError, match="attention"):
-            ad.attend(queries[0], memory, 1e308)
+            ad.attend(queries[0], Tensor(np.full(w_q.shape, 1e308)), b_q, memory)

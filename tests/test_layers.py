@@ -7,10 +7,11 @@ import pytest
 from pvcast import autodiff as ad
 from pvcast.autodiff import Tape, Tensor, backward
 from pvcast.errors import ConfigError, ContractError, NumericsError, ShapeError
-from pvcast.gradcheck import check_gradients
 from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attend_projected, dense_forward,
                            lstm_sequence, lstm_step, temporal_transform)
+
+from reference_ops import check_gradients
 
 RNG = np.random.default_rng(2024)
 
@@ -141,11 +142,12 @@ def test_lstm_sequence_matches_steps_and_checks_widths():
     rng = _rng()
     layer = LstmLayer(3, 4, rng=rng)
     x = rng.normal(size=(2, 5, 3))
-    h_seq, c_last = lstm_sequence(layer, Tensor(x))
+    h_seq, h_last, c_last = lstm_sequence(layer, Tensor(x))
     h, c = layer.initial_state(2)
     for t in range(5):
         h, c = lstm_step(layer, Tensor(x[:, t]), (h, c))
         assert np.allclose(h_seq.data[:, t], h.data, rtol=0.0, atol=1e-15)
+    assert np.allclose(h_last.data, h.data, rtol=0.0, atol=1e-15)
     assert np.allclose(c_last.data, c.data, rtol=0.0, atol=1e-15)
     with pytest.raises(ShapeError):
         lstm_sequence(layer, Tensor(np.zeros((2, 5, 4))))
@@ -154,19 +156,26 @@ def test_lstm_sequence_matches_steps_and_checks_widths():
 # ------------------------------------------------------------- attention ---
 
 
+def _per_query(q, a) -> Tensor:
+    """A copy of the (steps, size) array `a` for each row of the (n, q)
+    queries: attention pairs every query with its own sequence."""
+    a = ad.as_tensor(a).data
+    return Tensor(np.broadcast_to(a, (ad.as_tensor(q).shape[0],) + a.shape))
+
+
 def _attend(layer: AttentionLayer, q, k, v) -> Tensor:
     """The model's attention path: keys and values projected once into a
-    memory, then projected queries attend to it."""
-    memory = layer.project_keys_values(ad.as_tensor(k), ad.as_tensor(v))
-    return attend_projected(layer.w_q(ad.as_tensor(q)), memory)
+    memory, then each query row is projected and attends to it."""
+    memory = layer.project_keys_values(_per_query(q, k), _per_query(q, v))
+    return attend_projected(layer, q, memory)
 
 
 def _attention_weights(layer: AttentionLayer, q, k) -> Tensor:
     """The weights of _attend, read through the same op: with identity
     values each context row is its weight row, exactly."""
-    kp_t = ad.swap_last_axes(layer.w_k(ad.as_tensor(k)))
-    memory = ad.attention_memory(kp_t, Tensor(np.eye(kp_t.shape[-1])))
-    return attend_projected(layer.w_q(ad.as_tensor(q)), memory)
+    kp_t = ad.swap_last_axes(layer.w_k(_per_query(q, k)))
+    memory = ad.attention_memory(kp_t, _per_query(q, np.eye(kp_t.shape[-1])))
+    return attend_projected(layer, q, memory)
 
 
 def test_attention_single_key_degeneracy():

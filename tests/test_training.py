@@ -10,12 +10,13 @@ from pvcast.autodiff import Tape, Tensor, backward
 from pvcast.data import DAY, HOUR, RawNwpSeries, RawPvSeries, consolidate, make_samples
 from pvcast.errors import ConfigError, ContractError, FormatError, TrainingError
 from pvcast import models
-from pvcast.gradcheck import check_gradients
 from pvcast.metrics import nrmse
 from pvcast.models import (Forecast, ModelConfig, assemble_forecast, build_model,
                            count_parameters, sample_arrays)
 from pvcast.training import (TrainConfig, _batch_loss, fit, kl_loss, load_checkpoint,
                              mse_loss, save_checkpoint, validation_nrmse)
+
+from reference_ops import check_gradients, sigmoid, slice_axis
 
 P_MAX = 1000.0
 
@@ -114,7 +115,7 @@ def test_mse_loss_gradient_matches_finite_differences():
     target = rng.uniform(0, 1, size=(4, 1))
 
     def build_loss():
-        return mse_loss(ad.sigmoid(pred), target)
+        return mse_loss(sigmoid(pred), target)
 
     assert check_gradients(build_loss, [pred]) < 1e-4
 
@@ -142,7 +143,7 @@ def _reference_batch_loss(kind, outputs, teacher, epsilon_floor):
 
 def _per_step(out):
     batch, steps, width = out.shape
-    return [ad.reshape(ad.slice_axis(out, 1, t, t + 1), (batch, width)) for t in range(steps)]
+    return [ad.reshape(slice_axis(out, 1, t, t + 1), (batch, width)) for t in range(steps)]
 
 
 def _loss_and_gradients(model, inputs, p0, teacher, loss_fn):
@@ -403,15 +404,15 @@ def test_fit_seeded_s2s_attn_numerics_are_pinned(mode):
     assert report.val_nrmse == [val_nrmse]
 
 
-MAX_TAPE_NODES_C4_STEP = 381
+MAX_TAPE_NODES_C4_STEP = 233
 
 
 def test_teacher_forced_s2s_attn_step_tape_size():
     # Criterion-4 scale: 192 encoder steps, 32 units, batch 32. One lstm_layer
-    # node per encoder layer and per decoder step, one per attention query step,
-    # one key/value node per attention layer, one affine node per dense layer
-    # call, and one stack of the decoder's outputs feeding one loss over the
-    # whole forecast give 381 nodes.
+    # node per encoder layer and per decoder step, one attention node per query
+    # step (its query projection included), one key/value node per attention
+    # layer, one affine node per other dense layer call, and one stack of the
+    # decoder's outputs feeding one loss over the whole forecast give 233 nodes.
     rng = np.random.default_rng(0)
     cfg = ModelConfig(family="s2s_attn", target_mode="pdf", units_per_layer=32,
                       input_steps=192)
@@ -430,9 +431,13 @@ def test_teacher_forced_s2s_attn_step_tape_size():
     assert ops["attention_kv"] == cfg.depth
     assert ops["swap"] == cfg.depth
     assert ops["stack"] == ops["clamped_log"] == ops["sum"] == 1
-    # Per decoder step and layer a query projection, per step the head, and
-    # per attention layer the key and value projections.
-    assert ops["affine"] == cfg.output_steps * (cfg.depth + 1) + 2 * cfg.depth == 76
+    # No glue: the encoder's last states and the attention queries need no
+    # slice or reshape.
+    assert ops["reshape"] == ops["slice"] == 0
+    # Per decoder step the head, and per attention layer the key and value
+    # projections.
+    assert ops["affine"] == cfg.output_steps + 2 * cfg.depth == 28
+    assert ops["attention"] == 48
     assert ops["matmul"] == 0
     assert len(tape) == MAX_TAPE_NODES_C4_STEP
 
@@ -501,6 +506,15 @@ def test_checkpoint_truncated_payload(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:int(len(blob) * 0.8)])
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    model = build_model(_config("s2s", "pdf"), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 5)
+    with pytest.raises(FormatError, match="5 bytes after the last parameter block"):
         load_checkpoint(path)
 
 
