@@ -28,6 +28,7 @@ NWP_CHANNELS = ("temp_c", "pressure_kpa", "ghi_wm2", "wind_ms", "rh_pct")
 PV_CSV_HEADER = ("timestamp", "power_w")
 NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
 CSV_CHUNK_ROWS = 4096
+MAX_GAP_MINUTES = 120  # longest interior gap that consolidate fills
 
 
 def parse_timestamp(text: str) -> int:
@@ -367,15 +368,17 @@ class AlignedDataset:
         return offset // HOUR
 
 
-def _fill_minute_gaps(stamps: np.ndarray, values: np.ndarray, max_gap: int,
-                      what: str) -> tuple[np.ndarray, np.ndarray]:
+def _check_gaps(stamps: np.ndarray, what: str) -> None:
+    """Reject a stream (two or more stamps) with a gap over MAX_GAP_MINUTES."""
     gaps = np.diff(stamps)
-    worst = int(gaps.max()) if gaps.size else 1
-    if worst > max_gap:
-        i = int(np.argmax(gaps))
+    i = int(np.argmax(gaps))
+    if gaps[i] > MAX_GAP_MINUTES:
         raise DataError(
-            f"{what} gap of {worst} minutes at {format_timestamp(int(stamps[i]))} "
-            f"exceeds the 120-minute fill limit")
+            f"{what} gap of {int(gaps[i])} minutes at {format_timestamp(int(stamps[i]))} "
+            f"exceeds the {MAX_GAP_MINUTES}-minute fill limit")
+
+
+def _fill_minute_gaps(stamps: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     full = np.arange(stamps[0], stamps[-1] + 1, dtype=np.int64)
     if full.size == stamps.size:
         return stamps, values
@@ -388,13 +391,9 @@ def _build_grid(pv: RawPvSeries, nwp: RawNwpSeries, bins: int,
     if pv.timestamps.size < 2 or nwp.timestamps.size < 2:
         raise DataError("need at least two records in each stream")
 
-    pv_stamps, pv_power = _fill_minute_gaps(pv.timestamps, pv.power, 120, "PV")
-    nwp_gaps = np.diff(nwp.timestamps)
-    if nwp_gaps.size and int(nwp_gaps.max()) > 120:
-        i = int(np.argmax(nwp_gaps))
-        raise DataError(
-            f"NWP gap of {int(nwp_gaps.max())} minutes at "
-            f"{format_timestamp(int(nwp.timestamps[i]))} exceeds the 120-minute fill limit")
+    _check_gaps(pv.timestamps, "PV")
+    _check_gaps(nwp.timestamps, "NWP")
+    pv_stamps, pv_power = _fill_minute_gaps(pv.timestamps, pv.power)
 
     lo = max(int(pv_stamps[0]), int(nwp.timestamps[0]))
     hi = min(int(pv_stamps[-1]), int(nwp.timestamps[-1]) + HOUR - 1)

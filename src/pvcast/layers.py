@@ -15,6 +15,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
 
 ACTIVATIONS = ("none", "tanh")
+FORGET_BIAS = 1.0  # initial forget-gate bias, so a fresh cell keeps its state
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple) -> np.ndarray:
@@ -60,8 +61,7 @@ class LstmLayer:
     """Single LSTM layer with input, forget, and output gates plus a tanh
     cell candidate, stored as fused weight blocks in (i, f, g, o) order."""
 
-    def __init__(self, input_size: int, units: int, rng: np.random.Generator | None = None,
-                 forget_bias: float = 1.0):
+    def __init__(self, input_size: int, units: int, rng: np.random.Generator | None = None):
         if units <= 0:
             raise ConfigError("units must be positive")
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -72,7 +72,7 @@ class LstmLayer:
         self.w_h = Tensor(_glorot(rng, units, 4 * units, (units, 4 * units)),
                           requires_grad=True)
         bias = np.zeros(4 * units)
-        bias[units:2 * units] = forget_bias
+        bias[units:2 * units] = FORGET_BIAS
         self.bias = Tensor(bias, requires_grad=True)
 
     def parameters(self):

@@ -129,8 +129,8 @@ class Model:
         group = _forward_group(cfg)
         forecasts = []
         for g0 in range(0, len(samples), group):
-            inputs, p0, teacher, _, nwp = sample_arrays(samples[g0:g0 + group], cfg,
-                                                        targets=mode == "teacher_forcing")
+            inputs, p0, teacher, nwp = sample_arrays(samples[g0:g0 + group], cfg,
+                                                     targets=mode == "teacher_forcing")
             out = self.forward_batch(inputs, p0, teacher, mode, nwp)
             forecasts.extend(assemble_forecast(cfg, s) for s in out.data)
         return forecasts
@@ -140,47 +140,52 @@ class Model:
         return self.forward_samples([sample], mode)[0]
 
 
-# Estimated activation bytes one forward_samples group may hold. A wider group
-# pays the forward pass's per-step Python cost, and streams each weight, once
-# for more windows, so it runs faster; this budget keeps evaluate and
-# validation bounded however many windows they score. A window counts as three
-# (input_steps, units) float64 arrays, what an ffnn layer's input, affine output
-# and tanh output hold; one over the budget runs alone. Measured untaped peaks
-# (tracemalloc, one call, 480 steps, published widths, pdf/E): ffnn 7.4/7.7 MB
-# for 1 window, lstm 3.4 MB for 2, s2s 4.8/5.0 MB for 4 and s2s_attn 5.3/5.5 MB
-# for 4, against 6.3 MB (6 MiB). At 32 units and 192 steps, buffers that do not
-# scale with the units weigh more: 42 s2s_attn windows peak at 6.8 MB. Groups
-# of 8 s2s_attn windows ran a published-width evaluate faster still, but at 6 MB
-# (12%) more peak RSS than groups of 4.
+# Estimated activation bytes one forward_samples group may hold: a rough
+# target, not a bound. A wider group pays the forward pass's per-step Python
+# cost, and streams each weight, once for more windows, so it runs faster; this
+# budget keeps evaluate and validation from growing with the number of windows
+# they score. A window is estimated as three (input_steps, units) float64
+# arrays, what an ffnn layer's input, affine output and tanh output hold; one
+# over the budget runs alone. Measured untaped peaks (tracemalloc, one call,
+# 480 steps, published widths, pdf/E): ffnn 7.4/7.7 MB for 1 window, lstm
+# 3.4 MB for 2, s2s 4.8/5.0 MB for 4 and s2s_attn 5.3/5.5 MB for 4, against
+# 6.29 MB (6 MiB). The estimate under-counts small models, whose per-step
+# buffers do not scale with the units: at 32 units and 192 steps, 42 s2s_attn
+# windows peak at about 6.8 MB. A finer estimate would change group widths, and
+# with them forecasts in the last bit, since the BLAS rounds a row differently
+# with the number of rows beside it. Groups of 8 s2s_attn windows ran a
+# published-width evaluate faster still, but at 6 MB (12%) more peak RSS than
+# groups of 4.
 _FORWARD_BYTES = 6 * 2**20
 
 
 def _forward_group(cfg: ModelConfig) -> int:
-    """Windows per forward_batch call under the _FORWARD_BYTES budget; a
-    window larger than the budget runs alone."""
+    """Windows per forward_batch call under the approximate _FORWARD_BYTES
+    budget; a window larger than the budget runs alone."""
     return max(1, _FORWARD_BYTES // (3 * 8 * cfg.input_steps * cfg.units_per_layer))
 
 
 def sample_arrays(samples: list[Sample], cfg: ModelConfig, targets: bool = True):
-    """Stack samples into forward_batch's arrays: inputs, p0, teacher,
-    target_e and nwp. teacher and target_e are None unless `targets`; nwp is
-    None unless the model decodes with forecast-day weather."""
+    """Stack samples into forward_batch's arrays: inputs, p0, teacher and nwp.
+    teacher is None unless `targets`; nwp is None unless the model decodes
+    with forecast-day weather."""
     inputs = np.stack([s.input for s in samples])
     if cfg.target_mode == "pdf":
         p0 = np.stack([s.p0_pdf for s in samples])
     else:
         p0 = np.array([[s.p0_e] for s in samples])
-    teacher = target_e = None
+    teacher = None
     if targets:
-        target_e = np.stack([s.target_e for s in samples])  # raises without targets
+        if any(s.target_pdf is None for s in samples):
+            raise ContractError("sample has no targets")
         if cfg.target_mode == "pdf":
             teacher = np.stack([s.target_pdf for s in samples])
         else:
-            teacher = target_e[:, :, None]
+            teacher = np.stack([s.target_e for s in samples])[:, :, None]
     nwp = None  # forward_batch rejects a decoder_nwp model without weather
     if cfg.decoder_nwp and all(s.nwp_ahead is not None for s in samples):
         nwp = np.stack([s.nwp_ahead for s in samples])
-    return inputs, p0, teacher, target_e, nwp
+    return inputs, p0, teacher, nwp
 
 
 def assemble_forecast(cfg: ModelConfig, steps: np.ndarray) -> Forecast:

@@ -28,7 +28,6 @@ class TrainConfig:
     patience: int = 15
     max_epochs: int = 500
     seed: int = 0
-    loss: str | None = None          # derived from the model's target mode
     epsilon_floor: float = 1e-9
     clip_norm: float | None = None   # off unless explicitly set
 
@@ -41,8 +40,6 @@ class TrainConfig:
             raise ConfigError("epsilon_floor must be positive")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
-        if self.loss not in (None, "kl", "mse"):
-            raise ConfigError(f"unknown loss '{self.loss}'")
 
 
 @dataclass
@@ -139,20 +136,18 @@ def fit(model: Model, train_samples: list[Sample], val_samples: list[Sample],
         cfg: TrainConfig) -> TrainReport:
     """Teacher-forced mini-batch training with early stopping.
 
-    After each epoch the model is evaluated self-recurrently on the
+    Each batch is stacked from its own samples, so no copy of the train split
+    is held. After each epoch the model is evaluated self-recurrently on the
     validation split; training stops once that error has not improved for
     `patience` epochs (or at max_epochs) and the best-epoch weights are
     restored.
     """
     if not train_samples or not val_samples:
         raise ContractError("fit needs nonempty train and validation splits")
+    if any(s.target_pdf is None for s in train_samples):
+        raise ContractError("sample has no targets")
     mcfg = model.config
     loss_kind = "kl" if mcfg.target_mode == "pdf" else "mse"
-    if cfg.loss is not None and cfg.loss != loss_kind:
-        raise ConfigError(
-            f"loss '{cfg.loss}' conflicts with target mode '{mcfg.target_mode}'")
-
-    inputs, p0, teacher, _, nwp = sample_arrays(train_samples, mcfg)
     params = [p for _, p in model.parameters()]
     optimizer = SgdNesterov(params, cfg.learning_rate, cfg.momentum)
     rng = np.random.default_rng(cfg.seed)
@@ -169,15 +164,12 @@ def fit(model: Model, train_samples: list[Sample], val_samples: list[Sample],
         for b0 in range(0, len(order), cfg.batch_size):
             idx = order[b0:b0 + cfg.batch_size]
             batch_index = b0 // cfg.batch_size
+            inputs, p0, teacher, nwp = sample_arrays([train_samples[i] for i in idx], mcfg)
             try:
                 with Tape() as tape:
-                    outputs = model.forward_batch(
-                        inputs[idx], p0[idx], teacher[idx], "teacher_forcing",
-                        nwp[idx] if nwp is not None else None)
-                    loss = _batch_loss(loss_kind, outputs, teacher[idx], cfg.epsilon_floor)
+                    outputs = model.forward_batch(inputs, p0, teacher, "teacher_forcing", nwp)
+                    loss = _batch_loss(loss_kind, outputs, teacher, cfg.epsilon_floor)
                 value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericsError("loss is not finite")
                 backward(tape, loss)
             except NumericsError as exc:
                 raise TrainingError(

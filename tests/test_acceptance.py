@@ -369,7 +369,7 @@ def _decoder_reads_only_the_teacher(model, samples) -> bool:
     """Teacher-forced step k+1 reads teacher row k: changing that row keeps
     steps 0..k bitwise and moves step k+1, and the self-recurrent feedback,
     fed back as the teacher, replays the self-recurrent forecast bitwise."""
-    inputs, p0, teacher, _, _ = sample_arrays(samples, model.config)
+    inputs, p0, teacher, _ = sample_arrays(samples, model.config)
     forced = model.forward_batch(inputs, p0, teacher, "teacher_forcing").data
     ok = True
     for k in range(teacher.shape[1] - 1):

@@ -585,8 +585,21 @@ def test_consolidate_rejects_long_gap():
     pv = _constant_pv(7)
     keep = (pv.timestamps < 2 * DAY) | (pv.timestamps >= 2 * DAY + 180)
     gappy = RawPvSeries(pv.timestamps[keep], pv.power[keep], P_MAX)
-    with pytest.raises(DataError, match="gap"):
+    with pytest.raises(DataError) as exc:
         consolidate(gappy, _ramp_nwp(7))
+    assert str(exc.value) == ("PV gap of 181 minutes at 1970-01-02T23:59:00Z "
+                              "exceeds the 120-minute fill limit")
+
+
+def test_consolidate_rejects_long_nwp_gap():
+    pv, nwp = _constant_pv(7), _ramp_nwp(7)
+    one = nwp.timestamps != 2 * DAY  # a 120-minute gap is filled
+    consolidate(pv, RawNwpSeries(nwp.timestamps[one], nwp.channels[one]))
+    two = one & (nwp.timestamps != 2 * DAY + HOUR)
+    with pytest.raises(DataError) as exc:
+        consolidate(pv, RawNwpSeries(nwp.timestamps[two], nwp.channels[two]))
+    assert str(exc.value) == ("NWP gap of 180 minutes at 1970-01-02T23:00:00Z "
+                              "exceeds the 120-minute fill limit")
 
 
 def test_consolidate_fills_short_gap():

@@ -116,7 +116,7 @@ def test_step_one_identical_under_both_decoding_modes(family, mode):
 def test_teacher_forced_step_reads_the_previous_teacher_row(family, mode):
     samples, _ = _micro_samples()
     model = build_model(_micro_config(family, mode), seed=3)
-    inputs, p0, teacher, _, _ = sample_arrays(samples[:3], model.config)
+    inputs, p0, teacher, _ = sample_arrays(samples[:3], model.config)
     forced = model.forward_batch(inputs, p0, teacher, "teacher_forcing").data
     assert forced.shape == (3, 24, model.config.step_width)
     for k in (0, 11, 22):
@@ -138,7 +138,7 @@ def test_teacher_forced_step_reads_the_previous_teacher_row(family, mode):
 def test_forward_batch_returns_one_forecast_tensor(family, mode):
     samples, _ = _micro_samples()
     model = build_model(_micro_config(family, mode), seed=1)
-    inputs, p0, _, _, _ = sample_arrays(samples[:3], model.config)
+    inputs, p0, _, _ = sample_arrays(samples[:3], model.config)
     out = model.forward_batch(inputs, p0, None, "self_recurrent")
     assert isinstance(out, Tensor)
     assert out.shape == (3, 24, model.config.step_width)
@@ -201,8 +201,8 @@ def test_forward_samples_runs_budget_groups_in_order(monkeypatch, family, mode,
     # Bitwise what forward_batch gives for each group of consecutive windows.
     teacher_forced = decoding == "teacher_forcing"
     for g0 in range(0, n, group):
-        inputs, p0, teacher, _, nwp = sample_arrays(samples[g0:g0 + group], cfg,
-                                                    targets=teacher_forced)
+        inputs, p0, teacher, nwp = sample_arrays(samples[g0:g0 + group], cfg,
+                                                 targets=teacher_forced)
         out = reference(inputs, p0, teacher, decoding, nwp).data
         for got, steps in zip(forecasts[g0:g0 + group], out):
             assert np.array_equal(got.steps, assemble_forecast(cfg, steps).steps)

@@ -7,9 +7,10 @@ import pytest
 
 from pvcast import autodiff as ad
 from pvcast.autodiff import Tape, Tensor, backward
-from pvcast.data import DAY, HOUR, RawNwpSeries, RawPvSeries, consolidate, make_samples
+from pvcast.data import (DAY, HOUR, RawNwpSeries, RawPvSeries, consolidate, make_sample,
+                         make_samples)
 from pvcast.errors import ConfigError, ContractError, FormatError, TrainingError
-from pvcast import models
+from pvcast import models, training
 from pvcast.metrics import nrmse
 from pvcast.models import (Forecast, ModelConfig, assemble_forecast, build_model,
                            count_parameters, sample_arrays)
@@ -21,7 +22,7 @@ from reference_ops import check_gradients, sigmoid, slice_axis
 P_MAX = 1000.0
 
 
-def _samples(days=8, seed=17, input_steps=96, constant_level=None):
+def _dataset(days=8, seed=17, constant_level=None):
     rng = np.random.default_rng(seed)
     n = days * DAY
     minutes = np.arange(n, dtype=np.int64)
@@ -39,8 +40,12 @@ def _samples(days=8, seed=17, input_steps=96, constant_level=None):
                                                   / (12 * HOUR)), 0, None),
                              np.full(hours.size, 3.0),
                              np.clip(50 + rng.normal(0, 5, hours.size), 0, 100)])
-    ds = consolidate(pv, RawNwpSeries(hours, chans))
-    return make_samples(ds, stride_hours=24, input_steps=input_steps)
+    return consolidate(pv, RawNwpSeries(hours, chans))
+
+
+def _samples(days=8, seed=17, input_steps=96, constant_level=None):
+    return make_samples(_dataset(days, seed, constant_level), stride_hours=24,
+                        input_steps=input_steps)
 
 
 def _config(family="s2s", mode="pdf", **kw):
@@ -241,18 +246,39 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(epsilon_floor=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(loss="huber")
 
 
 # -------------------------------------------------------------------- fit ---
 
 
-def test_fit_loss_mode_mismatch():
-    samples = _samples()
-    model = build_model(_config("ffnn", "pdf"), seed=0)
-    with pytest.raises(ConfigError):
-        fit(model, samples[:3], samples[3:4], TrainConfig(loss="mse", max_epochs=1))
+def test_fit_stacks_one_batch_at_a_time(monkeypatch):
+    samples = _samples(days=10)
+    train = samples[:7]
+    stacked = []
+
+    def spy(group, cfg, targets=True):
+        stacked.append([s.anchor for s in group])
+        return sample_arrays(group, cfg, targets)
+
+    monkeypatch.setattr(training, "sample_arrays", spy)
+    model = build_model(_config("s2s", "expected"), seed=0)
+    fit(model, train, samples[7:8], TrainConfig(batch_size=3, max_epochs=2, seed=1))
+    assert [len(anchors) for anchors in stacked] == [3, 3, 1] * 2
+    for epoch in (stacked[:3], stacked[3:]):
+        assert sorted(a for anchors in epoch for a in anchors) == [s.anchor for s in train]
+
+
+@pytest.mark.parametrize("mode", ["pdf", "expected"])
+def test_fit_rejects_train_sample_without_targets_before_any_step(mode):
+    ds = _dataset(days=9)
+    samples = make_samples(ds, stride_hours=24, input_steps=96)
+    bare = make_sample(ds, samples[3].anchor, 96, 24, with_targets=False)
+    model = build_model(_config("ffnn", mode, units_per_layer=3), seed=0)
+    before = [p.data.copy() for _, p in model.parameters()]
+    with pytest.raises(ContractError, match="no targets"):
+        fit(model, samples[:3] + [bare], samples[4:5],
+            TrainConfig(batch_size=1, max_epochs=1, seed=0))
+    assert all(np.array_equal(p.data, b) for (_, p), b in zip(model.parameters(), before))
 
 
 def test_fit_patience_stops_after_no_improvement(monkeypatch):
@@ -301,7 +327,7 @@ def test_validation_nrmse_runs_budget_groups(monkeypatch):
     scores = []
     for g0 in range(0, len(samples), 2):
         group = samples[g0:g0 + 2]
-        inputs, p0, _, _, nwp = sample_arrays(group, cfg, targets=False)
+        inputs, p0, _, nwp = sample_arrays(group, cfg, targets=False)
         out = reference(inputs, p0, None, "self_recurrent", nwp).data
         scores += [nrmse(assemble_forecast(cfg, steps).expected, s.target_e, 1.0)
                    for steps, s in zip(out, group)]
