@@ -15,14 +15,12 @@ from . import __version__, data, svg
 from .data import (DAY, HOUR, PreparedData, build_splits, distribution_quantile,
                    expected_value, format_timestamp, ingest_csv, make_sample,
                    parse_timestamp, synth_generate, write_csv)
-from .errors import (ConfigError, ContractError, DataError, FormatError,
-                     NumericsError, PvcastError, TrainingError)
+from .errors import ConfigError, ContractError, DataError, FormatError, PvcastError
 from .metrics import EvalReport, evaluate
 from .models import FAMILIES, Model, ModelConfig, build_model, count_parameters
 from .training import TrainConfig, fit, load_checkpoint, save_checkpoint
 
 USAGE_ERRORS = (ConfigError, ContractError, DataError, FormatError)
-RUNTIME_ERRORS = (TrainingError, NumericsError)
 
 
 def write_manifest(path: Path, entries: dict) -> None:
@@ -399,9 +397,6 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PvcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

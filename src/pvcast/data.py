@@ -10,7 +10,7 @@ the forecast targets cover [t0, t0 + 24h).
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
 
@@ -29,6 +29,7 @@ PV_CSV_HEADER = ("timestamp", "power_w")
 NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
 CSV_CHUNK_ROWS = 4096
 MAX_GAP_MINUTES = 120  # longest interior gap that consolidate fills
+MIN_DAYS = 6  # shortest overlapping coverage a grid is built from
 
 
 def parse_timestamp(text: str) -> int:
@@ -385,8 +386,8 @@ def _fill_minute_gaps(stamps: np.ndarray, values: np.ndarray) -> tuple[np.ndarra
     return full, np.interp(full, stamps, values)
 
 
-def _build_grid(pv: RawPvSeries, nwp: RawNwpSeries, bins: int,
-                min_days: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _build_grid(pv: RawPvSeries, nwp: RawNwpSeries,
+                bins: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Shared grid construction; returns (first_hour, raw features, targets)."""
     if pv.timestamps.size < 2 or nwp.timestamps.size < 2:
         raise DataError("need at least two records in each stream")
@@ -397,9 +398,9 @@ def _build_grid(pv: RawPvSeries, nwp: RawNwpSeries, bins: int,
 
     lo = max(int(pv_stamps[0]), int(nwp.timestamps[0]))
     hi = min(int(pv_stamps[-1]), int(nwp.timestamps[-1]) + HOUR - 1)
-    if hi - lo + 1 < min_days * DAY:
+    if hi - lo + 1 < MIN_DAYS * DAY:
         raise DataError(
-            f"overlapping coverage is {(hi - lo + 1) / DAY:.2f} days; need >= {min_days}")
+            f"overlapping coverage is {(hi - lo + 1) / DAY:.2f} days; need >= {MIN_DAYS}")
 
     first_hour = int(math.ceil(lo / HOUR)) * HOUR
     last_hour_start = ((hi - HOUR + 1) // HOUR) * HOUR
@@ -425,24 +426,21 @@ def _build_grid(pv: RawPvSeries, nwp: RawNwpSeries, bins: int,
     return first_hour, features, targets
 
 
-def _normalized_dataset(first_hour: int, features: np.ndarray, targets: np.ndarray,
-                        p_max: float, bins: int, norm_min: np.ndarray | None,
-                        norm_max: np.ndarray | None) -> AlignedDataset:
-    if norm_min is None or norm_max is None:
-        norm_min = features.min(axis=0)
-        norm_max = features.max(axis=0)
-    norm_min = np.asarray(norm_min, dtype=np.float64)
-    norm_max = np.asarray(norm_max, dtype=np.float64)
-    span = np.where(norm_max > norm_min, norm_max - norm_min, 1.0)
-    scaled = np.clip((features - norm_min) / span, 0.0, 1.0)
-    return AlignedDataset(first_hour, scaled, norm_min, norm_max, targets, p_max, bins)
+def _scale_in_place(data: AlignedDataset, norm_min, norm_max) -> None:
+    """Min-max scale the grid to [0, 1] in place with the given constants and
+    record them; every view of the grid, such as a Sample's, sees the result."""
+    data.norm_min = np.asarray(norm_min, dtype=np.float64)
+    data.norm_max = np.asarray(norm_max, dtype=np.float64)
+    data.features -= data.norm_min
+    data.features /= np.where(data.norm_max > data.norm_min,
+                              data.norm_max - data.norm_min, 1.0)
+    np.clip(data.features, 0.0, 1.0, out=data.features)
 
 
 def consolidate(pv: RawPvSeries, nwp: RawNwpSeries,
                 norm_min: np.ndarray | None = None,
                 norm_max: np.ndarray | None = None,
-                bins: int = 50,
-                min_days: int = 6) -> AlignedDataset:
+                bins: int = 50) -> AlignedDataset:
     """Merge the two streams onto the common 15-minute grid.
 
     Weather channels are linearly interpolated from hourly to 15-minute
@@ -451,9 +449,12 @@ def consolidate(pv: RawPvSeries, nwp: RawNwpSeries,
     hours are filled linearly, larger ones are an error. Channels are min-max
     normalized; pass explicit constants to reuse training-split statistics.
     """
-    first_hour, features, targets = _build_grid(pv, nwp, bins, min_days)
-    return _normalized_dataset(first_hour, features, targets, pv.p_max, bins,
-                               norm_min, norm_max)
+    first_hour, features, targets = _build_grid(pv, nwp, bins)
+    if norm_min is None or norm_max is None:
+        norm_min, norm_max = features.min(axis=0), features.max(axis=0)
+    data = AlignedDataset(first_hour, features, norm_min, norm_max, targets, pv.p_max, bins)
+    _scale_in_place(data, norm_min, norm_max)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +627,7 @@ class PreparedData:
     dataset: AlignedDataset
     splits: SplitResult
     split_seed: int
-    stride_hours: int
     input_steps: int
-    output_steps: int
 
 
 def build_splits(pv: RawPvSeries, nwp: RawNwpSeries, stride_hours: int = 24,
@@ -637,34 +636,26 @@ def build_splits(pv: RawPvSeries, nwp: RawNwpSeries, stride_hours: int = 24,
                  bins: int = 50) -> PreparedData:
     """End-to-end preparation with leakage-safe normalization.
 
-    The split is decided first; min-max constants are then computed over the
-    grid rows covered by training-sample input windows only, and applied to
-    the whole grid before the final samples are materialized.
+    The split is decided on the raw grid; min-max constants are then computed
+    over the grid rows covered by training-sample input windows only and
+    applied to the whole grid in place, so the split's samples, which are
+    views of it, come out scaled. Each window is built once.
     """
-    first_hour, raw_features, targets = _build_grid(pv, nwp, bins, min_days=6)
-    probe = AlignedDataset(first_hour, raw_features, np.zeros(6), np.ones(6),
-                           targets, pv.p_max, bins)
-    first = split(make_samples(probe, stride_hours, input_steps, output_steps),
-                  fractions, seed)
+    first_hour, features, targets = _build_grid(pv, nwp, bins)
+    # Constants 0 and 1 until the grid is scaled below.
+    data = AlignedDataset(first_hour, features, np.zeros(6), np.ones(6), targets,
+                          pv.p_max, bins)
+    splits = split(make_samples(data, stride_hours, input_steps, output_steps),
+                   fractions, seed)
 
-    mask = np.zeros(probe.n_slots, dtype=bool)
-    for s in first.train:
-        i1 = probe.slot_index(s.anchor)
+    mask = np.zeros(data.n_slots, dtype=bool)
+    for s in splits.train:
+        i1 = data.slot_index(s.anchor)
         mask[i1 - input_steps:i1] = True
     if not mask.any():
         raise DataError("no training coverage left after the overlap discard")
-    norm_min = raw_features[mask].min(axis=0)
-    norm_max = raw_features[mask].max(axis=0)
-
-    data = _normalized_dataset(first_hour, raw_features, targets, pv.p_max, bins,
-                               norm_min, norm_max)
-
-    def rebuild(part: list[Sample]) -> list[Sample]:
-        return [make_sample(data, s.anchor, input_steps, output_steps) for s in part]
-
-    splits = SplitResult(rebuild(first.train), rebuild(first.val), rebuild(first.test),
-                         first.discarded)
-    return PreparedData(data, splits, seed, stride_hours, input_steps, output_steps)
+    _scale_in_place(data, features[mask].min(axis=0), features[mask].max(axis=0))
+    return PreparedData(data, splits, seed, input_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,9 @@ def nme(f, p, p_max: float) -> float:
     return float(np.abs(f - p).sum() / (f.size * p_max))
 
 
-def nrmse(f, p, p_max: float, conventional: bool = False) -> float:
-    """Normalized root mean square error.
-
-    The default places the full 1/(T * p_max) factor outside the square
-    root; `conventional=True` instead divides the squared errors by T inside
-    the root. Skill scores are ratios, so the choice cancels there.
-    """
+def nrmse(f, p, p_max: float) -> float:
+    """Normalized root mean square error, with the full 1/(T * p_max) factor
+    outside the square root."""
     f = np.asarray(f, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if f.shape != p.shape:
@@ -36,8 +32,6 @@ def nrmse(f, p, p_max: float, conventional: bool = False) -> float:
     if p_max <= 0.0:
         raise ContractError("p_max must be positive")
     sq = float(((f - p) ** 2).sum())
-    if conventional:
-        return math.sqrt(sq / f.size) / p_max
     return math.sqrt(sq) / (f.size * p_max)
 
 

@@ -12,14 +12,12 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(values, dtype=float) - lo) / span * (out_hi - out_lo)
 
 
-def _polyline(xs, ys, color, width=2.0, dash=None):
+def _polyline(xs, ys, color):
     points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
-            f'{dash_attr} points="{points}"/>')
+    return f'<polyline fill="none" stroke="{color}" stroke-width="2.0" points="{points}"/>'
 
 
-def _frame(title, y_lo, y_hi, x_label="hour ahead"):
+def _frame(title, y_lo, y_hi):
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -31,7 +29,7 @@ def _frame(title, y_lo, y_hi, x_label="hour ahead"):
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" '
         f'stroke="black"/>',
         f'<text x="{WIDTH / 2:.0f}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11">{x_label}</text>',
+        f'font-family="sans-serif" font-size="11">hour ahead</text>',
         f'<text x="14" y="{MARGIN - 8}" font-family="sans-serif" font-size="11">'
         f'{y_hi:.2f}</text>',
         f'<text x="14" y="{HEIGHT - MARGIN}" font-family="sans-serif" font-size="11">'

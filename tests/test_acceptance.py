@@ -302,7 +302,7 @@ def test_criterion_6_pipeline_invariants(tmp_path):
     # Consolidation conserves energy per hour (1e-9 relative).
     pv, nwp = synth_generate(10, seed=3, p_max=P_MAX)
     ds = consolidate(pv, nwp)
-    pv15 = data._build_grid(pv, nwp, bins=50, min_days=6)[1][:, 5]  # what ds normalizes
+    pv15 = data._build_grid(pv, nwp, bins=50)[1][:, 5]  # what ds normalizes
     per_hour_15 = pv15.reshape(-1, 4).sum(axis=1) * 15.0
     per_hour_1 = pv.power[:ds.n_hours * HOUR].reshape(-1, HOUR).sum(axis=1)
     scale = np.maximum(np.abs(per_hour_1), 1.0)

@@ -97,6 +97,15 @@ def test_train_reports_gradient_clipping_on_stderr(data_dir, tmp_path, capsys):
     assert "at epoch 1 batch 0" in err
 
 
+def test_train_divergence_is_a_runtime_error(data_dir, tmp_path, capsys):
+    config = tmp_path / "diverge.cfg"
+    config.write_text(CONFIG + "learning_rate=1e300\n")
+    capsys.readouterr()
+    assert main(["train", "--model", "ffnn", "--mode", "E", "--data", str(data_dir),
+                 "--config", str(config), "--out", str(tmp_path / "diverge")]) == 3
+    assert "error: divergence at epoch 1" in capsys.readouterr().err
+
+
 def test_train_deterministic_across_runs(data_dir, config_file, tmp_path):
     vals = []
     for name in ("r1", "r2"):

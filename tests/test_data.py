@@ -468,7 +468,7 @@ def _reference_bin_distribution(minute_values, p_max, bins=50):
 def test_batched_bin_distribution_matches_per_hour_loop(bins):
     pv, nwp = synth_generate(8, seed=3, p_max=P_MAX)
     pv.power[:120] = np.linspace(-5.0, 1.2 * P_MAX, 120)
-    _, _, targets = data._build_grid(pv, nwp, bins, min_days=6)
+    _, _, targets = data._build_grid(pv, nwp, bins)
     hours = pv.power.reshape(-1, HOUR)
     assert targets.shape == (hours.shape[0], bins)
     reference = np.stack([_reference_bin_distribution(h, P_MAX, bins) for h in hours])
@@ -529,7 +529,7 @@ def _ramp_nwp(days):
 
 def _physical_grid(pv, nwp):
     """consolidate's dataset and the physical-unit grid it normalizes."""
-    _, grid, _ = data._build_grid(pv, nwp, bins=50, min_days=6)
+    _, grid, _ = data._build_grid(pv, nwp, bins=50)
     ds = consolidate(pv, nwp)
     assert np.array_equal(ds.norm_min, grid.min(axis=0))
     assert np.array_equal(ds.norm_max, grid.max(axis=0))
@@ -810,6 +810,38 @@ def test_build_splits_normalizes_from_training_rows():
     anchors = {s.anchor for part in prep.splits for s in part}
     assert len(anchors) == sum(len(p) for p in prep.splits)
     assert prep.splits.discarded >= 0
+
+
+def test_build_splits_makes_each_window_once(monkeypatch):
+    calls = []
+    build = data.make_sample
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(data, "make_sample", counted)
+    pv, nwp = synth_generate(30, seed=5, p_max=P_MAX)
+    prep = build_splits(pv, nwp, stride_hours=6, input_steps=192, seed=9)
+    n_anchors = len(list_anchors(prep.dataset, 6, 192, 24))
+    assert n_anchors == sum(len(part) for part in prep.splits) + prep.splits.discarded
+    assert len(calls) == n_anchors
+
+
+def test_build_splits_samples_are_scaled_views_of_the_grid():
+    pv, nwp = synth_generate(30, seed=5, p_max=P_MAX)
+    prep = build_splits(pv, nwp, stride_hours=6, input_steps=192, seed=9)
+    ds = prep.dataset
+    samples = [s for part in prep.splits for s in part]
+    assert samples
+    for s in samples:
+        want = make_sample(ds, s.anchor, 192, 24)
+        for name, grid in (("input", ds.features), ("nwp_ahead", ds.features),
+                           ("history_pdf", ds.hour_targets), ("p0_pdf", ds.hour_targets),
+                           ("target_pdf", ds.hour_targets)):
+            got = getattr(s, name)
+            assert np.array_equal(got, getattr(want, name)), name
+            assert np.shares_memory(got, grid), name
 
 
 def test_build_splits_pinned_seeded_case():

@@ -54,9 +54,9 @@ def test_nrmse_scale_invariance():
 
 
 def test_nrmse_conventional_variant():
+    # The conventional sqrt(sum / T) / p_max would give 0.5 here; the full
+    # 1/T outside the root makes nrmse smaller by exactly sqrt(T).
     f, p = np.full(4, 0.5), np.zeros(4)
-    assert nrmse(f, p, 1.0, conventional=True) == pytest.approx(0.5)
-    # the two normalizations differ by exactly sqrt(T)
     assert nrmse(f, p, 1.0) == pytest.approx(0.5 / math.sqrt(4))
 
 
