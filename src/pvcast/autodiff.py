@@ -99,9 +99,10 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _check_finite(op: str, data: np.ndarray) -> None:
-    # Numerics guard: forward ops must never hand NaN/Inf downstream.
-    if not np.isfinite(data).all():
+def _check_finite(op: str, data: np.ndarray, mask: np.ndarray | None = None) -> None:
+    # Numerics guard: forward ops must never hand NaN/Inf downstream. A caller
+    # that checks in a loop passes a bool `mask` shaped like `data` to reuse.
+    if not np.isfinite(data, out=mask).all():
         raise NumericsError(f"non-finite values produced by '{op}'")
 
 
@@ -211,12 +212,20 @@ def scale(x, c: float) -> Tensor:
     return _emit("scale", (x,), x.data * c, lambda g: (g * c if x.requires_grad else None,))
 
 
-def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(d: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Logistic function: 1/(1+e) for d >= 0 and e/(1+e) below, with
-    e = exp(-|d|) <= 1 so that exp never overflows. `out` may be `d`."""
-    e = np.exp(-np.abs(d))
-    denom = 1.0 + e
-    return np.divide(np.where(d >= 0, 1.0, e), denom, out=out)
+    e = exp(-|d|) <= 1 so that exp never overflows. The caller's buffers take
+    every temporary: `e` shaped like d, and `out`, which may be `d`. The
+    numerator is maximum(e, copysign(1, d)). As 0 <= e <= 1, that is 1 for
+    d >= +0 and e for d <= -0, where e = exp(-0) = 1 at d = -0, so it equals
+    where(d >= 0, 1.0, e)."""
+    np.abs(d, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.copysign(1.0, d, out=out)
+    np.maximum(e, out, out=out)
+    np.add(1.0, e, out=e)
+    return np.divide(out, e, out=out)
 
 
 def tanh(x) -> Tensor:
@@ -344,51 +353,64 @@ def sum_all(x) -> Tensor:
 
 
 def _lstm_gates(pre: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarray,
-                h_next: np.ndarray) -> None:
+                h_next: np.ndarray, e: np.ndarray, candidate: np.ndarray,
+                ig: np.ndarray) -> None:
     """Turn pre-activations into gate activations (blocks i, f, g, o) in
     place and write c' = f*c + i*g, tanh(c') and h' = o*tanh(c'), in the
     operand order of the cell built from matmul/add/slice/sigmoid/tanh/mul
     nodes, so the values equal that composite's bitwise. `c_next` may be `c`.
+    The temporaries go through the caller's buffers: `e` shaped like `pre`
+    for _sigmoid, `candidate` and `ig` shaped like `c` for tanh(g) and i*g.
     The caller holds the errstate that lets overflow through to its check."""
     u = c_next.shape[-1]
     # A contiguous copy keeps tanh on the same numpy loop as for a standalone
     # array, so the values match ad.tanh to the last bit on any build.
-    candidate = np.tanh(pre[..., 2 * u:3 * u].copy())
-    _sigmoid(pre, out=pre)
+    np.copyto(candidate, pre[..., 2 * u:3 * u])
+    np.tanh(candidate, out=candidate)
+    _sigmoid(pre, pre, e)
     pre[..., 2 * u:3 * u] = candidate
-    i, f, g, o = (pre[..., k * u:(k + 1) * u] for k in range(4))
+    i, f, g, o = pre[..., :u], pre[..., u:2 * u], pre[..., 2 * u:3 * u], pre[..., 3 * u:]
     np.multiply(f, c, out=c_next)
-    c_next += i * g  # non-finite values are rejected by the caller
+    np.multiply(i, g, out=ig)
+    c_next += ig  # non-finite values are rejected by the caller
     np.tanh(c_next, out=tc)
     np.multiply(o, tc, out=h_next)
 
 
 def _lstm_pre_grad(grad_h, grad_c, gates: np.ndarray, c: np.ndarray, tc: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
+                   out: np.ndarray, d_gates: np.ndarray, one_minus: np.ndarray,
+                   dc: np.ndarray, tmp: np.ndarray, dc_prev: np.ndarray) -> np.ndarray:
     """One step's d(pre), written into `out` (which may be `gates`), from the
     gradients on h' and c' (None for one that received none); returns the
-    gradient that reaches c."""
+    gradient that reaches c, written into `dc_prev`. The temporaries go
+    through the caller's buffers: `d_gates` and `one_minus` shaped like
+    `gates`, `dc` and `tmp` shaped like `c`. `dc_prev` may be `grad_c`, which
+    is read before it is written, but not `dc`."""
     u = c.shape[-1]
-    i, f, g, o = (gates[..., k * u:(k + 1) * u] for k in range(4))
-    d_gates = np.empty_like(gates)
+    i, f, g, o = (gates[..., :u], gates[..., u:2 * u], gates[..., 2 * u:3 * u],
+                  gates[..., 3 * u:])
     if grad_h is None:
         d_gates[..., 3 * u:] = 0.0
         dc = grad_c
     else:
         np.multiply(grad_h, tc, out=d_gates[..., 3 * u:])
-        dc = grad_h * o
-        dc *= 1.0 - tc * tc
+        np.multiply(grad_h, o, out=dc)
+        np.multiply(tc, tc, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        dc *= tmp
         if grad_c is not None:
             np.add(grad_c, dc, out=dc)
     np.multiply(dc, g, out=d_gates[..., :u])
     np.multiply(dc, c, out=d_gates[..., u:2 * u])
     np.multiply(dc, i, out=d_gates[..., 2 * u:3 * u])
-    d_candidate = d_gates[..., 2 * u:3 * u] * (1.0 - g * g)
-    dc_prev = dc * f
-    one_minus = 1.0 - gates
+    np.multiply(g, g, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(d_gates[..., 2 * u:3 * u], tmp, out=tmp)  # d(candidate)
+    np.multiply(dc, f, out=dc_prev)
+    np.subtract(1.0, gates, out=one_minus)
     np.multiply(d_gates, gates, out=out)
     out *= one_minus
-    out[..., 2 * u:3 * u] = d_candidate
+    out[..., 2 * u:3 * u] = tmp
     return dc_prev
 
 
@@ -415,6 +437,8 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
     one step these equal the composite's bitwise; over more they sum over
     steps in another order than the chain does, so the weight gradients may
     differ in the last bits. The rule frees its cache, so it runs once.
+    Each sweep writes its step temporaries into scratch buffers of one step's
+    size that it allocates once.
 
     When no tape records the node, no backward cache is kept, the input is
     projected _PROJECTION_CHUNK steps at a time, and the last h is a copy, so
@@ -448,6 +472,11 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
         tcs = np.empty((steps, batch, u))
     else:  # one c updated in place and one tanh(c) scratch
         c, tc = c0.data.copy(), np.empty((batch, u))
+    # Step scratch, reused by every step: h @ w_h, the sigmoid's exp(-|pre|),
+    # the finiteness mask, tanh(g) and i*g.
+    hw, e = np.empty((2, batch, 4 * u))
+    finite = np.empty((batch, 4 * u), dtype=bool)
+    candidate, ig = np.empty((2, batch, u))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected
         for t in range(steps):
             k = t % chunk
@@ -456,13 +485,14 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
                 block = np.ascontiguousarray(xs[t:t + n]).reshape(n * batch, width)
                 np.matmul(block, w_x.data, out=gates[:n].reshape(n * batch, 4 * u))
             pre = gates[k]  # (xw + hw) + bias, turned into activations in place
-            pre += hs[t] @ w_h.data
+            np.matmul(hs[t], w_h.data, out=hw)
+            pre += hw
             pre += bias.data
-            _check_finite("lstm_layer", pre)
+            _check_finite("lstm_layer", pre, finite)
             if record:
-                _lstm_gates(pre, cs[t], cs[t + 1], tcs[t], hs[t + 1])
+                _lstm_gates(pre, cs[t], cs[t + 1], tcs[t], hs[t + 1], e, candidate, ig)
             else:
-                _lstm_gates(pre, c, c, tc, hs[t + 1])
+                _lstm_gates(pre, c, c, tc, hs[t + 1], e, candidate, ig)
     h, c = (hs[steps], cs[steps].copy()) if record else (hs[steps].copy(), c)
     _check_finite("lstm_layer", c)
     _check_finite("lstm_layer", hs)
@@ -479,14 +509,20 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
         d_pre, cs, tcs, x_rows = cache
         cache.clear()
         ext = None if grad_seq is None else np.swapaxes(grad_seq.reshape(batch, steps, u), 0, 1)
+        # Step scratch, reused by every step; each step reads the c gradient
+        # in dc_prev before it writes the next one there.
+        d_gates, one_minus = np.empty((2, batch, 4 * u))
+        dc_step, tmp, dh_buf, dc_prev = np.empty((4, batch, u))
+        w_h_t = _swap(w_h.data)
         dh, dc = grad_h, grad_c  # the last h's gradient joins the last step's
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps - 1, -1, -1):
                 if ext is not None:
-                    dh = ext[t] if dh is None else ext[t] + dh
-                dc = _lstm_pre_grad(dh, dc, d_pre[t], cs[t], tcs[t], out=d_pre[t])
+                    dh = ext[t] if dh is None else np.add(ext[t], dh, out=dh_buf)
+                dc = _lstm_pre_grad(dh, dc, d_pre[t], cs[t], tcs[t], d_pre[t], d_gates,
+                                    one_minus, dc_step, tmp, dc_prev)
                 if t or h0.requires_grad:
-                    dh = d_pre[t] @ _swap(w_h.data)
+                    dh = np.matmul(d_pre[t], w_h_t, out=dh_buf)
             rows = d_pre.reshape(steps * batch, 4 * u)
             d_x = None
             if x.requires_grad:

@@ -183,6 +183,11 @@ def fit(model: Model, train_samples: list[Sample], val_samples: list[Sample],
             optimizer.zero_grad()
             epoch_loss += value * len(idx)
         report.train_loss.append(epoch_loss / len(order))
+        if epoch > 1 and abs(report.train_loss[-1] - report.train_loss[-2]) <= (
+                1e-12 * abs(report.train_loss[-2])):
+            log.warning("train loss %.10g at epoch %d is unchanged from the epoch before: "
+                        "the gates have likely saturated; lower the learning rate",
+                        report.train_loss[-1], epoch)
 
         try:
             val = validation_nrmse(model, val_samples)

@@ -9,7 +9,7 @@ from pvcast.autodiff import Tape, Tensor, _emit, _sigmoid, as_tensor, backward
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = _sigmoid(x.data)
+    out = _sigmoid(x.data, np.empty_like(x.data), np.empty_like(x.data))
 
     def grad_fn(g):
         return (g * out * (1.0 - out) if x.requires_grad else None,)

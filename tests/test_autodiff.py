@@ -175,14 +175,20 @@ def _masked_sigmoid(d):
 @pytest.mark.parametrize("shape", [(1, 440), (8, 440), (32, 128), (3, 7)])
 def test_sigmoid_bitwise_equals_masked_form(shape):
     rng = np.random.default_rng(sum(shape))
-    edges = np.array([0.0, -0.0, 745.5, -745.5, 1e308, -1e308, 36.0, -36.0, 1e-300])
+    edges = np.array([0.0, -0.0, 745.5, -745.5, 1e308, -1e308, 36.0, -36.0, 1e-300, -1e-300])
+    # One buffer set serves every scale, as one lstm_layer call's steps share
+    # theirs, so a value left over from an earlier call would show.
+    out, e = np.empty(shape), np.empty(shape)
     for scale in (1e-8, 0.5, 3.0, 40.0, 800.0):
         d = rng.normal(0.0, scale, shape)
         d.flat[:edges.size] = edges
-        got = ad._sigmoid(d)
         want = _masked_sigmoid(d)
-        assert got.shape == shape
+        got = ad._sigmoid(d, out, e)
+        assert got is out and got.shape == shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        in_place = d.copy()
+        ad._sigmoid(in_place, in_place, e)
+        assert np.array_equal(in_place.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -657,12 +663,37 @@ def test_lstm_layer_forward_only_projects_in_chunks_with_equal_values():
         assert np.array_equal(a.data, b.data)
 
 
-def test_lstm_layer_overflow_names_lstm():
-    inputs = _layer_inputs(x_grad=False)
-    inputs[0].data[...] = 1e300
-    inputs[3].data[...] = 1e300
-    with pytest.raises(NumericsError, match="lstm"):
-        ad.lstm_layer(*inputs)
+def _overflow_inputs(case: str):
+    if case == "every_step":
+        inputs = _layer_inputs(x_grad=False)
+        inputs[0].data[...] = 1e300
+        inputs[3].data[...] = 1e300
+    elif case == "late_step":
+        # Only one step past the first projection chunk overflows. Its gates
+        # then saturate to 1 and c, h stay finite, so only that step's check
+        # can see it.
+        late = ad._PROJECTION_CHUNK + 8
+        inputs = _layer_inputs(x_grad=False, steps=late + 5)
+        inputs[0].data[:, late] = 1e300
+        inputs[3].data[...] = 1e300
+    else:  # a one-step call, whose pre-activation does not read c0; only the
+        # checks after the loop see it. An infinite c leaves h = o*tanh(c) finite.
+        inputs = _layer_inputs(x_grad=False)
+        inputs[0] = Tensor(inputs[0].data[:, 0])
+        inputs[2].data[1, 3] = np.nan if case == "nan_c0" else np.inf
+    return inputs
+
+
+@pytest.mark.parametrize("case", ["every_step", "late_step", "nan_c0", "inf_c0"])
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_lstm_layer_overflow_names_lstm(taped, case):
+    inputs = _overflow_inputs(case)
+    with pytest.raises(NumericsError, match="'lstm_layer'"):
+        if taped:
+            with Tape():
+                ad.lstm_layer(*inputs)
+        else:
+            ad.lstm_layer(*inputs)
 
 
 def test_lstm_layer_shape_errors_and_single_backward():
@@ -715,6 +746,62 @@ def test_lstm_layer_last_h_equals_sliced_sequence_bitwise(steps, seq_term):
         assert loss_new == loss_ref
         for name, ref, new in zip(("x", "h0", "c0", "w_x", "w_h", "bias"), grads_ref, grads_new):
             assert np.array_equal(new, ref), name
+
+
+def _encoder_decoder_graph(split: bool):
+    """An encoder lstm_layer whose last h and c seed a one-step decoder call,
+    under a loss on the encoder's h sequence and the decoder's h and c, built
+    from fresh inputs. Returns every leaf gradient and the gradients that
+    reach the decoder's h0 and c0. With `split`, each node runs on its own
+    tape: the decoder's h0 and c0 are leaves holding copies of the encoder's
+    last h and c, and the encoder is then seeded with their gradients."""
+    rng = np.random.default_rng(9)
+    enc = _layer_inputs(x_grad=True, steps=5)
+    dec = _layer_inputs(x_grad=True, seed=43)
+    dec = [Tensor(dec[0].data[:, 0], requires_grad=True)] + dec[3:]  # x, w_x, w_h, bias
+    mix_seq, mix_h, mix_c = (Tensor(rng.normal(size=s)) for s in [(3, 5, 5), (3, 5), (3, 5)])
+    with Tape() as enc_tape:
+        seq, h_last, c_last = ad.lstm_layer(*enc)
+    seeds = []
+    if split:
+        h0, c0 = (Tensor(t.data.copy(), requires_grad=True) for t in (h_last, c_last))
+        dec_tape = Tape()
+    else:
+        h0, c0, dec_tape = h_last, c_last, enc_tape
+        rule = enc_tape.nodes[0].grad_fn
+
+        def spy(g_seq, g_h, g_c):  # keeps the gradients the decoder passes on
+            seeds.extend(np.copy(g) for g in (g_h, g_c))
+            return rule(g_seq, g_h, g_c)
+
+        enc_tape.nodes[0].grad_fn = spy
+    with dec_tape:
+        h_dec, _, c_dec = ad.lstm_layer(dec[0], h0, c0, *dec[1:])
+        loss = ad.add(ad.sum_all(ad.mul(h_dec, mix_h)), ad.sum_all(ad.mul(c_dec, mix_c)))
+    if split:
+        backward(dec_tape, loss)
+        seeds = [h0.grad, c0.grad]
+        with enc_tape:
+            loss = ad.add(ad.sum_all(ad.mul(h_last, Tensor(h0.grad))),
+                          ad.sum_all(ad.mul(c_last, Tensor(c0.grad))))
+    with enc_tape:
+        loss = ad.add(loss, ad.sum_all(ad.mul(seq, mix_seq)))
+    backward(enc_tape, loss)
+    return [t.grad for t in enc + dec] + seeds
+
+
+def test_lstm_layer_reverse_sweeps_of_two_nodes_do_not_alias():
+    # The decoder's reverse sweep hands its h0 and c0 gradients from its own
+    # scratch to the encoder, whose sweep runs next; every gradient must come
+    # out as when each node runs alone on fresh copies.
+    joined = _encoder_decoder_graph(split=False)
+    alone = _encoder_decoder_graph(split=True)
+    names = ["x", "h0", "c0", "w_x", "w_h", "bias", "dec x", "dec w_x", "dec w_h", "dec bias",
+             "dec h0", "dec c0"]
+    assert len(joined) == len(alone) == len(names)
+    for name, a, b in zip(names, joined, alone):
+        assert a is not None and b is not None, name
+        assert np.array_equal(a, b), name
 
 
 def _composite_attend(query, w_q, b_q, memory):

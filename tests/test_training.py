@@ -411,6 +411,34 @@ def test_fit_divergence_in_recurrent_model_reports_epoch_and_batch():
         fit(model, samples[:5], samples[5:6], cfg)
 
 
+def test_fit_warns_when_saturated_gates_freeze_the_loss(caplog):
+    samples = _samples(days=9)
+    model = build_model(_config("s2s_attn", "pdf"), seed=1)
+    # Finite, but every gate saturates from the first steps on.
+    cfg = TrainConfig(learning_rate=1e18, batch_size=2, patience=5, max_epochs=4, seed=0)
+    with caplog.at_level("WARNING", logger="pvcast"):
+        report = fit(model, samples[:5], samples[5:6], cfg)
+    assert report.stop_reason == "max_epochs"
+    assert report.train_loss[0] != pytest.approx(report.train_loss[1], rel=1e-6)
+    assert report.train_loss[1:] == pytest.approx([208.2226390266076] * 3, rel=1e-12)
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert [r.name for r in warnings] == ["pvcast", "pvcast"]
+    for epoch, record in zip((3, 4), warnings):
+        text = record.getMessage()
+        assert f"at epoch {epoch} is unchanged" in text
+        assert "208.22263" in text
+        assert "saturated" in text and "lower the learning rate" in text
+
+
+def test_fit_gives_no_saturation_warning_while_the_loss_moves(caplog):
+    samples = _samples(days=9)
+    model = build_model(_config("s2s_attn", "pdf"), seed=1)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=2, patience=5, max_epochs=3, seed=0)
+    with caplog.at_level("WARNING", logger="pvcast"):
+        fit(model, samples[:5], samples[5:6], cfg)
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
 # Seeded results of 1-epoch fits, recorded before the LSTM step became one
 # fused tape node; the fused op must reproduce them bitwise.
 PINNED_TINY_FITS = {
