@@ -12,6 +12,7 @@ sequence, or per step for a one-step input, with the last h and c as two
 more outputs that each take a gradient. ``attend`` is one node per attention
 query step, its query projection included; the key and value gradients of
 all steps are computed together by the node that ``attention_memory`` records.
+``summed_loss`` records a whole KL or squared-error loss as one node.
 """
 
 import math
@@ -158,7 +159,7 @@ def matmul(a, b) -> Tensor:
 
 def affine(x, w, b) -> Tensor:
     """x @ w + b as one tape node, with batch broadcasting over x's leading
-    axes; values and gradients are bitwise those of add(matmul(x, w), b)."""
+    axes; values and gradients are bitwise those of a matmul then an add node."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim < 2 or w.data.ndim != 2:
         raise ShapeError(f"affine needs >=2-D input and 2-D weights, got {x.shape} x {w.shape}")
@@ -174,42 +175,6 @@ def affine(x, w, b) -> Tensor:
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _emit("affine", (x, w, b), out, grad_fn)
-
-
-def _binary(op: str, a, b, fwd, da, db) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as exc:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = fwd(a.data, b.data)  # non-finite results are rejected in _emit
-
-    def grad_fn(g):
-        ga = _unbroadcast(da(g, a.data, b.data), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(db(g, a.data, b.data), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _emit(op, (a, b), out, grad_fn)
-
-
-def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
-
-
-def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
-
-
-def mul(a, b) -> Tensor:
-    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def scale(x, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    x = as_tensor(x)
-    c = float(c)
-    return _emit("scale", (x,), x.data * c, lambda g: (g * c if x.requires_grad else None,))
 
 
 def _sigmoid(d: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -256,22 +221,6 @@ def softmax(x) -> Tensor:
     return _emit("softmax", (x,), out, grad_fn)
 
 
-def clamped_log(x, floor: float) -> Tensor:
-    """log(max(x, floor)); the gradient is zero wherever the clamp is active."""
-    x = as_tensor(x)
-    if floor <= 0.0:
-        raise ContractError("clamped_log floor must be positive")
-    clipped = np.maximum(x.data, floor)
-    out = np.log(clipped)
-
-    def grad_fn(g):
-        if not x.requires_grad:
-            return (None,)
-        return (np.where(x.data > floor, g / clipped, 0.0),)
-
-    return _emit("clamped_log", (x,), out, grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # Structural operations
 # ---------------------------------------------------------------------------
@@ -311,17 +260,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _emit("stack", tensors, out, grad_fn)
 
 
-def reshape(x, shape: tuple) -> Tensor:
-    x = as_tensor(x)
-    out = x.data.reshape(shape)
-    orig = x.shape
-
-    def grad_fn(g):
-        return (g.reshape(orig) if x.requires_grad else None,)
-
-    return _emit("reshape", (x,), out, grad_fn)
-
-
 def swap_last_axes(x) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim < 2:
@@ -332,19 +270,6 @@ def swap_last_axes(x) -> Tensor:
         return (_swap(g) if x.requires_grad else None,)
 
     return _emit("swap", (x,), out, grad_fn)
-
-
-def sum_all(x) -> Tensor:
-    """Sum of every entry; yields a scalar (shape ()) tensor."""
-    x = as_tensor(x)
-    out = np.asarray(x.data.sum())
-
-    def grad_fn(g):
-        if not x.requires_grad:
-            return (None,)
-        return (np.full(x.data.shape, float(g)),)
-
-    return _emit("sum", (x,), out, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +572,52 @@ def attend(query, w_q, b_q, memory: KeyValueMemory) -> Tensor:
                     np.zeros(()) if token.requires_grad else None)
 
     return _emit("attention", (query, w_q, b_q, token), out, grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# Fused loss
+# ---------------------------------------------------------------------------
+
+
+def summed_loss(kind: str, out, target: np.ndarray, floor: float, factor: float) -> Tensor:
+    """`factor` times the KL divergence of `target` from `out` ("kl") or
+    their squared error ("mse"), summed over every entry, as one tape node.
+
+    KL terms with zero target probability contribute nothing; `out` is
+    clamped to `floor` inside the logarithm only, and its gradient is zero
+    wherever the clamp is active. Values and gradients are bitwise those of
+    the composite of clamped_log, mul, sum, scale, add and scale nodes (kl)
+    or sub, mul, sum and scale nodes (mse) that the tests keep as reference.
+    """
+    out = as_tensor(out)
+    target = np.asarray(target, dtype=np.float64)
+    if out.shape != target.shape:
+        raise ContractError(
+            f"{kind} loss shape mismatch: forecast {out.shape}, targets {target.shape}")
+    if kind == "kl":
+        if floor <= 0.0:
+            raise ContractError("loss floor must be positive")
+        safe = np.where(target > 0.0, target, 1.0)
+        plogp = float((target * np.log(safe)).sum())
+        clipped = np.maximum(out.data, floor)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = (target * np.log(clipped)).sum()  # non-finite results are rejected in _emit
+        value = (cross * -1.0 + plogp) * factor
+
+        def grad_fn(g):
+            d = np.full(out.shape, g * factor * -1.0) * target
+            return (np.where(out.data > floor, d / clipped, 0.0),)
+    elif kind == "mse":
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = out.data - target  # non-finite results are rejected in _emit
+            value = (diff * diff).sum() * factor
+
+        def grad_fn(g):
+            d = np.full(out.shape, g * factor) * diff
+            return (d + d,)
+    else:
+        raise ContractError(f"unknown loss kind {kind!r}; expected 'kl' or 'mse'")
+    return _emit("loss", (out,), np.asarray(value), grad_fn)
 
 
 # ---------------------------------------------------------------------------

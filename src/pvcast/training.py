@@ -40,6 +40,9 @@ class TrainConfig:
             raise ConfigError("epsilon_floor must be positive")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
+        if self.clip_norm is not None and not self.clip_norm > 0.0:
+            raise ConfigError(f"clip_norm must be positive (or unset to turn clipping "
+                              f"off), got {self.clip_norm}")
 
 
 @dataclass
@@ -62,44 +65,32 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 
 
-def _summed_loss(kind: str, out: Tensor, target: np.ndarray,
-                 epsilon_floor: float = 1e-9) -> Tensor:
-    """KL divergence of the target from the forecast ("kl") or squared error
-    ("mse"), summed over every entry of two equal-shape arrays.
-
-    KL terms with zero target probability contribute nothing; the forecast is
-    clamped to epsilon_floor inside the logarithm only, so it stays a valid
-    distribution while the loss remains finite and differentiable.
-    """
-    if out.shape != target.shape:
-        raise ContractError(
-            f"{kind} loss shape mismatch: forecast {out.shape}, targets {target.shape}")
-    if kind == "mse":
-        diff = ad.sub(out, Tensor(target))
-        return ad.sum_all(ad.mul(diff, diff))
-    safe = np.where(target > 0.0, target, 1.0)
-    plogp = float((target * np.log(safe)).sum())
-    cross = ad.sum_all(ad.mul(Tensor(target), ad.clamped_log(out, epsilon_floor)))
-    return ad.add(ad.scale(cross, -1.0), Tensor(plogp))
+def _steps(shape: tuple) -> tuple:
+    """A forecast-like shape as (steps, width); (steps,) has width 1."""
+    return shape + (1,) if len(shape) == 1 else shape
 
 
-def _steps(f) -> Tensor:
-    """A forecast-like argument as one (steps, width) tensor; (steps,) has width 1."""
-    if isinstance(f, Forecast):
-        f = f.steps
-    f = ad.as_tensor(f)
-    return ad.reshape(f, (f.shape[0], 1)) if f.data.ndim == 1 else f
+def _summed_loss(kind: str, f, p, epsilon_floor: float = 1e-9) -> Tensor:
+    """The loss of a forecast-like f (a Forecast, tensor or array) against
+    targets p of the same (steps, width) shape; a (steps,) argument has width
+    1. mse is averaged over the steps, kl is summed."""
+    out = ad.as_tensor(f.steps if isinstance(f, Forecast) else f)
+    target = ad.as_tensor(p.steps if isinstance(p, Forecast) else p).data
+    if _steps(target.shape) == _steps(out.shape):
+        target = target.reshape(out.shape)
+    factor = 1.0 / out.shape[0] if kind == "mse" else 1.0
+    return ad.summed_loss(kind, out, target, epsilon_floor, factor)
 
 
 def kl_loss(f, p, epsilon_floor: float = 1e-9) -> Tensor:
-    """Summed KL divergence of the target from the forecast over all steps."""
-    return _summed_loss("kl", _steps(f), _steps(p).data, epsilon_floor)
+    """Summed KL divergence of the target from the forecast over all steps;
+    the forecast is clamped to epsilon_floor inside the logarithm only."""
+    return _summed_loss("kl", f, p, epsilon_floor)
 
 
 def mse_loss(f, p) -> Tensor:
     """Mean squared error over the forecast steps."""
-    out = _steps(f)
-    return ad.scale(_summed_loss("mse", out, _steps(p).data), 1.0 / out.shape[0])
+    return _summed_loss("mse", f, p)
 
 
 def _batch_loss(kind: str, outputs: Tensor, teacher: np.ndarray,
@@ -107,8 +98,8 @@ def _batch_loss(kind: str, outputs: Tensor, teacher: np.ndarray,
     """Per-sample loss averaged over the batch (and, for mse, the steps), on
     forward_batch's (batch, steps, width) output."""
     batch, steps = outputs.shape[:2]
-    total = _summed_loss(kind, outputs, teacher, epsilon_floor)
-    return ad.scale(total, 1.0 / batch if kind == "kl" else 1.0 / (steps * batch))
+    factor = 1.0 / batch if kind == "kl" else 1.0 / (steps * batch)
+    return ad.summed_loss(kind, outputs, teacher, epsilon_floor, factor)
 
 
 # ---------------------------------------------------------------------------

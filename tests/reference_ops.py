@@ -1,10 +1,13 @@
 """Test-only references: the sigmoid and slice ops that composite LSTM cells
-are built from (the package fuses both into lstm_layer), and central
-finite-difference gradient checking for tapes and models."""
+are built from (the package fuses both into lstm_layer), the elementwise,
+reduction and reshape ops that the composite losses are built from (the
+package fuses them into summed_loss), and central finite-difference gradient
+checking for tapes and models."""
 
 import numpy as np
 
-from pvcast.autodiff import Tape, Tensor, _emit, _sigmoid, as_tensor, backward
+from pvcast.autodiff import Tape, Tensor, _emit, _sigmoid, _unbroadcast, as_tensor, backward
+from pvcast.errors import ContractError, ShapeError
 
 
 def sigmoid(x) -> Tensor:
@@ -31,6 +34,82 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
         return (gx,)
 
     return _emit("slice", (x,), out, grad_fn)
+
+
+def _binary(op: str, a, b, fwd, da, db) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fwd(a.data, b.data)  # non-finite results are rejected in _emit
+
+    def grad_fn(g):
+        ga = _unbroadcast(da(g, a.data, b.data), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(db(g, a.data, b.data), b.shape) if b.requires_grad else None
+        return ga, gb
+
+    return _emit(op, (a, b), out, grad_fn)
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+
+
+def sub(a, b) -> Tensor:
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+
+
+def mul(a, b) -> Tensor:
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def scale(x, c: float) -> Tensor:
+    """Multiply by a python scalar constant."""
+    x = as_tensor(x)
+    c = float(c)
+    return _emit("scale", (x,), x.data * c, lambda g: (g * c if x.requires_grad else None,))
+
+
+def clamped_log(x, floor: float) -> Tensor:
+    """log(max(x, floor)); the gradient is zero wherever the clamp is active."""
+    x = as_tensor(x)
+    if floor <= 0.0:
+        raise ContractError("clamped_log floor must be positive")
+    clipped = np.maximum(x.data, floor)
+    out = np.log(clipped)
+
+    def grad_fn(g):
+        if not x.requires_grad:
+            return (None,)
+        return (np.where(x.data > floor, g / clipped, 0.0),)
+
+    return _emit("clamped_log", (x,), out, grad_fn)
+
+
+def reshape(x, shape: tuple) -> Tensor:
+    x = as_tensor(x)
+    out = x.data.reshape(shape)
+    orig = x.shape
+
+    def grad_fn(g):
+        return (g.reshape(orig) if x.requires_grad else None,)
+
+    return _emit("reshape", (x,), out, grad_fn)
+
+
+def sum_all(x) -> Tensor:
+    """Sum of every entry; yields a scalar (shape ()) tensor."""
+    x = as_tensor(x)
+    out = np.asarray(x.data.sum())
+
+    def grad_fn(g):
+        if not x.requires_grad:
+            return (None,)
+        return (np.full(x.data.shape, float(g)),)
+
+    return _emit("sum", (x,), out, grad_fn)
 
 
 def numeric_gradient(f, array: np.ndarray, h: float = 1e-5) -> np.ndarray:

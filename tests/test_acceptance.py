@@ -22,7 +22,7 @@ from pvcast.models import (ModelConfig, benchmark_config, build_model,
 from pvcast.training import (TrainConfig, fit, kl_loss, load_checkpoint,
                              mse_loss, save_checkpoint)
 
-from reference_ops import check_gradients, sigmoid
+from reference_ops import add, check_gradients, mul, reshape, sigmoid, sum_all
 
 GRADCHECK_SEED = 42          # documented seed for every randomized gradient check
 BENCH_DATA_SEED = 7          # documented seeds for the synthetic skill benchmark
@@ -54,7 +54,7 @@ def test_criterion_1_gradient_suite():
     x = rng.normal(size=(2, 4))
     mix = rng.normal(size=(2, 3))
     worst["dense"] = check_gradients(
-        lambda: ad.sum_all(ad.mul(dense_forward(dense, Tensor(x)), Tensor(mix))),
+        lambda: sum_all(mul(dense_forward(dense, Tensor(x)), Tensor(mix))),
         [p for _, p in dense.parameters()])
 
     lstm = LstmLayer(3, 2, rng=rng)
@@ -63,7 +63,7 @@ def test_criterion_1_gradient_suite():
     def lstm_loss():
         h, c = lstm.initial_state(1)
         h2, c2 = lstm_step(lstm, Tensor(xl), (h, c))
-        return ad.add(ad.sum_all(ad.mul(h2, h2)), ad.sum_all(c2))
+        return add(sum_all(mul(h2, h2)), sum_all(c2))
 
     worst["lstm"] = check_gradients(lstm_loss, [p for _, p in lstm.parameters()])
 
@@ -73,7 +73,7 @@ def test_criterion_1_gradient_suite():
     mix_a = rng.normal(size=(2, 2))
     kv_rows = np.broadcast_to(kv, (2,) + kv.shape)  # one key/value sequence per query
     worst["attention"] = check_gradients(
-        lambda: ad.sum_all(ad.mul(
+        lambda: sum_all(mul(
             attend_projected(attn, Tensor(q),
                              attn.project_keys_values(Tensor(kv_rows), Tensor(kv_rows))),
             Tensor(mix_a))),
@@ -83,7 +83,7 @@ def test_criterion_1_gradient_suite():
     xt = rng.normal(size=(8, 3))
     mix_t = rng.normal(size=(24, 2))
     worst["temporal"] = check_gradients(
-        lambda: ad.sum_all(ad.mul(temporal_transform(tt, Tensor(xt)),
+        lambda: sum_all(mul(temporal_transform(tt, Tensor(xt)),
                                   Tensor(mix_t))),
         [p for _, p in tt.parameters()])
 
@@ -107,7 +107,7 @@ def test_criterion_1_gradient_suite():
 
     def graph_loss():
         outs = model.forward_batch(inputs, p0, teacher, "teacher_forcing")
-        return kl_loss(ad.reshape(outs, outs.shape[1:]), teacher[0])
+        return kl_loss(reshape(outs, outs.shape[1:]), teacher[0])
 
     worst["full_s2s_attn_pdf"] = check_gradients(
         graph_loss, [p for _, p in model.parameters()])

@@ -16,8 +16,8 @@ from pvcast import autodiff as ad
 from pvcast.autodiff import SgdNesterov, Tape, Tensor, backward
 from pvcast.errors import ContractError, DomainError, NumericsError, ShapeError
 
-from reference_ops import (check_gradients, max_relative_error, numeric_gradient, sigmoid,
-                           slice_axis)
+from reference_ops import (add, check_gradients, clamped_log, max_relative_error, mul,
+                           numeric_gradient, reshape, scale, sigmoid, slice_axis, sub, sum_all)
 
 
 def test_matmul_identity():
@@ -44,7 +44,7 @@ def test_matmul_gradients_match_finite_differences():
     w = rng.normal(size=(3, 2))  # fixed mixing so the loss is not symmetric
 
     def build_loss():
-        return ad.sum_all(ad.mul(ad.matmul(a, b), Tensor(w)))
+        return sum_all(mul(ad.matmul(a, b), Tensor(w)))
 
     assert check_gradients(build_loss, [a, b]) < 1e-6
 
@@ -55,7 +55,7 @@ def test_matmul_batched_gradients():
     b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
 
     def build_loss():
-        return ad.sum_all(ad.tanh(ad.matmul(a, b)))
+        return sum_all(ad.tanh(ad.matmul(a, b)))
 
     assert check_gradients(build_loss, [a, b]) < 1e-6
 
@@ -69,7 +69,7 @@ def _affine_run(op, x_shape, trainable):
     mix = Tensor(rng.normal(size=x_shape[:-1] + (5,)))
     with Tape() as tape:
         out = op(x, w, b)
-        loss = ad.sum_all(ad.mul(ad.tanh(out), mix))
+        loss = sum_all(mul(ad.tanh(out), mix))
     backward(tape, loss)
     return out.data, [t.grad for t in (x, w, b)], [n.op for n in tape.nodes]
 
@@ -78,7 +78,7 @@ def _affine_run(op, x_shape, trainable):
 @pytest.mark.parametrize("trainable", ["xwb", "x", "w", "b", "wb"])
 def test_affine_bitwise_equals_matmul_add(x_shape, trainable):
     out, grads, ops = _affine_run(ad.affine, x_shape, trainable)
-    ref_out, ref_grads, _ = _affine_run(lambda x, w, b: ad.add(ad.matmul(x, w), b),
+    ref_out, ref_grads, _ = _affine_run(lambda x, w, b: add(ad.matmul(x, w), b),
                                         x_shape, trainable)
     assert ops[0] == "affine" and ops.count("affine") == 1
     assert np.array_equal(out, ref_out)
@@ -95,7 +95,7 @@ def test_affine_gradients_match_finite_differences():
     w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     b = Tensor(rng.normal(size=(5,)), requires_grad=True)
     mix = Tensor(rng.normal(size=(2, 3, 5)))
-    assert check_gradients(lambda: ad.sum_all(ad.mul(ad.tanh(ad.affine(x, w, b)), mix)),
+    assert check_gradients(lambda: sum_all(mul(ad.tanh(ad.affine(x, w, b)), mix)),
                            [x, w, b]) < 1e-6
 
 
@@ -151,10 +151,10 @@ def test_softmax_permutation_equivariant(values, rnd):
 def test_elementwise_values():
     assert sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
     assert ad.tanh(Tensor([0.0])).data[0] == 0.0
-    assert ad.add(Tensor([1.0]), Tensor([2.0])).data[0] == 3.0
-    assert ad.sub(Tensor([1.0]), Tensor([2.0])).data[0] == -1.0
-    assert ad.mul(Tensor([3.0]), Tensor([2.0])).data[0] == 6.0
-    assert ad.scale(Tensor([3.0]), -2.0).data[0] == -6.0
+    assert add(Tensor([1.0]), Tensor([2.0])).data[0] == 3.0
+    assert sub(Tensor([1.0]), Tensor([2.0])).data[0] == -1.0
+    assert mul(Tensor([3.0]), Tensor([2.0])).data[0] == 6.0
+    assert scale(Tensor([3.0]), -2.0).data[0] == -6.0
 
 
 def test_sigmoid_saturates_without_overflow():
@@ -179,8 +179,8 @@ def test_sigmoid_bitwise_equals_masked_form(shape):
     # One buffer set serves every scale, as one lstm_layer call's steps share
     # theirs, so a value left over from an earlier call would show.
     out, e = np.empty(shape), np.empty(shape)
-    for scale in (1e-8, 0.5, 3.0, 40.0, 800.0):
-        d = rng.normal(0.0, scale, shape)
+    for spread in (1e-8, 0.5, 3.0, 40.0, 800.0):
+        d = rng.normal(0.0, spread, shape)
         d.flat[:edges.size] = edges
         want = _masked_sigmoid(d)
         got = ad._sigmoid(d, out, e)
@@ -204,7 +204,7 @@ def test_sigmoid_gradient_matches_finite_differences():
     x = Tensor([1.0], requires_grad=True)
 
     def build_loss():
-        return ad.sum_all(sigmoid(x))
+        return sum_all(sigmoid(x))
 
     with Tape() as tape:
         loss = build_loss()
@@ -216,14 +216,14 @@ def test_sigmoid_gradient_matches_finite_differences():
 
 def test_binary_op_shape_error():
     with pytest.raises(ShapeError):
-        ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+        add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
 
 def test_broadcast_add_gradient_sums_over_batch():
     bias = Tensor(np.zeros(3), requires_grad=True)
     x = Tensor(np.ones((4, 3)))
     with Tape() as tape:
-        loss = ad.sum_all(ad.add(x, bias))
+        loss = sum_all(add(x, bias))
     backward(tape, loss)
     assert np.array_equal(bias.grad, np.full(3, 4.0))
 
@@ -241,7 +241,7 @@ def test_concat_gradient_routes_slices():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.concat(a, b, axis=0))
+        loss = sum_all(ad.concat(a, b, axis=0))
     backward(tape, loss)
     assert np.array_equal(a.grad, [1.0, 1.0])
     assert np.array_equal(b.grad, [1.0])
@@ -253,7 +253,7 @@ def test_stack_gradients_match_finite_differences():
     mix = Tensor(rng.normal(size=(2, 4, 3)))
     out = ad.stack(parts, axis=1)
     assert np.array_equal(out.data, np.stack([p.data for p in parts], axis=1))
-    assert check_gradients(lambda: ad.sum_all(ad.mul(ad.stack(parts, axis=1), mix)),
+    assert check_gradients(lambda: sum_all(mul(ad.stack(parts, axis=1), mix)),
                            parts) < 1e-6
 
 
@@ -264,7 +264,7 @@ def test_stack_with_mixed_requires_grad_routes_only_to_trainable_inputs():
     weights = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     with Tape() as tape:
         out = ad.stack([a, b, c])
-        loss = ad.sum_all(ad.mul(out, weights))
+        loss = sum_all(mul(out, weights))
     assert out.requires_grad and [n.op for n in tape.nodes] == ["stack", "mul", "sum"]
     backward(tape, loss)
     assert np.array_equal(a.grad, [1.0, 2.0])
@@ -283,7 +283,7 @@ def test_stack_shape_error_names_both_shapes():
 def test_backward_sum_gives_ones():
     x = Tensor(np.zeros((2, 3)), requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(x)
+        loss = sum_all(x)
     backward(tape, loss)
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
@@ -291,7 +291,7 @@ def test_backward_sum_gives_ones():
 def test_backward_square_example():
     x = Tensor([2.0, 3.0], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.mul(x, x))
+        loss = sum_all(mul(x, x))
     backward(tape, loss)
     assert np.array_equal(x.grad, [4.0, 6.0])
 
@@ -299,7 +299,7 @@ def test_backward_square_example():
 def test_backward_fanout_accumulates():
     x = Tensor([1.5], requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum_all(ad.add(x, x))
+        loss = sum_all(add(x, x))
     backward(tape, loss)
     assert np.array_equal(x.grad, [2.0])
 
@@ -307,7 +307,7 @@ def test_backward_fanout_accumulates():
 def test_backward_rejects_nonscalar_loss():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with Tape() as tape:
-        y = ad.mul(x, x)
+        y = mul(x, x)
     with pytest.raises(ContractError):
         backward(tape, y)
 
@@ -316,17 +316,17 @@ def test_slice_gradients():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape() as tape:
         part = slice_axis(x, 1, 1, 3)
-        loss = ad.sum_all(part)
+        loss = sum_all(part)
     backward(tape, loss)
     assert np.array_equal(x.grad, [[0, 1, 1], [0, 1, 1]])
 
 
 def test_clamped_log_floor_and_gradient():
     x = Tensor([0.0, 0.5], requires_grad=True)
-    out = ad.clamped_log(x, 1e-9)
+    out = clamped_log(x, 1e-9)
     assert out.data[0] == pytest.approx(np.log(1e-9))
     with Tape() as tape:
-        loss = ad.sum_all(ad.clamped_log(x, 1e-9))
+        loss = sum_all(clamped_log(x, 1e-9))
     backward(tape, loss)
     assert x.grad[0] == 0.0  # clamp region has no gradient
     assert x.grad[1] == pytest.approx(2.0)
@@ -335,15 +335,15 @@ def test_clamped_log_floor_and_gradient():
 def test_numerics_guard_raises_on_overflow():
     big = Tensor([1e200])
     with pytest.raises(NumericsError):
-        ad.mul(ad.mul(big, big), big)
+        mul(mul(big, big), big)
 
 
 def test_no_tape_means_no_recording():
     x = Tensor([1.0], requires_grad=True)
-    y = ad.mul(x, x)
+    y = mul(x, x)
     assert y.data[0] == 1.0
     with Tape() as tape:
-        ad.mul(x, x)
+        mul(x, x)
     assert len(tape) == 1
 
 
@@ -420,7 +420,7 @@ def test_identical_seeds_identical_trajectories():
         opt = SgdNesterov([p], learning_rate=0.05, momentum=0.75)
         for _ in range(10):
             with Tape() as tape:
-                loss = ad.sum_all(ad.mul(p, p))
+                loss = sum_all(mul(p, p))
             backward(tape, loss)
             opt.step()
             opt.zero_grad()
@@ -438,13 +438,13 @@ def _composite_lstm_cell(x, h, c, w_x, w_h, bias):
     """The LSTM step as separate primitive nodes, the reference for one-step
     lstm_layer."""
     u = c.shape[-1]
-    pre = ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(h, w_h)), bias)
+    pre = add(add(ad.matmul(x, w_x), ad.matmul(h, w_h)), bias)
     i = sigmoid(slice_axis(pre, -1, 0, u))
     f = sigmoid(slice_axis(pre, -1, u, 2 * u))
     g = ad.tanh(slice_axis(pre, -1, 2 * u, 3 * u))
     o = sigmoid(slice_axis(pre, -1, 3 * u, 4 * u))
-    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
-    return ad.mul(o, ad.tanh(c_next)), c_next
+    c_next = add(mul(f, c), mul(i, g))
+    return mul(o, ad.tanh(c_next)), c_next
 
 
 def _cell_inputs(x_grad: bool):
@@ -473,10 +473,10 @@ def _run_cell(cell, loss_kind: str, x_grad: bool):
             h2, c2 = _seq_and_c(cell(x, h2, c2, w_x, w_h, bias))
         terms = []
         if loss_kind in ("both", "h", "chain"):
-            terms.append(ad.sum_all(ad.mul(h2, Tensor(mix_h))))
+            terms.append(sum_all(mul(h2, Tensor(mix_h))))
         if loss_kind in ("both", "c"):
-            terms.append(ad.sum_all(ad.mul(c2, Tensor(mix_c))))
-        loss = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
+            terms.append(sum_all(mul(c2, Tensor(mix_c))))
+        loss = terms[0] if len(terms) == 1 else add(terms[0], terms[1])
     backward(tape, loss)
     return h2.data, c2.data, [t.grad for t in inputs], len(tape)
 
@@ -504,8 +504,8 @@ def test_lstm_cell_gradients_match_finite_differences():
 
     def build_loss():
         h2, _, c2 = ad.lstm_layer(*inputs)
-        return ad.add(ad.sum_all(ad.mul(h2, Tensor(mix_h))),
-                      ad.sum_all(ad.mul(c2, Tensor(mix_c))))
+        return add(sum_all(mul(h2, Tensor(mix_h))),
+                      sum_all(mul(c2, Tensor(mix_c))))
 
     assert check_gradients(build_loss, inputs) < 1e-6
 
@@ -552,7 +552,7 @@ def test_backward_releases_intermediate_gradients():
     with Tape() as tape:
         h2, _, c2 = ad.lstm_layer(x, h, c, w_x, w_h, bias)
         h3, _, _ = ad.lstm_layer(x, h2, c2, w_x, w_h, bias)
-        loss = ad.sum_all(ad.tanh(ad.matmul(h3, head)))
+        loss = sum_all(ad.tanh(ad.matmul(h3, head)))
     backward(tape, loss)
     for p in params:
         assert p.grad is not None
@@ -581,9 +581,9 @@ def _chain_lstm_layer(x, h0, c0, w_x, w_h, bias):
     batch, steps, width = x.shape
     h, c, seq = h0, c0, None
     for t in range(steps):
-        x_t = ad.reshape(slice_axis(x, 1, t, t + 1), (batch, width))
+        x_t = reshape(slice_axis(x, 1, t, t + 1), (batch, width))
         h, c = _composite_lstm_cell(x_t, h, c, w_x, w_h, bias)
-        h_t = ad.reshape(h, (batch, 1, h.shape[-1]))
+        h_t = reshape(h, (batch, 1, h.shape[-1]))
         seq = h_t if seq is None else ad.concat(seq, h_t, axis=1)
     return seq, c
 
@@ -611,10 +611,10 @@ def _run_layers(op, loss_kind: str, x_grad: bool, depth: int = 1):
             seq, c = _seq_and_c(op(seq, *upper))
         terms = []
         if loss_kind in ("both", "h"):
-            terms.append(ad.sum_all(ad.mul(seq, Tensor(mix_h))))
+            terms.append(sum_all(mul(seq, Tensor(mix_h))))
         if loss_kind in ("both", "c"):
-            terms.append(ad.sum_all(ad.mul(c, Tensor(mix_c))))
-        loss = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
+            terms.append(sum_all(mul(c, Tensor(mix_c))))
+        loss = terms[0] if len(terms) == 1 else add(terms[0], terms[1])
     backward(tape, loss)
     grads = [t.grad for t in inputs] + ([t.grad for t in upper] if depth == 2 else [])
     return seq.data, c.data, grads, tape
@@ -645,8 +645,8 @@ def test_lstm_layer_gradients_match_finite_differences():
 
     def build_loss():
         seq, _, c = ad.lstm_layer(*inputs)
-        return ad.add(ad.sum_all(ad.mul(seq, Tensor(mix_h))),
-                      ad.sum_all(ad.mul(c, Tensor(mix_c))))
+        return add(sum_all(mul(seq, Tensor(mix_h))),
+                      sum_all(mul(c, Tensor(mix_c))))
 
     assert check_gradients(build_loss, inputs) < 1e-6
 
@@ -704,7 +704,7 @@ def test_lstm_layer_shape_errors_and_single_backward():
         ad.lstm_layer(inputs[0], Tensor(np.zeros((2, 5))), *inputs[2:])
     with Tape() as tape:
         seq, _, _ = ad.lstm_layer(*inputs)
-        loss = ad.sum_all(seq)
+        loss = sum_all(seq)
     backward(tape, loss)
     with pytest.raises(ContractError, match="twice"):
         backward(tape, loss)
@@ -719,10 +719,10 @@ def _last_h_loss(inputs, last_h, seq_term: bool):
         t.grad = None
     with Tape() as tape:
         seq, h_last, c = ad.lstm_layer(*inputs)
-        loss = ad.add(ad.sum_all(ad.mul(last_h(seq, h_last), Tensor(rng.normal(size=(3, 5))))),
-                      ad.sum_all(ad.mul(c, Tensor(rng.normal(size=(3, 5))))))
+        loss = add(sum_all(mul(last_h(seq, h_last), Tensor(rng.normal(size=(3, 5))))),
+                      sum_all(mul(c, Tensor(rng.normal(size=(3, 5))))))
         if seq_term:
-            loss = ad.add(loss, ad.sum_all(ad.mul(seq, Tensor(rng.normal(size=seq.shape)))))
+            loss = add(loss, sum_all(mul(seq, Tensor(rng.normal(size=seq.shape)))))
     backward(tape, loss)
     return loss.item(), [t.grad for t in inputs]
 
@@ -740,7 +740,7 @@ def test_lstm_layer_last_h_equals_sliced_sequence_bitwise(steps, seq_term):
         if seq.data.ndim == 2:
             composite = lambda seq, _: seq
         else:
-            composite = lambda seq, _: ad.reshape(slice_axis(seq, 1, steps - 1, steps), (3, 5))
+            composite = lambda seq, _: reshape(slice_axis(seq, 1, steps - 1, steps), (3, 5))
         loss_ref, grads_ref = _last_h_loss(layer_inputs, composite, seq_term)
         loss_new, grads_new = _last_h_loss(layer_inputs, lambda _, h_last: h_last, seq_term)
         assert loss_new == loss_ref
@@ -777,15 +777,15 @@ def _encoder_decoder_graph(split: bool):
         enc_tape.nodes[0].grad_fn = spy
     with dec_tape:
         h_dec, _, c_dec = ad.lstm_layer(dec[0], h0, c0, *dec[1:])
-        loss = ad.add(ad.sum_all(ad.mul(h_dec, mix_h)), ad.sum_all(ad.mul(c_dec, mix_c)))
+        loss = add(sum_all(mul(h_dec, mix_h)), sum_all(mul(c_dec, mix_c)))
     if split:
         backward(dec_tape, loss)
         seeds = [h0.grad, c0.grad]
         with enc_tape:
-            loss = ad.add(ad.sum_all(ad.mul(h_last, Tensor(h0.grad))),
-                          ad.sum_all(ad.mul(c_last, Tensor(c0.grad))))
+            loss = add(sum_all(mul(h_last, Tensor(h0.grad))),
+                          sum_all(mul(c_last, Tensor(c0.grad))))
     with enc_tape:
-        loss = ad.add(loss, ad.sum_all(ad.mul(seq, mix_seq)))
+        loss = add(loss, sum_all(mul(seq, mix_seq)))
     backward(enc_tape, loss)
     return [t.grad for t in enc + dec] + seeds
 
@@ -807,11 +807,11 @@ def test_lstm_layer_reverse_sweeps_of_two_nodes_do_not_alias():
 def _composite_attend(query, w_q, b_q, memory):
     """Attention as reshape/affine/matmul/scale/softmax/matmul/reshape nodes
     over (batch, 1, q) query rows, the reference for attend."""
-    rows = ad.reshape(query, query.shape[:-1] + (1, query.shape[-1]))
+    rows = reshape(query, query.shape[:-1] + (1, query.shape[-1]))
     scores = ad.matmul(ad.affine(rows, w_q, b_q), memory.kp_t)
-    scores = ad.scale(scores, 1.0 / math.sqrt(memory.kp_t.shape[-2]))
+    scores = scale(scores, 1.0 / math.sqrt(memory.kp_t.shape[-2]))
     out = ad.matmul(ad.softmax(scores), memory.vp)
-    return ad.reshape(out, query.shape[:-1] + memory.vp.shape[-1:])
+    return reshape(out, query.shape[:-1] + memory.vp.shape[-1:])
 
 
 def _attention_inputs():
@@ -831,8 +831,8 @@ def _attention_loss(attend, queries, w_q, b_q, kp_t, vp, mixes):
     memory = ad.attention_memory(kp_t, vp)
     loss = None
     for query, mix in zip(queries, mixes):  # every step reads the same keys
-        term = ad.sum_all(ad.mul(attend(query, w_q, b_q, memory), Tensor(mix)))
-        loss = term if loss is None else ad.add(loss, term)
+        term = sum_all(mul(attend(query, w_q, b_q, memory), Tensor(mix)))
+        loss = term if loss is None else add(loss, term)
     return loss
 
 
@@ -908,7 +908,7 @@ def test_sequence_op_tapes_are_freed_without_the_cycle_collector():
     try:
         with Tape() as tape:
             seq, _, _ = ad.lstm_layer(*inputs)
-            loss = ad.add(ad.sum_all(seq),
+            loss = add(sum_all(seq),
                           _attention_loss(ad.attend, queries, w_q, b_q, kp_t, vp, mixes))
         backward(tape, loss)
         freed = weakref.ref(tape)

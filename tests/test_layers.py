@@ -11,7 +11,7 @@ from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attend_projected, dense_forward,
                            lstm_sequence, lstm_step, temporal_transform)
 
-from reference_ops import check_gradients
+from reference_ops import add, check_gradients, mul, sum_all
 
 RNG = np.random.default_rng(2024)
 
@@ -60,7 +60,7 @@ def test_dense_gradient_matches_finite_differences():
     mix = rng.normal(size=(2, 3))
 
     def build_loss():
-        return ad.sum_all(ad.mul(dense_forward(layer, Tensor(x)), Tensor(mix)))
+        return sum_all(mul(dense_forward(layer, Tensor(x)), Tensor(mix)))
 
     params = [p for _, p in layer.parameters()]
     assert check_gradients(build_loss, params) < 1e-6
@@ -122,7 +122,7 @@ def test_lstm_step_gradient_matches_finite_differences():
     def build_loss():
         h, c = layer.initial_state(1)
         h2, c2 = lstm_step(layer, Tensor(x), (h, c))
-        return ad.sum_all(ad.add(ad.mul(h2, Tensor(mix)), ad.mul(c2, c2)))
+        return sum_all(add(mul(h2, Tensor(mix)), mul(c2, c2)))
 
     params = [p for _, p in layer.parameters()]
     assert check_gradients(build_loss, params) < 1e-5
@@ -252,7 +252,7 @@ def test_attention_gradient_matches_finite_differences():
 
     def build_loss():
         out = _attend(layer, Tensor(q), Tensor(kv), Tensor(kv))
-        return ad.sum_all(ad.mul(out, Tensor(mix)))
+        return sum_all(mul(out, Tensor(mix)))
 
     params = [p for _, p in layer.parameters()]
     assert check_gradients(build_loss, params) < 1e-5
@@ -286,7 +286,7 @@ def test_temporal_transform_gradient_matches_finite_differences():
     mix = rng.normal(size=(24, 2))
 
     def build_loss():
-        return ad.sum_all(ad.mul(temporal_transform(t, Tensor(x)), Tensor(mix)))
+        return sum_all(mul(temporal_transform(t, Tensor(x)), Tensor(mix)))
 
     params = [p for _, p in t.parameters()]
     assert check_gradients(build_loss, params) < 1e-6

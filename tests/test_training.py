@@ -17,7 +17,8 @@ from pvcast.models import (Forecast, ModelConfig, assemble_forecast, build_model
 from pvcast.training import (TrainConfig, _batch_loss, fit, kl_loss, load_checkpoint,
                              mse_loss, save_checkpoint, validation_nrmse)
 
-from reference_ops import check_gradients, sigmoid, slice_axis
+from reference_ops import (add, check_gradients, clamped_log, mul, reshape, scale, sigmoid,
+                           slice_axis, sub, sum_all)
 
 P_MAX = 1000.0
 
@@ -136,19 +137,19 @@ def _reference_batch_loss(kind, outputs, teacher, epsilon_floor):
         if kind == "kl":
             safe = np.where(target_t > 0.0, target_t, 1.0)
             plogp += float((target_t * np.log(safe)).sum())
-            term = ad.sum_all(ad.mul(Tensor(target_t), ad.clamped_log(out, epsilon_floor)))
+            term = sum_all(mul(Tensor(target_t), clamped_log(out, epsilon_floor)))
         else:
-            diff = ad.sub(out, Tensor(target_t))
-            term = ad.sum_all(ad.mul(diff, diff))
-        total = term if total is None else ad.add(total, term)
+            diff = sub(out, Tensor(target_t))
+            term = sum_all(mul(diff, diff))
+        total = term if total is None else add(total, term)
     if kind == "kl":
-        return ad.scale(ad.add(ad.scale(total, -1.0), Tensor(plogp)), 1.0 / batch)
-    return ad.scale(total, 1.0 / (len(outputs) * batch))
+        return scale(add(scale(total, -1.0), Tensor(plogp)), 1.0 / batch)
+    return scale(total, 1.0 / (len(outputs) * batch))
 
 
 def _per_step(out):
     batch, steps, width = out.shape
-    return [ad.reshape(slice_axis(out, 1, t, t + 1), (batch, width)) for t in range(steps)]
+    return [reshape(slice_axis(out, 1, t, t + 1), (batch, width)) for t in range(steps)]
 
 
 def _loss_and_gradients(model, inputs, p0, teacher, loss_fn):
@@ -193,6 +194,57 @@ def test_batch_loss_matches_per_step_reference(kind, batch):
         assert np.array_equal(g, ref)
 
 
+def _composite_loss(kind, out, target, floor, factor):
+    """The whole-tensor composite of reference ops that ad.summed_loss must
+    match bitwise."""
+    if kind == "kl":
+        safe = np.where(target > 0.0, target, 1.0)
+        plogp = float((target * np.log(safe)).sum())
+        cross = sum_all(mul(Tensor(target), clamped_log(out, floor)))
+        return scale(add(scale(cross, -1.0), Tensor(plogp)), factor)
+    diff = sub(out, Tensor(target))
+    return scale(sum_all(mul(diff, diff)), factor)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("kind", ["kl", "mse"])
+def test_summed_loss_equals_whole_tensor_composite_bitwise(kind, seed):
+    rng = np.random.default_rng(seed)
+    batch, steps, floor = 1 + seed % 4, 24, 1e-9
+    if kind == "kl":
+        # Forecast bins below the floor, and targets with empty bins.
+        data = rng.dirichlet(np.ones(8), size=(batch, steps))
+        data[..., :2] = rng.uniform(0.0, 1e-10, (batch, steps, 2))
+        target = rng.dirichlet(np.ones(8), size=(batch, steps))
+        target[..., 1:3] = 0.0
+        target /= target.sum(axis=-1, keepdims=True)
+        assert (data < floor).any() and (target == 0.0).any()
+    else:
+        data = rng.normal(0.5, 0.5, (batch, steps, 1))
+        target = rng.uniform(0.0, 1.0, (batch, steps, 1))
+    for factor in (1.0, 1.0 / batch, 1.0 / (steps * batch)):
+        x, y = (Tensor(data.copy(), requires_grad=True) for _ in range(2))
+        with Tape() as tape:
+            loss = ad.summed_loss(kind, x, target, floor, factor)
+        backward(tape, loss)
+        assert [node.op for node in tape.nodes] == ["loss"]
+        with Tape() as tape:
+            ref = _composite_loss(kind, y, target, floor, factor)
+        backward(tape, ref)
+        assert loss.item() == ref.item()
+        assert np.array_equal(x.grad, y.grad)
+
+
+def test_summed_loss_rejects_bad_arguments():
+    p = np.full((2, 4), 0.25)
+    with pytest.raises(ContractError, match="mse loss shape mismatch"):
+        ad.summed_loss("mse", np.zeros((2, 3)), p, 1e-9, 1.0)
+    with pytest.raises(ContractError, match="floor must be positive"):
+        ad.summed_loss("kl", p, p, 0.0, 1.0)
+    with pytest.raises(ContractError, match="unknown loss kind"):
+        ad.summed_loss("crps", p, p, 1e-9, 1.0)
+
+
 def _public_loss_cases():
     rng = np.random.default_rng(30)
     f_pdf = rng.dirichlet(np.ones(6), size=24)
@@ -223,7 +275,7 @@ def test_public_losses_match_per_step_reference(case):
         loss = loss_fn(x, p)
     backward(tape, loss)
     with Tape() as tape:
-        ref = _reference_batch_loss(kind, _per_step(ad.reshape(y, (1,) + y.shape)),
+        ref = _reference_batch_loss(kind, _per_step(reshape(y, (1,) + y.shape)),
                                     targets[None], 1e-9)
     backward(tape, ref)
     assert value == pytest.approx(ref.item(), rel=1e-12, abs=0.0)
@@ -246,6 +298,9 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(epsilon_floor=0.0)
+    for clip_norm in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="clip_norm must be positive"):
+            TrainConfig(clip_norm=clip_norm)
 
 
 # -------------------------------------------------------------------- fit ---
@@ -458,7 +513,7 @@ def test_fit_seeded_s2s_attn_numerics_are_pinned(mode):
     assert report.val_nrmse == [val_nrmse]
 
 
-MAX_TAPE_NODES_C4_STEP = 233
+MAX_TAPE_NODES_C4_STEP = 228
 
 
 def test_teacher_forced_s2s_attn_step_tape_size():
@@ -466,7 +521,8 @@ def test_teacher_forced_s2s_attn_step_tape_size():
     # node per encoder layer and per decoder step, one attention node per query
     # step (its query projection included), one key/value node per attention
     # layer, one affine node per other dense layer call, and one stack of the
-    # decoder's outputs feeding one loss over the whole forecast give 233 nodes.
+    # decoder's outputs feeding one loss node over the whole forecast give 228
+    # nodes.
     rng = np.random.default_rng(0)
     cfg = ModelConfig(family="s2s_attn", target_mode="pdf", units_per_layer=32,
                       input_steps=192)
@@ -484,7 +540,7 @@ def test_teacher_forced_s2s_attn_step_tape_size():
     assert ops["attention"] == cfg.depth * cfg.output_steps
     assert ops["attention_kv"] == cfg.depth
     assert ops["swap"] == cfg.depth
-    assert ops["stack"] == ops["clamped_log"] == ops["sum"] == 1
+    assert ops["stack"] == ops["loss"] == 1
     # No glue: the encoder's last states and the attention queries need no
     # slice or reshape.
     assert ops["reshape"] == ops["slice"] == 0
@@ -494,6 +550,40 @@ def test_teacher_forced_s2s_attn_step_tape_size():
     assert ops["attention"] == 48
     assert ops["matmul"] == 0
     assert len(tape) == MAX_TAPE_NODES_C4_STEP
+
+
+# Criterion-4 teacher-forced step tapes (192 steps, 32 units, batch 32), pdf
+# and expected mode.
+TAPE_NODES_C4_STEP = {
+    "s2s_attn": (228, 204),
+    "s2s": (100, 76),
+    "lstm": (8, 7),
+    "ffnn": (10, 9),
+}
+
+
+@pytest.mark.parametrize("mode", ["pdf", "expected"])
+@pytest.mark.parametrize("family", sorted(TAPE_NODES_C4_STEP))
+def test_teacher_forced_step_tape_has_one_loss_node_and_no_scalar_ops(family, mode):
+    rng = np.random.default_rng(1)
+    cfg = ModelConfig(family=family, target_mode=mode, units_per_layer=32, input_steps=192)
+    model = build_model(cfg, seed=2)
+    batch = 32
+    inputs = rng.uniform(0.0, 1.0, (batch, 192, cfg.input_features))
+    if mode == "pdf":
+        p0 = rng.dirichlet(np.ones(cfg.step_width), size=batch)
+        teacher = rng.dirichlet(np.ones(cfg.step_width), size=(batch, cfg.output_steps))
+    else:
+        p0 = rng.uniform(0.0, 1.0, (batch, 1))
+        teacher = rng.uniform(0.0, 1.0, (batch, cfg.output_steps, 1))
+    with Tape() as tape:
+        outputs = model.forward_batch(inputs, p0, teacher, "teacher_forcing")
+        _batch_loss("kl" if mode == "pdf" else "mse", outputs, teacher, 1e-9)
+    ops = Counter(node.op for node in tape.nodes)
+    assert ops["loss"] == 1 and tape.nodes[-1].op == "loss"
+    for op in ("add", "sub", "mul", "scale", "sum", "clamped_log", "reshape"):
+        assert ops[op] == 0, op
+    assert len(tape) == TAPE_NODES_C4_STEP[family][mode != "pdf"]
 
 
 def test_fit_gradient_clipping_flag_runs():
