@@ -27,7 +27,8 @@ SLOTS_PER_HOUR = HOUR // GRID_STEP
 NWP_CHANNELS = ("temp_c", "pressure_kpa", "ghi_wm2", "wind_ms", "rh_pct")
 PV_CSV_HEADER = ("timestamp", "power_w")
 NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
-CSV_CHUNK_ROWS = 4096
+CSV_CHUNK_ROWS = 4096  # lines per chunk when the byte path cannot read a file
+CSV_BLOCK_BYTES = 1 << 18  # bytes read per block on the byte path
 MAX_GAP_MINUTES = 120  # longest interior gap that consolidate fills
 MIN_DAYS = 6  # shortest overlapping coverage a grid is built from
 
@@ -104,64 +105,126 @@ def _record_line(path, index: int) -> int:
         return next(islice(_records(reader, math.inf), index, None))[0]
 
 
-# write_csv's stamp layout, with a digit wherever it has "d".
-_FIXED_HEAD = np.frombuffer(b"dddd-dd-ddTdd:dd:00Z,", dtype=np.uint8)
-_DIGIT = _FIXED_HEAD == ord("d")
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+# write_csv's stamp layout and the two others of site exports, each with the
+# comma that ends it: "d" is a digit and "s" the sign of a UTC offset. The
+# 20th byte of a line tells them apart.
+_OFFSET_HEAD = "dddd-dd-ddTdd:dd:00sdd:dd,"
+_STAMP_HEADS = {ord(key): np.frombuffer(head.encode(), dtype=np.uint8)
+                for key, head in (("Z", "dddd-dd-ddTdd:dd:00Z,"), (",", "dddd-dd-ddTdd:dd:00,"),
+                                  ("+", _OFFSET_HEAD), ("-", _OFFSET_HEAD))}
+# Month lengths and the days before each month: a common year's, then a
+# leap year's.
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31,
+                        31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.concatenate([np.cumsum(m) - m for m in _MONTH_DAYS.reshape(2, 12)])
 
 
-def _fixed_minutes(lines: list[str]) -> np.ndarray | None:
-    """Minutes since the epoch of lines that each start with a stamp in
-    write_csv's layout, from integer arithmetic on its digits; None if any
-    line does not, or names a date or time that does not exist."""
-    try:
-        head = np.array(lines, dtype="S21")  # each line's first 21 characters
-    except UnicodeEncodeError:
+def _stamp_head(buf: np.ndarray) -> np.ndarray | None:
+    """The stamp layout of the first line of a buffer, or None."""
+    return _STAMP_HEADS.get(int(buf[19])) if buf.size > 19 else None
+
+
+def _windows(buf: np.ndarray, width: int) -> np.ndarray:
+    """A view of buf with the `width` bytes from each offset as one item, so
+    that one gather or scatter reads or writes the heads of many lines."""
+    return np.ndarray((buf.size - width + 1,), dtype=np.dtype((np.void, width)),
+                      buffer=buf, strides=(1,))
+
+
+def _stamp_minutes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                   head: np.ndarray) -> np.ndarray | None:
+    """The byte head parser: minutes since the epoch of the stamps that start
+    the lines buf[starts:ends], each in the layout `head`, from arithmetic on
+    their digits, as parse_timestamp reads them; None if any line does not
+    start so, or names a date, time or offset that does not exist."""
+    if not (ends - starts >= head.size).all():
         return None
-    raw = head.view(np.uint8).reshape(-1, 21)
-    digits = raw[:, _DIGIT]
-    if not ((digits >= ord("0")).all() and (digits <= ord("9")).all()
-            and (raw[:, ~_DIGIT] == _FIXED_HEAD[~_DIGIT]).all()):
+    cols = _windows(buf, head.size)[starts].view(np.uint8).reshape(-1, head.size).T
+    digit, sign = head == ord("d"), head == ord("s")
+    digits = cols[digit] - ord("0")  # bytes below "0" wrap round above 9
+    literal = ~(digit | sign)
+    if (digits > 9).any() or (cols[literal] != head[literal, None]).any():
         return None
-    pairs = 10 * digits[:, 0::2].astype(np.int64) + digits[:, 1::2] - 11 * ord("0")
-    year = 100 * pairs[:, 0] + pairs[:, 1]
-    month, day, hour, minute = pairs[:, 2:].T
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    if not (((month >= 1) & (month <= 12) & (day >= 1) & (year >= 1)).all()
-            and (day <= _MONTH_DAYS[month - 1] + (leap & (month == 2))).all()
+    pairs = 10 * digits[0::2].astype(np.int64) + digits[1::2]
+    year = 100 * pairs[0] + pairs[1]
+    month, day, hour, minute = pairs[2:6]
+    if not ((year >= 1).all() and ((month >= 1) & (month <= 12)).all() and (day >= 1).all()
             and (hour < 24).all() and (minute < 60).all()):
         return None
     # Days since 1970-01-01 in the proleptic Gregorian calendar, as Python's
-    # datetime counts them; 477 leap days fall before 1970. numpy's S16 ->
-    # datetime64 cast is not used: with numpy 2.4 it crashes the interpreter
-    # when an invalid date follows a few hundred valid ones.
-    before = year - 1
-    days = (365 * (year - 1970) + before // 4 - before // 100 + before // 400 - 477
-            + _DAYS_BEFORE_MONTH[month - 1] + (leap & (month > 2)) + day - 1)
-    return days * DAY + hour * HOUR + minute
+    # datetime counts them, from a table of the years the stamps span; 477
+    # leap days fall before 1970. numpy's S16 -> datetime64 cast is not
+    # used: with numpy 2.4 it crashes the interpreter when an invalid date
+    # follows a few hundred valid ones.
+    years = np.arange(year.min(), year.max() + 1)
+    before = years - 1
+    leap = (years % 4 == 0) & ((years % 100 != 0) | (years % 400 == 0))
+    year_start = 365 * (years - 1970) + before // 4 - before // 100 + before // 400 - 477
+    nth = year - years[0]
+    month_of = month - 1 + 12 * leap[nth]
+    if not (day <= _MONTH_DAYS[month_of]).all():
+        return None
+    days = year_start[nth] + _DAYS_BEFORE_MONTH[month_of] + day - 1
+    minutes = days * DAY + hour * HOUR + minute
+    if sign.any():
+        # parse_timestamp takes offsets below a day, some with 60 minutes or
+        # more; this reads hours below 24 and minutes below 60.
+        plus = cols[sign][0] == ord("+")
+        offset_hour, offset_minute = pairs[6:]
+        if not ((plus | (cols[sign][0] == ord("-"))).all()
+                and (offset_hour < 24).all() and (offset_minute < 60).all()):
+            return None
+        offset = offset_hour * HOUR + offset_minute
+        minutes -= np.where(plus, offset, -offset)
+    return minutes
 
 
-def _parse_fixed(lines: list[str], n_values: int):
-    """Stamps and values of lines in write_csv's layout, exactly as the row
-    loop would read them, with float() per value. None if any line is in
-    another layout or any value does not parse."""
-    stamps = _fixed_minutes(lines)
+def _line_buffer(text: bytes) -> np.ndarray:
+    """Writable bytes of whole lines, with a line end after the last."""
+    buf = bytearray(text)
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    return np.frombuffer(buf, dtype=np.uint8)
+
+
+def _parse_fixed(buf: np.ndarray, n_values: int, head: np.ndarray | None):
+    """Stamps and (lines, n_values) values of a buffer from _line_buffer
+    whose lines each start with a stamp in the layout `head`: exactly as the
+    row loop reads them, with float() per value. None if any line is in
+    another layout, any field may split or read otherwise under csv.reader,
+    or any value does not parse. The buffer is overwritten."""
+    if head is None:
+        return None
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = 0, ends[:-1] + 1
+    stamps = _stamp_minutes(buf, starts, ends, head)
     if stamps is None:
         return None
-    tails = [line[21:] for line in lines]
-    cells = ",".join(tails).split(",")
-    # float() strips the line end with other whitespace, so each cell reads as
-    # csv.reader's field would. The cell count alone shows one value on every
-    # line; more values per line need a count per line.
-    if len(cells) != n_values * len(lines) or (
-            n_values > 1 and any(t.count(",") != n_values - 1 for t in tails)):
+    # No byte is a control or a space but a line end: a LF, or the CR of a
+    # CRLF (a lone CR ends a line for csv.reader). A quote or a byte outside
+    # ASCII lands in a cell, which float() of bytes then rejects.
+    crlf = np.count_nonzero(buf[ends - 1] == ord("\r"))
+    if np.count_nonzero(buf <= ord(" ")) != ends.size + crlf:
+        return None
+    # Each line has n_values commas when the head's comma, checked above, is
+    # the first of each n_values in the block.
+    commas = np.flatnonzero(buf == ord(","))
+    if (commas.size != n_values * ends.size
+            or (commas[::n_values] != starts + (head.size - 1)).any()):
+        return None
+    # With no space in any line, the cell count comes out short exactly
+    # when a field is empty.
+    buf[commas] = ord(" ")
+    _windows(buf, head.size)[starts] = np.void(b" " * head.size)
+    cells = buf.tobytes().split()
+    if len(cells) != n_values * ends.size:
         return None
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
         return None
-    return stamps, values.reshape(len(lines), n_values)
+    return stamps, values.reshape(ends.size, n_values)
 
 
 def _parse_rows(path, reader, stop: int, lines_before: int, n_fields: int):
@@ -185,12 +248,49 @@ def _parse_rows(path, reader, stop: int, lines_before: int, n_fields: int):
     return stamps, values, lines, None
 
 
-def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndarray]:
+def _read_blocks(path, header: tuple):
+    """Stamps and (rows, values) of one CSV file read in binary blocks of
+    whole lines of about CSV_BLOCK_BYTES, each through _parse_fixed, with the
+    stamp layout of the first data line throughout; None if the header or
+    any block is in doubt."""
+    n_values = len(header) - 1
+    stamps = [np.empty(0, dtype=np.int64)]
+    values = [np.empty((0, n_values))]
+    with open(path, "rb") as fh:
+        first = fh.readline(CSV_BLOCK_BYTES)
+        names = first.removesuffix(b"\n").removesuffix(b"\r")
+        if (not first.endswith(b"\n") or b"\r" in names
+                or [n.strip() for n in names.split(b",")] != [h.encode() for h in header]):
+            return None
+        head, rest = None, b""
+        while True:
+            block = fh.read(CSV_BLOCK_BYTES)
+            if not block:
+                if not rest:
+                    break
+                block, rest = rest, b""  # the last line, without a line end
+            else:
+                block = rest + block
+                cut = block.rfind(b"\n") + 1
+                if not cut:  # a line longer than a block, or CR line ends
+                    return None
+                block, rest = block[:cut], block[cut:]
+            buf = _line_buffer(block)
+            if head is None:
+                head = _stamp_head(buf)
+            parsed = _parse_fixed(buf, n_values, head)
+            if parsed is None:
+                return None
+            stamps.append(parsed[0])
+            values.append(parsed[1])
+    return np.concatenate(stamps), np.concatenate(values)
+
+
+def _read_chunks(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndarray]:
     """Stamps and (rows, values) of one CSV file, read CSV_CHUNK_ROWS lines
-    at a time. A chunk in write_csv's layout is parsed vectorized; any other
-    goes through the row loop. `first_problem(values)` returns the index and
-    message of the first row whose values fail a check, or None. Errors name
-    the file line and come in row order, as in a plain row loop."""
+    at a time. A chunk in one stamp layout is parsed by _parse_fixed; any
+    other goes through the row loop. Errors name the file line and come in
+    row order, as in a plain row loop."""
     n_values = len(header) - 1
     stamps = [np.empty(0, dtype=np.int64)]
     values = [np.empty((0, n_values))]
@@ -203,7 +303,9 @@ def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndar
             raise ParseError(f"{path}: expected header {','.join(header)}")
         done = reader.line_num
         while chunk := list(islice(fh, CSV_CHUNK_ROWS)):
-            parsed = _parse_fixed(chunk, n_values)
+            # The file splits lines at CR, LF and CRLF, as csv.reader does.
+            buf = _line_buffer("\n".join(line.rstrip("\r\n") for line in chunk).encode())
+            parsed = _parse_fixed(buf, n_values, _stamp_head(buf))
             if parsed is not None:
                 lines, error = range(done + 1, done + 1 + len(chunk)), None
                 done += len(chunk)
@@ -224,6 +326,21 @@ def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndar
             stamps.append(parsed[0])
             values.append(parsed[1])
     return np.concatenate(stamps), np.concatenate(values)
+
+
+def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndarray]:
+    """Stamps and (rows, values) of one CSV file: by blocks of bytes when
+    every line is in one stamp layout with plain values, else by chunks of
+    lines. `first_problem(values)` returns the index and message of the
+    first row whose values fail a check, or None. Errors name the file line
+    and come in row order, as in a plain row loop."""
+    table = _read_blocks(path, header)
+    if table is None:
+        return _read_chunks(path, header, first_problem)
+    problem = first_problem(table[1])
+    if problem is not None:  # the header is line 1, and every record one line
+        raise DataError(f"{path}: line {problem[0] + 2}: {problem[1]}")
+    return table
 
 
 def _first_nwp_problem(chans: np.ndarray):
@@ -500,11 +617,6 @@ class Sample:
         return (self.anchor, self.anchor + self.output_steps * HOUR)
 
 
-def _read_only(view: np.ndarray) -> np.ndarray:
-    view.flags.writeable = False
-    return view
-
-
 def make_sample(data: AlignedDataset, anchor: int, input_steps: int = 480,
                 output_steps: int = 24, with_targets: bool = True) -> Sample:
     """Build the sample anchored at the given hour-aligned minute.
@@ -520,17 +632,18 @@ def make_sample(data: AlignedDataset, anchor: int, input_steps: int = 480,
     if h_hist < 0:
         raise ContractError(f"anchor {format_timestamp(anchor)} lacks forecast-length history")
     h0 = data.hour_index(anchor)
-    history = data.hour_targets[h_hist:h0]
+    # Slices of read-only views are read-only; the grid itself stays writable.
+    features, targets = data.features.view(), data.hour_targets.view()
+    features.flags.writeable = targets.flags.writeable = False
     target = None
     nwp_ahead = None
     if with_targets:
         if h0 + output_steps > data.n_hours:
             raise ContractError(f"anchor {format_timestamp(anchor)} lacks a full target day")
-        target = _read_only(data.hour_targets[h0:h0 + output_steps])
-        nwp_ahead = _read_only(
-            data.features[s1:s1 + SLOTS_PER_HOUR * output_steps:SLOTS_PER_HOUR, :5])
-    return Sample(anchor, _read_only(data.features[s0:s1]), _read_only(history),
-                  _read_only(data.hour_targets[h0 - 1]), target, nwp_ahead)
+        target = targets[h0:h0 + output_steps]
+        nwp_ahead = features[s1:s1 + SLOTS_PER_HOUR * output_steps:SLOTS_PER_HOUR, :5]
+    return Sample(anchor, features[s0:s1], targets[h_hist:h0], targets[h0 - 1], target,
+                  nwp_ahead)
 
 
 def list_anchors(data: AlignedDataset, stride_hours: int = 24, input_steps: int = 480,
@@ -648,10 +761,13 @@ def build_splits(pv: RawPvSeries, nwp: RawNwpSeries, stride_hours: int = 24,
     splits = split(make_samples(data, stride_hours, input_steps, output_steps),
                    fractions, seed)
 
-    mask = np.zeros(data.n_slots, dtype=bool)
-    for s in splits.train:
-        i1 = data.slot_index(s.anchor)
-        mask[i1 - input_steps:i1] = True
+    # Slots under a train window: each window adds 1 from its first slot on
+    # and takes it away after its last.
+    anchor_slots = (np.array([s.anchor for s in splits.train], dtype=np.int64)
+                    - data.grid_start) // GRID_STEP
+    edges = (np.bincount(anchor_slots - input_steps, minlength=data.n_slots + 1)
+             - np.bincount(anchor_slots, minlength=data.n_slots + 1))
+    mask = np.cumsum(edges[:data.n_slots]) > 0
     if not mask.any():
         raise DataError("no training coverage left after the overlap discard")
     _scale_in_place(data, features[mask].min(axis=0), features[mask].max(axis=0))

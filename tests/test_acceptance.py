@@ -11,7 +11,7 @@ import pytest
 from pvcast import autodiff as ad
 from pvcast import data
 from pvcast.autodiff import Tensor
-from pvcast.data import (DAY, HOUR, build_splits, consolidate, make_samples,
+from pvcast.data import (HOUR, build_splits, consolidate, make_samples,
                          split, synth_generate)
 from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attend_projected, dense_forward,

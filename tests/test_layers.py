@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pvcast import autodiff as ad
-from pvcast.autodiff import Tape, Tensor, backward
+from pvcast.autodiff import Tensor
 from pvcast.errors import ConfigError, ContractError, NumericsError, ShapeError
 from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attend_projected, dense_forward,
