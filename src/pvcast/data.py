@@ -9,6 +9,7 @@ the forecast targets cover [t0, t0 + 24h).
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -27,7 +28,7 @@ SLOTS_PER_HOUR = HOUR // GRID_STEP
 NWP_CHANNELS = ("temp_c", "pressure_kpa", "ghi_wm2", "wind_ms", "rh_pct")
 PV_CSV_HEADER = ("timestamp", "power_w")
 NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
-CSV_CHUNK_ROWS = 4096  # lines per chunk when the byte path cannot read a file
+CSV_CHUNK_ROWS = 4096  # lines per chunk once the byte path stops
 CSV_BLOCK_BYTES = 1 << 18  # bytes read per block on the byte path
 MAX_GAP_MINUTES = 120  # longest interior gap that consolidate fills
 MIN_DAYS = 6  # shortest overlapping coverage a grid is built from
@@ -105,23 +106,15 @@ def _record_line(path, index: int) -> int:
         return next(islice(_records(reader, math.inf), index, None))[0]
 
 
-# write_csv's stamp layout and the two others of site exports, each with the
-# comma that ends it: "d" is a digit and "s" the sign of a UTC offset. The
-# 20th byte of a line tells them apart.
-_OFFSET_HEAD = "dddd-dd-ddTdd:dd:00sdd:dd,"
-_STAMP_HEADS = {ord(key): np.frombuffer(head.encode(), dtype=np.uint8)
-                for key, head in (("Z", "dddd-dd-ddTdd:dd:00Z,"), (",", "dddd-dd-ddTdd:dd:00,"),
-                                  ("+", _OFFSET_HEAD), ("-", _OFFSET_HEAD))}
+# write_csv's stamp layout with the comma that ends it: a digit wherever it
+# has "d".
+_FIXED_HEAD = np.frombuffer(b"dddd-dd-ddTdd:dd:00Z,", dtype=np.uint8)
+_DIGIT = _FIXED_HEAD == ord("d")
 # Month lengths and the days before each month: a common year's, then a
 # leap year's.
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31,
                         31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.concatenate([np.cumsum(m) - m for m in _MONTH_DAYS.reshape(2, 12)])
-
-
-def _stamp_head(buf: np.ndarray) -> np.ndarray | None:
-    """The stamp layout of the first line of a buffer, or None."""
-    return _STAMP_HEADS.get(int(buf[19])) if buf.size > 19 else None
 
 
 def _windows(buf: np.ndarray, width: int) -> np.ndarray:
@@ -131,23 +124,20 @@ def _windows(buf: np.ndarray, width: int) -> np.ndarray:
                       buffer=buf, strides=(1,))
 
 
-def _stamp_minutes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                   head: np.ndarray) -> np.ndarray | None:
+def _stamp_minutes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
     """The byte head parser: minutes since the epoch of the stamps that start
-    the lines buf[starts:ends], each in the layout `head`, from arithmetic on
-    their digits, as parse_timestamp reads them; None if any line does not
-    start so, or names a date, time or offset that does not exist."""
-    if not (ends - starts >= head.size).all():
+    the lines buf[starts:ends], each in write_csv's layout, from arithmetic
+    on their digits, as parse_timestamp reads them; None if any line does not
+    start so, or names a date or time that does not exist."""
+    if not (ends - starts >= _FIXED_HEAD.size).all():
         return None
-    cols = _windows(buf, head.size)[starts].view(np.uint8).reshape(-1, head.size).T
-    digit, sign = head == ord("d"), head == ord("s")
-    digits = cols[digit] - ord("0")  # bytes below "0" wrap round above 9
-    literal = ~(digit | sign)
-    if (digits > 9).any() or (cols[literal] != head[literal, None]).any():
+    cols = _windows(buf, _FIXED_HEAD.size)[starts].view(np.uint8).reshape(-1, _FIXED_HEAD.size).T
+    digits = cols[_DIGIT] - ord("0")  # bytes below "0" wrap round above 9
+    if (digits > 9).any() or (cols[~_DIGIT] != _FIXED_HEAD[~_DIGIT, None]).any():
         return None
     pairs = 10 * digits[0::2].astype(np.int64) + digits[1::2]
     year = 100 * pairs[0] + pairs[1]
-    month, day, hour, minute = pairs[2:6]
+    month, day, hour, minute = pairs[2:]
     if not ((year >= 1).all() and ((month >= 1) & (month <= 12)).all() and (day >= 1).all()
             and (hour < 24).all() and (minute < 60).all()):
         return None
@@ -165,18 +155,7 @@ def _stamp_minutes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     if not (day <= _MONTH_DAYS[month_of]).all():
         return None
     days = year_start[nth] + _DAYS_BEFORE_MONTH[month_of] + day - 1
-    minutes = days * DAY + hour * HOUR + minute
-    if sign.any():
-        # parse_timestamp takes offsets below a day, some with 60 minutes or
-        # more; this reads hours below 24 and minutes below 60.
-        plus = cols[sign][0] == ord("+")
-        offset_hour, offset_minute = pairs[6:]
-        if not ((plus | (cols[sign][0] == ord("-"))).all()
-                and (offset_hour < 24).all() and (offset_minute < 60).all()):
-            return None
-        offset = offset_hour * HOUR + offset_minute
-        minutes -= np.where(plus, offset, -offset)
-    return minutes
+    return days * DAY + hour * HOUR + minute
 
 
 def _line_buffer(text: bytes) -> np.ndarray:
@@ -187,39 +166,34 @@ def _line_buffer(text: bytes) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8)
 
 
-def _parse_fixed(buf: np.ndarray, n_values: int, head: np.ndarray | None):
+def _parse_fixed(buf: np.ndarray, n_values: int):
     """Stamps and (lines, n_values) values of a buffer from _line_buffer
-    whose lines each start with a stamp in the layout `head`: exactly as the
+    whose lines each start with a stamp in write_csv's layout: exactly as the
     row loop reads them, with float() per value. None if any line is in
     another layout, any field may split or read otherwise under csv.reader,
     or any value does not parse. The buffer is overwritten."""
-    if head is None:
-        return None
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.empty_like(ends)
     starts[0], starts[1:] = 0, ends[:-1] + 1
-    stamps = _stamp_minutes(buf, starts, ends, head)
+    stamps = _stamp_minutes(buf, starts, ends)
     if stamps is None:
         return None
-    # No byte is a control or a space but a line end: a LF, or the CR of a
-    # CRLF (a lone CR ends a line for csv.reader). A quote or a byte outside
-    # ASCII lands in a cell, which float() of bytes then rejects.
-    crlf = np.count_nonzero(buf[ends - 1] == ord("\r"))
-    if np.count_nonzero(buf <= ord(" ")) != ends.size + crlf:
+    # A CR only in a CRLF: csv.reader ends a line at a lone CR.
+    if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(buf[ends - 1] == ord("\r")):
         return None
     # Each line has n_values commas when the head's comma, checked above, is
     # the first of each n_values in the block.
     commas = np.flatnonzero(buf == ord(","))
     if (commas.size != n_values * ends.size
-            or (commas[::n_values] != starts + (head.size - 1)).any()):
+            or (commas[::n_values] != starts + (_FIXED_HEAD.size - 1)).any()):
         return None
-    # With no space in any line, the cell count comes out short exactly
-    # when a field is empty.
-    buf[commas] = ord(" ")
-    _windows(buf, head.size)[starts] = np.void(b" " * head.size)
-    cells = buf.tobytes().split()
-    if len(cells) != n_values * ends.size:
-        return None
+    # With the heads blanked and the line ends made commas, each cell is one
+    # csv.reader field. float() strips the spaces and the CR around a value,
+    # as in the row loop; an empty field, a space inside a value, a quote or
+    # a byte outside ASCII fails in float() of bytes.
+    _windows(buf, _FIXED_HEAD.size)[starts] = np.void(b" " * _FIXED_HEAD.size)
+    buf[ends] = ord(",")
+    cells = buf[:-1].tobytes().split(b",")
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
     except ValueError:
@@ -248,53 +222,45 @@ def _parse_rows(path, reader, stop: int, lines_before: int, n_fields: int):
     return stamps, values, lines, None
 
 
-def _read_blocks(path, header: tuple):
-    """Stamps and (rows, values) of one CSV file read in binary blocks of
-    whole lines of about CSV_BLOCK_BYTES, each through _parse_fixed, with the
-    stamp layout of the first data line throughout; None if the header or
-    any block is in doubt."""
-    n_values = len(header) - 1
-    stamps = [np.empty(0, dtype=np.int64)]
-    values = [np.empty((0, n_values))]
-    with open(path, "rb") as fh:
-        first = fh.readline(CSV_BLOCK_BYTES)
-        names = first.removesuffix(b"\n").removesuffix(b"\r")
-        if (not first.endswith(b"\n") or b"\r" in names
-                or [n.strip() for n in names.split(b",")] != [h.encode() for h in header]):
+def _read_blocks(fh, header: tuple, keep) -> int | None:
+    """Read a CSV file from the binary file fh in blocks of whole lines of
+    about CSV_BLOCK_BYTES, each through _parse_fixed, and pass keep() each
+    block's stamps and values with its file lines. Stop at the header or the
+    first block in doubt with fh at its first byte, and return the count of
+    file lines before it; None when the whole file is read."""
+    first = fh.readline(CSV_BLOCK_BYTES)
+    names = first.removesuffix(b"\n").removesuffix(b"\r")
+    if (not first.endswith(b"\n") or b"\r" in names
+            or [n.strip() for n in names.split(b",")] != [h.encode() for h in header]):
+        fh.seek(0)
+        return 0
+    done, offset, rest = 1, len(first), b""
+    while True:
+        more = fh.read(CSV_BLOCK_BYTES)
+        block = rest + more
+        if not block:
             return None
-        head, rest = None, b""
-        while True:
-            block = fh.read(CSV_BLOCK_BYTES)
-            if not block:
-                if not rest:
-                    break
-                block, rest = rest, b""  # the last line, without a line end
-            else:
-                block = rest + block
-                cut = block.rfind(b"\n") + 1
-                if not cut:  # a line longer than a block, or CR line ends
-                    return None
-                block, rest = block[:cut], block[cut:]
-            buf = _line_buffer(block)
-            if head is None:
-                head = _stamp_head(buf)
-            parsed = _parse_fixed(buf, n_values, head)
-            if parsed is None:
-                return None
-            stamps.append(parsed[0])
-            values.append(parsed[1])
-    return np.concatenate(stamps), np.concatenate(values)
+        # Whole lines, or the last line, which may have no line end. No line
+        # end at all: a line longer than a block, or CR line ends.
+        cut = block.rfind(b"\n") + 1 if more else len(block)
+        parsed = _parse_fixed(_line_buffer(block[:cut]), len(header) - 1) if cut else None
+        if parsed is None:
+            fh.seek(offset)
+            return done
+        keep(parsed, range(done + 1, done + 1 + parsed[0].size))
+        done += parsed[0].size
+        offset += cut
+        rest = block[cut:]
 
 
-def _read_chunks(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndarray]:
-    """Stamps and (rows, values) of one CSV file, read CSV_CHUNK_ROWS lines
-    at a time. A chunk in one stamp layout is parsed by _parse_fixed; any
-    other goes through the row loop. Errors name the file line and come in
-    row order, as in a plain row loop."""
+def _read_chunks(fh, path, header: tuple, done: int, keep) -> None:
+    """Read the rest of a CSV file, after its first `done` lines, from the
+    text file fh, CSV_CHUNK_ROWS lines at a time, and pass keep() each
+    chunk's rows as _read_blocks does, with the chunk's first ParseError.
+    A chunk in write_csv's layout is parsed by _parse_fixed; any other goes
+    through the row loop. The header is read first when done is 0."""
     n_values = len(header) - 1
-    stamps = [np.empty(0, dtype=np.int64)]
-    values = [np.empty((0, n_values))]
-    with open(path, newline="") as fh:
+    if not done:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:
@@ -302,45 +268,48 @@ def _read_chunks(path, header: tuple, first_problem) -> tuple[np.ndarray, np.nda
         if tuple(h.strip() for h in first) != header:
             raise ParseError(f"{path}: expected header {','.join(header)}")
         done = reader.line_num
-        while chunk := list(islice(fh, CSV_CHUNK_ROWS)):
-            # The file splits lines at CR, LF and CRLF, as csv.reader does.
-            buf = _line_buffer("\n".join(line.rstrip("\r\n") for line in chunk).encode())
-            parsed = _parse_fixed(buf, n_values, _stamp_head(buf))
-            if parsed is not None:
-                lines, error = range(done + 1, done + 1 + len(chunk)), None
-                done += len(chunk)
-            else:
-                # A quoted record may run past the chunk: the reader then
-                # takes its remaining lines from the file.
-                reader = csv.reader(chain(chunk, fh))
-                chunk_stamps, chunk_values, lines, error = _parse_rows(
-                    path, reader, len(chunk), done, n_values + 1)
-                parsed = (np.array(chunk_stamps, dtype=np.int64),
-                          np.array(chunk_values).reshape(-1, n_values))
-                done += reader.line_num
-            problem = first_problem(parsed[1])
-            if problem is not None:
-                raise DataError(f"{path}: line {lines[problem[0]]}: {problem[1]}")
-            if error is not None:
-                raise error
-            stamps.append(parsed[0])
-            values.append(parsed[1])
-    return np.concatenate(stamps), np.concatenate(values)
+    while chunk := list(islice(fh, CSV_CHUNK_ROWS)):
+        # The file splits lines at CR, LF and CRLF, as csv.reader does.
+        parsed = _parse_fixed(_line_buffer(
+            "\n".join(line.rstrip("\r\n") for line in chunk).encode()), n_values)
+        if parsed is not None:
+            keep(parsed, range(done + 1, done + 1 + len(chunk)))
+            done += len(chunk)
+        else:
+            # A quoted record may run past the chunk: the reader then takes
+            # its remaining lines from the file.
+            reader = csv.reader(chain(chunk, fh))
+            chunk_stamps, chunk_values, lines, error = _parse_rows(
+                path, reader, len(chunk), done, n_values + 1)
+            keep((np.array(chunk_stamps, dtype=np.int64),
+                  np.array(chunk_values).reshape(-1, n_values)), lines, error)
+            done += reader.line_num
 
 
 def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndarray]:
-    """Stamps and (rows, values) of one CSV file: by blocks of bytes when
-    every line is in one stamp layout with plain values, else by chunks of
-    lines. `first_problem(values)` returns the index and message of the
-    first row whose values fail a check, or None. Errors name the file line
-    and come in row order, as in a plain row loop."""
-    table = _read_blocks(path, header)
-    if table is None:
-        return _read_chunks(path, header, first_problem)
-    problem = first_problem(table[1])
-    if problem is not None:  # the header is line 1, and every record one line
-        raise DataError(f"{path}: line {problem[0] + 2}: {problem[1]}")
-    return table
+    """Stamps and (rows, values) of one CSV file: read by blocks of bytes up
+    to the first block that is not all in write_csv's layout with plain
+    values, and by chunks of lines from there on. `first_problem(values)`
+    returns the index and message of the first row whose values fail a
+    check, or None. Errors name the file line and come in row order, as in a
+    plain row loop."""
+    stamps = [np.empty(0, dtype=np.int64)]
+    values = [np.empty((0, len(header) - 1))]
+
+    def keep(parsed, lines, error=None):
+        problem = first_problem(parsed[1])
+        if problem is not None:
+            raise DataError(f"{path}: line {lines[problem[0]]}: {problem[1]}")
+        if error is not None:
+            raise error
+        stamps.append(parsed[0])
+        values.append(parsed[1])
+
+    with open(path, "rb") as fh:
+        done = _read_blocks(fh, header, keep)
+        if done is not None:
+            _read_chunks(io.TextIOWrapper(fh, newline=""), path, header, done, keep)
+    return np.concatenate(stamps), np.concatenate(values)
 
 
 def _first_nwp_problem(chans: np.ndarray):

@@ -229,26 +229,10 @@ def _set(index, make):
     return edit
 
 
-def _in_zone(hours, minutes=0):
-    zone = timezone(timedelta(hours=hours, minutes=minutes))
-
-    def make(stamp, rest):
-        local = datetime.fromtimestamp(data.parse_timestamp(stamp) * 60, tz=zone)
-        return f"{local.isoformat()},{rest}"
-    return make
-
-
-_offset_stamp = _in_zone(1)
-
-
-def _every(make, switch=None, then=None):
-    """Rewrite every data line through make(stamp, rest), or through then()
-    from line index `switch` on."""
-    def edit(lines):
-        for i in range(1, len(lines)):
-            lines[i] = (make if switch is None or i < switch else then)(*lines[i].split(",", 1))
-        return lines
-    return edit
+def _offset_stamp(stamp, rest):
+    minute = data.parse_timestamp(stamp)
+    local = datetime.fromtimestamp(minute * 60, tz=timezone(timedelta(hours=1)))
+    return f"{local.isoformat()},{rest}"
 
 
 def _line_ends(end):
@@ -281,31 +265,30 @@ INGEST_CASES = {
     "rows_4097": (_truncate(4097), None),
     "rows_4097_slow_tail": (lambda lines: _set(4097, _offset_stamp)(lines[:4098]), None),
     "rows_4097_lf": (lambda lines: _line_ends("\n")(lines[:4098]), None),
-    # the two stamp layouts of site exports besides write_csv's, each for a
-    # whole file: no zone (UTC), and UTC offsets that change in the file
-    "no_z_file": (_every(lambda s, r: f"{s[:-1]},{r}"), _every(lambda s, r: f"{s[:-1]},{r}")),
-    "offset_file": (_every(_in_zone(1), 5000, _in_zone(2)),
-                    _every(_in_zone(-1), 70, _in_zone(0))),
-    "half_hour_offset_file": (_every(_in_zone(5, 30)), _every(_in_zone(-3, -30))),
     # records split across block reads (CSV_BLOCK_BYTES is patched down),
-    # and a line longer than a block: 400 zeros before its pressure
+    # the byte path handing over to the chunked reader at a late block, and
+    # a line longer than a block: 400 zeros before its pressure
     "blocks_of_300_bytes": (None, None),
+    "hand_over_at_late_block": (_set(6000, lambda s, r: f'"{s}",{r}'),
+                                _set(100, lambda s, r: f'"{s}",{r}')),
     "line_longer_than_a_block": (
         None, _set(50, lambda s, r: f"{s},{r.replace(',', ',' + 400 * '0', 1)}")),
     "no_final_line_end": (lambda lines: lines[:-1] + [lines[-1][:-2]],
                           lambda lines: lines[:-1] + [lines[-1][:-2]]),
     "underscore_value": (_set(7, lambda s, r: f"{s},1_0\r\n"), None),
+    # a lone CR before a CRLF: one more file line, blank, for csv.reader
+    "lone_cr_before_crlf": (_set(100, lambda s, r: f"{s},{r[:-2]}\r\r\n"), None),
     # digits that float() reads in text but not in bytes: U+0661 U+0660 is 10
     "arabic_indic_digits": (_set(8, lambda s, r: f"{s},\u0661\u0660\r\n"), None),
 }
-BLOCK_BYTES = {"blocks_of_300_bytes": 300, "line_longer_than_a_block": 300}
+BLOCK_BYTES = {"blocks_of_300_bytes": 300, "hand_over_at_late_block": 300,
+               "line_longer_than_a_block": 300}
 # The readers besides the byte path that each case needs: the chunked reader
 # ("chunks"), and its row loop ("rows"), which every other case needs.
 READERS = {case: set() for case in (
-    "crlf", "lf", "rows_4095", "rows_4096", "rows_4097", "rows_4097_lf", "no_z_file",
-    "offset_file", "half_hour_offset_file", "blocks_of_300_bytes", "no_final_line_end",
-    "underscore_value")}
-READERS.update(cr={"chunks"}, line_longer_than_a_block={"chunks"}, rows_4097_slow_tail={"chunks"})
+    "crlf", "lf", "spaces_in_values", "rows_4095", "rows_4096", "rows_4097", "rows_4097_lf",
+    "blocks_of_300_bytes", "no_final_line_end", "underscore_value")}
+READERS.update(cr={"chunks"}, line_longer_than_a_block={"chunks"})
 
 
 def _assert_same_ingest(got, want):
@@ -342,22 +325,20 @@ def test_ingest_matches_row_loop_reference(tmp_path, monkeypatch, case, start):
 
 
 def _stamp_minutes(lines):
-    """The byte head parser over the lines, in the layout of the first."""
+    """The byte head parser over the lines."""
     buf = np.frombuffer("".join(lines).encode(), dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
-    return data._stamp_minutes(buf, starts, ends, data._stamp_head(buf))
+    return data._stamp_minutes(buf, starts, ends)
 
 
 def test_fixed_layout_stamps_match_parse_timestamp():
     valid = ["0001-01-01T00:00", "1899-12-31T23:59", "1900-02-28T12:00", "1900-03-01T00:00",
              "1969-12-31T23:59", "1970-01-01T00:00", "2000-02-29T00:01", "2020-12-31T23:59",
              "2100-02-28T00:00", "2100-03-01T00:00", "9999-12-31T23:59"]
-    for zone in ["Z", "", "+00:00", "-00:00", "+01:00", "-05:30", "+23:59", "-23:59"]:
-        lines = [f"{stamp}:00{zone},1.0\n" for stamp in valid]
-        assert _stamp_minutes(lines).tolist() == [data.parse_timestamp(f"{s}:00{zone}")
-                                                  for s in valid], zone
     lines = [f"{stamp}:00Z,1.0\n" for stamp in valid]
+    assert _stamp_minutes(lines).tolist() == [data.parse_timestamp(f"{s}:00Z")
+                                              for s in valid]
     invalid = ["0000-01-01T00:00", "1900-02-29T00:00", "2021-02-29T00:00", "2100-02-29T00:00",
                "2021-04-31T00:00", "2021-00-10T00:00", "2021-13-10T00:00", "2021-01-00T00:00",
                "2021-01-01T24:00", "2021-01-01T23:60", "2021-01-01 00:00", "2021-01-0a:00:00"]
@@ -367,11 +348,6 @@ def test_fixed_layout_stamps_match_parse_timestamp():
                  "2021-01-01T00:00:00Z;1.0\n", "2021-01-01T00:00:00Z\n", "\n",
                  "2021-01-01T00:00:00Ż,1.0\n", "2021-01-01T00:00:00,1.0\n"]:
         assert _stamp_minutes(lines[:3] + [line]) is None, line
-    # offsets parse_timestamp rejects, and +01:60, which it reads as two
-    # hours and this parser leaves to the row loop
-    lines = [f"{stamp}:00+01:00,1.0\n" for stamp in valid]
-    for zone in ["+24:00", "+23:60", "+01:60", "*01:00", "+01-00", "+0100,"]:
-        assert _stamp_minutes(lines[:3] + [f"2021-01-01T00:00:00{zone},1.0\n"]) is None, zone
 
 
 def _swap_stamps(index):
@@ -407,13 +383,20 @@ INGEST_ERROR_CASES = {
     "header_with_lone_cr": (lambda lines: ["timestamp\r,power_w\r\n"] + lines[1:], None),
     "nul_byte": (_set(5000, lambda s, r: f"{s},1.0\x00\r\n"), None),
     "hex_value": (_set(5000, lambda s, r: f"{s},0x10\r\n"), None),
-    # in one block, an empty field and then two values with a space between:
-    # the block's cell count comes out right
+    # in one block, an empty field and then two values with a space between,
+    # which a count of the block's cells would let even out
     "empty_field_beside_spaced_values": (
         lambda lines: _set(5001, lambda s, r: f"{s},1.0 2.0\r\n")(
             _set(5000, lambda s, r: f"{s},\r\n")(lines)),
         lambda lines: _set(31, lambda s, r: f"{s},1,2 9,3,4,5\r\n")(
             _set(30, lambda s, r: f"{s},1,,3,4,5\r\n")(lines))),
+    # a PV file of two blocks: an error in the second, read by the byte path,
+    # and one after the byte path hands over at the second
+    "overshoot_in_second_block": (
+        lambda lines: _set(12000, lambda s, r: f"{s},1060.0\r\n")(lines + lines[1:]), None),
+    "parse_error_after_hand_over": (
+        lambda lines: _set(13000, lambda s, r: f"{s},abc\r\n")(
+            _set(10000, lambda s, r: f'"{s}",{r}')(lines + lines[1:])), None),
     # five and seven fields: the right count of values over the two lines
     "nwp_field_counts_even_out": (None, lambda lines: _set(21, lambda s, r: f"{s},1,{r}")(
         _set(20, lambda s, r: f"{s},{r.split(',', 1)[1]}")(lines))),
