@@ -12,6 +12,7 @@ sequence, or per step for a one-step input, with the last h and c as two
 more outputs that each take a gradient. ``attend`` is one node per attention
 query step, its query projection included; the key and value gradients of
 all steps are computed together by the node that ``attention_memory`` records.
+Both join a tuple of input parts themselves. ``temporal`` maps over time.
 ``summed_loss`` records a whole KL or squared-error loss as one node.
 """
 
@@ -136,30 +137,10 @@ def _swap(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with batch broadcasting over leading axes."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = a.data @ b.data  # non-finite results are rejected in _emit
-    except ValueError as exc:
-        raise ShapeError(f"matmul batch mismatch: {a.shape} x {b.shape}") from exc
-
-    def grad_fn(g):
-        ga = _unbroadcast(g @ _swap(b.data), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(_swap(a.data) @ g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _emit("matmul", (a, b), out, grad_fn)
-
-
 def affine(x, w, b) -> Tensor:
     """x @ w + b as one tape node, with batch broadcasting over x's leading
-    axes; values and gradients are bitwise those of a matmul then an add node."""
+    axes; values and gradients are bitwise those of a matmul then an add node,
+    the composite that the tests keep as reference."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim < 2 or w.data.ndim != 2:
         raise ShapeError(f"affine needs >=2-D input and 2-D weights, got {x.shape} x {w.shape}")
@@ -175,6 +156,25 @@ def affine(x, w, b) -> Tensor:
                 _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _emit("affine", (x, w, b), out, grad_fn)
+
+
+def temporal(x, w) -> Tensor:
+    """(..., in_steps, features) by (in_steps, out_steps) weights over the time
+    axis to (..., out_steps, features), one tape node. It runs a swap/matmul/swap
+    chain's numpy calls, so its values and gradients equal that chain's bitwise."""
+    x, w = as_tensor(x), as_tensor(w)
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-2] != w.shape[0]:
+        raise ShapeError(f"temporal shapes do not fit: x {x.shape} (..., steps, f), w {w.shape}")
+    cols = _swap(x.data).copy()  # (..., features, in_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _swap(cols @ w.data).copy()  # non-finite results are rejected in _emit
+
+    def grad_fn(g):
+        d_cols = _swap(g).copy()  # C order, as the chain's matmul read its gradient
+        return (_swap(d_cols @ _swap(w.data)) if x.requires_grad else None,
+                _unbroadcast(_swap(cols) @ d_cols, w.shape) if w.requires_grad else None)
+
+    return _emit("temporal", (x, w), out, grad_fn)
 
 
 def _sigmoid(d: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -226,22 +226,24 @@ def softmax(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def concat(a, b, axis: int = -1) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != b.data.ndim:
-        raise ShapeError(f"concat rank mismatch: {a.shape} vs {b.shape}")
-    ax = axis % a.data.ndim
-    for i, (da, db) in enumerate(zip(a.shape, b.shape)):
-        if i != ax and da != db:
-            raise ShapeError(f"concat shapes {a.shape} and {b.shape} differ on axis {i}")
-    out = np.concatenate([a.data, b.data], axis=ax)
-    split_at = a.shape[ax]
+def _join(op: str, x) -> tuple[tuple[Tensor, ...], np.ndarray]:
+    """An op input given as one tensor or as a tuple of parts: the parts, and
+    their join on the last axis. One part is read without a copy."""
+    parts = tuple(as_tensor(p) for p in x) if isinstance(x, tuple) else (as_tensor(x),)
+    if len(parts) == 1:
+        return parts, parts[0].data
+    if not parts or any(p.data.ndim == 0 or p.shape[:-1] != parts[0].shape[:-1] for p in parts):
+        raise ShapeError(f"{op}: parts {[p.shape for p in parts]} do not join on the last axis")
+    return parts, np.concatenate([p.data for p in parts], axis=-1)
 
-    def grad_fn(g):
-        ga, gb = np.split(g, [split_at], axis=ax)
-        return (ga if a.requires_grad else None, gb if b.requires_grad else None)
 
-    return _emit("concat", (a, b), out, grad_fn)
+def _split(g, parts: tuple) -> tuple:
+    """A joined input's gradient `g`, or None, as a view for each part that takes one."""
+    if g is None:
+        return (None,) * len(parts)
+    bounds = np.cumsum([p.shape[-1] for p in parts[:-1]])
+    return tuple(gp if p.requires_grad else None
+                 for p, gp in zip(parts, np.split(g, bounds, axis=-1)))
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -349,6 +351,8 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
     """An LSTM layer as one three-output tape node. Over a (batch, steps, in)
     input it returns every step's h as (batch, steps, units), then the last h
     and c; a (batch, in) input is one step, and h comes back as (batch, units).
+    The input may be a tuple of parts, such as a context and a step input:
+    the node joins them on the last axis and splits their gradient back.
 
     With pre = (x @ w_x + h @ w_h) + bias split into gate blocks (i, f, g, o),
     i, f, o = sigmoid and g = tanh, each step gives c' = f*c + i*g and
@@ -369,8 +373,9 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
     projected _PROJECTION_CHUNK steps at a time, and the last h is a copy, so
     a caller that drops h_seq frees the step buffer.
     """
-    x, h0, c0, w_x, w_h, bias = (as_tensor(t) for t in (x, h0, c0, w_x, w_h, bias))
-    rank = x.data.ndim
+    parts, x = _join("lstm_layer", x)
+    h0, c0, w_x, w_h, bias = (as_tensor(t) for t in (h0, c0, w_x, w_h, bias))
+    rank = x.ndim
     if rank not in (2, 3) or rank == 3 and x.shape[1] == 0 or h0.data.ndim != 2:
         raise ShapeError(f"lstm_layer needs (batch, in) or (batch, steps>0, in) input and "
                          f"(batch, units) state, got {x.shape} and {h0.shape}")
@@ -381,12 +386,12 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
             or w_h.shape != (u, 4 * u) or bias.shape != (4 * u,)):
         raise ShapeError(f"lstm_layer shapes do not fit: x {x.shape}, h0 {h0.shape}, "
                          f"c0 {c0.shape}, w_x {w_x.shape}, w_h {w_h.shape}, bias {bias.shape}")
-    inputs = (x, h0, c0, w_x, w_h, bias)
+    inputs = parts + (h0, c0, w_x, w_h, bias)
     requires = any(t.requires_grad for t in inputs)
     tape = _active_tape()
     record = tape is not None and requires
 
-    xs = np.swapaxes(x.data.reshape(batch, steps, width), 0, 1)  # (steps, batch, in)
+    xs = np.swapaxes(x.reshape(batch, steps, width), 0, 1)  # (steps, batch, in)
     chunk = steps if record else min(_PROJECTION_CHUNK, steps)
     gates = np.empty((chunk, batch, 4 * u))  # projections, then activations
     hs = np.empty((steps + 1, batch, u))
@@ -449,12 +454,9 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
                 if t or h0.requires_grad:
                     dh = np.matmul(d_pre[t], w_h_t, out=dh_buf)
             rows = d_pre.reshape(steps * batch, 4 * u)
-            d_x = None
-            if x.requires_grad:
-                d_x = np.swapaxes((rows @ _swap(w_x.data)).reshape(steps, batch, width), 0, 1)
-                d_x = d_x.reshape(x.shape)
-            return (
-                d_x,
+            d_x = (np.swapaxes((rows @ _swap(w_x.data)).reshape(steps, batch, width), 0, 1)
+                   .reshape(x.shape) if any(p.requires_grad for p in parts) else None)
+            return _split(d_x, parts) + (
                 dh if h0.requires_grad else None,
                 dc if c0.requires_grad else None,
                 _swap(x_rows) @ rows if w_x.requires_grad else None,
@@ -525,7 +527,8 @@ def attention_memory(kp_t, vp) -> KeyValueMemory:
 
 def attend(query, w_q, b_q, memory: KeyValueMemory) -> Tensor:
     """softmax((qp @ kp_t) / sqrt(width)) @ vp with qp = query @ w_q + b_q, as
-    one tape node: a (..., q) query gives a (..., value width) context.
+    one tape node: a (..., q) query gives a (..., value width) context; a
+    tuple of query parts is joined and split back as lstm_layer's input is.
 
     Each query is read as a (..., 1, q) row, so that forward and the query,
     w_q and b_q gradients repeat the affine/matmul/scale/softmax/matmul
@@ -533,10 +536,11 @@ def attend(query, w_q, b_q, memory: KeyValueMemory) -> Tensor:
     the memory's node (see KeyValueMemory), so the memory must have been
     created under the tape that records the queries.
     """
-    query, w_q, b_q = as_tensor(query), as_tensor(w_q), as_tensor(b_q)
+    parts, query = _join("attend", query)
+    w_q, b_q = as_tensor(w_q), as_tensor(b_q)
     kp_t, vp, token = memory.kp_t.data, memory.vp.data, memory.token
     width = kp_t.shape[-2]
-    if (query.data.ndim != kp_t.ndim - 1 or query.shape[:-1] != kp_t.shape[:-2]
+    if (query.ndim != kp_t.ndim - 1 or query.shape[:-1] != kp_t.shape[:-2]
             or w_q.shape != (query.shape[-1], width) or b_q.shape != (width,)):
         raise ShapeError(f"attend shapes do not fit: query {query.shape}, w_q {w_q.shape}, "
                          f"b_q {b_q.shape}, keys {kp_t.shape}")
@@ -546,7 +550,7 @@ def attend(query, w_q, b_q, memory: KeyValueMemory) -> Tensor:
         raise ContractError("attend: the key/value memory was not created under the "
                             "recording tape, so its keys and values would get no "
                             "gradient; call attention_memory inside that tape")
-    rows = np.expand_dims(query.data, -2)
+    rows = np.expand_dims(query, -2)
     scale = 1.0 / math.sqrt(width)
     with np.errstate(over="ignore", invalid="ignore"):
         qp = rows @ w_q.data
@@ -566,12 +570,14 @@ def attend(query, w_q, b_q, memory: KeyValueMemory) -> Tensor:
             if token.requires_grad:
                 memory.rows.append((qp, d_scores, weights, g))
             d_qp = d_scores @ _swap(kp_t)
-            return ((d_qp @ _swap(w_q.data)).reshape(query.shape) if query.requires_grad else None,
-                    _unbroadcast(_swap(rows) @ d_qp, w_q.shape) if w_q.requires_grad else None,
-                    _unbroadcast(d_qp, b_q.shape) if b_q.requires_grad else None,
-                    np.zeros(()) if token.requires_grad else None)
+            d_query = ((d_qp @ _swap(w_q.data)).reshape(query.shape)
+                       if any(p.requires_grad for p in parts) else None)
+            return _split(d_query, parts) + (
+                _unbroadcast(_swap(rows) @ d_qp, w_q.shape) if w_q.requires_grad else None,
+                _unbroadcast(d_qp, b_q.shape) if b_q.requires_grad else None,
+                np.zeros(()) if token.requires_grad else None)
 
-    return _emit("attention", (query, w_q, b_q, token), out, grad_fn)
+    return _emit("attention", parts + (w_q, b_q, token), out, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,9 @@ class LstmLayer:
 
 
 def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-    """One recurrence step of a (batch, in) input: c' = f*c + i*g,
-    h' = o*tanh(c'), one lstm_layer node. A wrong input width raises
-    lstm_layer's ShapeError."""
+    """One recurrence step of a (batch, in) input, or of a tuple of parts that
+    join to one on the last axis: c' = f*c + i*g, h' = o*tanh(c'), one
+    lstm_layer node. A wrong input width raises lstm_layer's ShapeError."""
     h, c = state
     if h.shape[-1] != layer.units or c.shape[-1] != layer.units:
         raise ContractError(
@@ -131,7 +131,8 @@ class AttentionLayer:
 
 
 def attend_projected(layer: AttentionLayer, query, memory: ad.KeyValueMemory) -> Tensor:
-    """softmax((q W_q + b_q) Kᵀ / sqrt(width)) V for (..., query_size) queries, one node."""
+    """softmax((q W_q + b_q) Kᵀ / sqrt(width)) V for (..., query_size) queries,
+    or tuples of parts that join to them, one node."""
     return ad.attend(query, layer.w_q.weights, layer.w_q.bias, memory)
 
 
@@ -142,8 +143,6 @@ class TemporalTransform:
     def __init__(self, in_steps: int, feature_size: int, out_features: int,
                  out_steps: int = 24, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.in_steps = in_steps
-        self.out_steps = out_steps
         self.time_weights = Tensor(_glorot(rng, in_steps, out_steps, (in_steps, out_steps)),
                                    requires_grad=True)
         self.feature_proj = DenseLayer(feature_size, out_features, rng=rng)
@@ -155,9 +154,7 @@ class TemporalTransform:
 
 
 def temporal_transform(t: TemporalTransform, x) -> Tensor:
-    """Project (..., in_steps, features) to (..., out_steps, out_features)."""
-    x = ad.as_tensor(x)
-    if x.shape[-2] != t.in_steps:
-        raise ShapeError(f"temporal transform expects {t.in_steps} steps, got {x.shape[-2]}")
-    collapsed = ad.matmul(ad.swap_last_axes(x), t.time_weights)
-    return t.feature_proj(ad.swap_last_axes(collapsed))
+    """Project (..., in_steps, features) to (..., out_steps, out_features):
+    one temporal node over the time axis, then the per-step feature
+    projection. A wrong step count raises temporal's ShapeError."""
+    return t.feature_proj(ad.temporal(x, t.time_weights))

@@ -2,13 +2,13 @@
 encoder-decoder models with and without attention, in expected-value and
 binned-distribution target modes.
 
-Decoder wiring for the attention variant, per step, where each context is
-one attend node that projects its (batch, q) query itself:
-  layer 1: query = concat(step input, layer-1 hidden state); keys/values are
-           the encoder's top-layer output sequence; the resulting context is
-           concatenated with the step input and fed to LSTM layer 1.
-  layer j>1: query = layer j's hidden state; context is concatenated with
-           layer j-1's output and fed to layer j.
+Decoder wiring for the attention variant, per step: each context is one
+attend node that projects its (batch, q) query itself, over the encoder's
+top-layer outputs as keys and values. Layer 1's query is (step input,
+layer-1 h) and LSTM layer 1 reads (context, step input); layer j>1's query
+is layer j's h and layer j reads (context, layer j-1's output). Each tuple is
+passed as parts, which the node joins on the last axis itself, so no concat
+node sits between them; with decoder_nwp the step input adds the weather.
 The attention projection width is units//2, which keeps the attention
 variants' parameter count in line with the equal-capacity baselines.
 """
@@ -313,20 +313,15 @@ class Seq2SeqModel(Model):
         feedback = Tensor(p0)
         outputs = []
         for t in range(cfg.output_steps):
-            if t > 0 and mode == "teacher_forcing":
-                step_in = Tensor(teacher[:, t - 1])
-            else:
-                step_in = feedback
-            if cfg.decoder_nwp:
-                step_in = ad.concat(step_in, Tensor(nwp_ahead[:, t]), axis=-1)
-
-            h = step_in
+            step_in = Tensor(teacher[:, t - 1]) if t and mode == "teacher_forcing" else feedback
+            x = (step_in, Tensor(nwp_ahead[:, t])) if cfg.decoder_nwp else (step_in,)
             for i, layer in enumerate(self.decoder):
                 if self.attention:
-                    query = ad.concat(h, dec_states[i][0], axis=-1) if i == 0 else dec_states[i][0]
-                    h = ad.concat(ly.attend_projected(self.attn[i], query, memories[i]), h, axis=-1)
-                h, c = ly.lstm_step(layer, h, dec_states[i])
+                    query = x + (dec_states[i][0],) if i == 0 else dec_states[i][0]
+                    x = (ly.attend_projected(self.attn[i], query, memories[i]),) + x
+                h, c = ly.lstm_step(layer, x, dec_states[i])
                 dec_states[i] = (h, c)
+                x = (h,)
             out = self.head(h)
             if cfg.target_mode == "pdf":
                 out = ad.softmax(out)

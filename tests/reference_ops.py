@@ -1,13 +1,53 @@
-"""Test-only references: the sigmoid and slice ops that composite LSTM cells
-are built from (the package fuses both into lstm_layer), the elementwise,
-reduction and reshape ops that the composite losses are built from (the
-package fuses them into summed_loss), and central finite-difference gradient
-checking for tapes and models."""
+"""Test-only references: the matmul and concat ops, which the package folds
+into affine, lstm_layer, attend and temporal; the sigmoid and slice ops that
+composite LSTM cells are built from (fused into lstm_layer); the elementwise,
+reduction and reshape ops of the composite losses (fused into summed_loss);
+and central finite-difference gradient checking for tapes and models."""
 
 import numpy as np
 
-from pvcast.autodiff import Tape, Tensor, _emit, _sigmoid, _unbroadcast, as_tensor, backward
+from pvcast.autodiff import (Tape, Tensor, _emit, _sigmoid, _swap, _unbroadcast, as_tensor,
+                             backward)
 from pvcast.errors import ContractError, ShapeError
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product with batch broadcasting over leading axes."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = a.data @ b.data  # non-finite results are rejected in _emit
+    except ValueError as exc:
+        raise ShapeError(f"matmul batch mismatch: {a.shape} x {b.shape}") from exc
+
+    def grad_fn(g):
+        ga = _unbroadcast(g @ _swap(b.data), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(_swap(a.data) @ g, b.shape) if b.requires_grad else None
+        return ga, gb
+
+    return _emit("matmul", (a, b), out, grad_fn)
+
+
+def concat(a, b, axis: int = -1) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != b.data.ndim:
+        raise ShapeError(f"concat rank mismatch: {a.shape} vs {b.shape}")
+    ax = axis % a.data.ndim
+    for i, (da, db) in enumerate(zip(a.shape, b.shape)):
+        if i != ax and da != db:
+            raise ShapeError(f"concat shapes {a.shape} and {b.shape} differ on axis {i}")
+    out = np.concatenate([a.data, b.data], axis=ax)
+    split_at = a.shape[ax]
+
+    def grad_fn(g):
+        ga, gb = np.split(g, [split_at], axis=ax)
+        return (ga if a.requires_grad else None, gb if b.requires_grad else None)
+
+    return _emit("concat", (a, b), out, grad_fn)
 
 
 def sigmoid(x) -> Tensor:

@@ -3,6 +3,7 @@ tape mechanics, and the Nesterov optimizer update rule."""
 
 import gc
 import math
+import re
 import warnings
 import weakref
 
@@ -16,25 +17,26 @@ from pvcast import autodiff as ad
 from pvcast.autodiff import SgdNesterov, Tape, Tensor, backward
 from pvcast.errors import ContractError, DomainError, NumericsError, ShapeError
 
-from reference_ops import (add, check_gradients, clamped_log, max_relative_error, mul,
-                           numeric_gradient, reshape, scale, sigmoid, slice_axis, sub, sum_all)
+from reference_ops import (add, check_gradients, clamped_log, concat, matmul,
+                           max_relative_error, mul, numeric_gradient, reshape, scale, sigmoid,
+                           slice_axis, sub, sum_all)
 
 
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ad.matmul(eye, m).data, m.data)
+    assert np.array_equal(matmul(eye, m).data, m.data)
 
 
 def test_matmul_hand_example():
-    out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+    out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     assert out.data.shape == (1, 1)
     assert out.data[0, 0] == pytest.approx(11.0)
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
 def test_matmul_gradients_match_finite_differences():
@@ -44,7 +46,7 @@ def test_matmul_gradients_match_finite_differences():
     w = rng.normal(size=(3, 2))  # fixed mixing so the loss is not symmetric
 
     def build_loss():
-        return sum_all(mul(ad.matmul(a, b), Tensor(w)))
+        return sum_all(mul(matmul(a, b), Tensor(w)))
 
     assert check_gradients(build_loss, [a, b]) < 1e-6
 
@@ -55,7 +57,7 @@ def test_matmul_batched_gradients():
     b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
 
     def build_loss():
-        return sum_all(ad.tanh(ad.matmul(a, b)))
+        return sum_all(ad.tanh(matmul(a, b)))
 
     assert check_gradients(build_loss, [a, b]) < 1e-6
 
@@ -78,7 +80,7 @@ def _affine_run(op, x_shape, trainable):
 @pytest.mark.parametrize("trainable", ["xwb", "x", "w", "b", "wb"])
 def test_affine_bitwise_equals_matmul_add(x_shape, trainable):
     out, grads, ops = _affine_run(ad.affine, x_shape, trainable)
-    ref_out, ref_grads, _ = _affine_run(lambda x, w, b: add(ad.matmul(x, w), b),
+    ref_out, ref_grads, _ = _affine_run(lambda x, w, b: add(matmul(x, w), b),
                                         x_shape, trainable)
     assert ops[0] == "affine" and ops.count("affine") == 1
     assert np.array_equal(out, ref_out)
@@ -105,6 +107,60 @@ def test_affine_shape_errors():
         ad.affine(Tensor(np.zeros((3, 6))), w, b)
     with pytest.raises(ShapeError, match=r">=2-D input.*\(4,\)"):
         ad.affine(Tensor(np.zeros(4)), w, b)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bytes: unlike array_equal, tells -0.0 from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _temporal_run(op, x_shape, trainable):
+    """Output, x and w gradients and tape ops of op(x, w) under a tanh-and-mix
+    loss. One feature's column of the mix is -0.0, so the rule that op records
+    receives signed zeros."""
+    rng = np.random.default_rng(37)
+    x = Tensor(rng.normal(size=x_shape), requires_grad="x" in trainable)
+    w = Tensor(rng.normal(size=(x_shape[-2], 4)), requires_grad="w" in trainable)
+    mix = rng.normal(size=x_shape[:-2] + (4, x_shape[-1]))
+    mix[..., 1] = -0.0
+    with Tape() as tape:
+        out = op(x, w)
+        loss = sum_all(mul(ad.tanh(out), Tensor(mix)))
+    backward(tape, loss)
+    return out.data, [x.grad, w.grad], [n.op for n in tape.nodes]
+
+
+@pytest.mark.parametrize("x_shape", [(6, 3), (2, 6, 3)])
+@pytest.mark.parametrize("trainable", ["xw", "x", "w"])
+def test_temporal_bitwise_equals_swap_matmul_swap(x_shape, trainable):
+    out, grads, ops = _temporal_run(ad.temporal, x_shape, trainable)
+    composite = lambda x, w: ad.swap_last_axes(matmul(ad.swap_last_axes(x), w))
+    ref_out, ref_grads, ref_ops = _temporal_run(composite, x_shape, trainable)
+    assert ops[0] == "temporal" and "swap" not in ops and "matmul" not in ops
+    assert "matmul" in ref_ops and "temporal" not in ref_ops
+    assert out.shape == x_shape[:-2] + (4, 3) and _same_bits(out, ref_out)
+    for name, g, ref in zip("xw", grads, ref_grads):
+        if name in trainable:
+            assert g is not None and _same_bits(g, ref), name
+        else:
+            assert g is None and ref is None, name
+
+
+def test_temporal_gradients_match_finite_differences():
+    rng = np.random.default_rng(39)
+    x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    mix = Tensor(rng.normal(size=(2, 4, 3)))
+    assert check_gradients(lambda: sum_all(mul(ad.tanh(ad.temporal(x, w)), mix)), [x, w]) < 1e-6
+
+
+def test_temporal_shape_errors():
+    w = Tensor(np.zeros((5, 4)))
+    with pytest.raises(ShapeError, match=r"temporal shapes.*x \(2, 6, 3\).*w \(5, 4\)"):
+        ad.temporal(Tensor(np.zeros((2, 6, 3))), w)  # 6 steps against weights for 5
+    for x, w in [(Tensor(np.zeros(5)), w), (Tensor(np.zeros((5, 3))), Tensor(np.zeros(5)))]:
+        with pytest.raises(ShapeError, match="temporal shapes"):
+            ad.temporal(x, w)
 
 
 def test_softmax_uniform_and_ratio():
@@ -229,19 +285,19 @@ def test_broadcast_add_gradient_sums_over_batch():
 
 
 def test_concat_examples():
-    out = ad.concat(Tensor([1.0, 2.0]), Tensor([3.0]), axis=0)
+    out = concat(Tensor([1.0, 2.0]), Tensor([3.0]), axis=0)
     assert np.array_equal(out.data, [1.0, 2.0, 3.0])
-    out = ad.concat(Tensor(np.zeros((2, 3))), Tensor(np.ones((2, 2))), axis=1)
+    out = concat(Tensor(np.zeros((2, 3))), Tensor(np.ones((2, 2))), axis=1)
     assert out.data.shape == (2, 5)
     with pytest.raises(ShapeError):
-        ad.concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), axis=1)
+        concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), axis=1)
 
 
 def test_concat_gradient_routes_slices():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0], requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(ad.concat(a, b, axis=0))
+        loss = sum_all(concat(a, b, axis=0))
     backward(tape, loss)
     assert np.array_equal(a.grad, [1.0, 1.0])
     assert np.array_equal(b.grad, [1.0])
@@ -438,7 +494,7 @@ def _composite_lstm_cell(x, h, c, w_x, w_h, bias):
     """The LSTM step as separate primitive nodes, the reference for one-step
     lstm_layer."""
     u = c.shape[-1]
-    pre = add(add(ad.matmul(x, w_x), ad.matmul(h, w_h)), bias)
+    pre = add(add(matmul(x, w_x), matmul(h, w_h)), bias)
     i = sigmoid(slice_axis(pre, -1, 0, u))
     f = sigmoid(slice_axis(pre, -1, u, 2 * u))
     g = ad.tanh(slice_axis(pre, -1, 2 * u, 3 * u))
@@ -552,7 +608,7 @@ def test_backward_releases_intermediate_gradients():
     with Tape() as tape:
         h2, _, c2 = ad.lstm_layer(x, h, c, w_x, w_h, bias)
         h3, _, _ = ad.lstm_layer(x, h2, c2, w_x, w_h, bias)
-        loss = sum_all(ad.tanh(ad.matmul(h3, head)))
+        loss = sum_all(ad.tanh(matmul(h3, head)))
     backward(tape, loss)
     for p in params:
         assert p.grad is not None
@@ -584,7 +640,7 @@ def _chain_lstm_layer(x, h0, c0, w_x, w_h, bias):
         x_t = reshape(slice_axis(x, 1, t, t + 1), (batch, width))
         h, c = _composite_lstm_cell(x_t, h, c, w_x, w_h, bias)
         h_t = reshape(h, (batch, 1, h.shape[-1]))
-        seq = h_t if seq is None else ad.concat(seq, h_t, axis=1)
+        seq = h_t if seq is None else concat(seq, h_t, axis=1)
     return seq, c
 
 
@@ -808,9 +864,9 @@ def _composite_attend(query, w_q, b_q, memory):
     """Attention as reshape/affine/matmul/scale/softmax/matmul/reshape nodes
     over (batch, 1, q) query rows, the reference for attend."""
     rows = reshape(query, query.shape[:-1] + (1, query.shape[-1]))
-    scores = ad.matmul(ad.affine(rows, w_q, b_q), memory.kp_t)
+    scores = matmul(ad.affine(rows, w_q, b_q), memory.kp_t)
     scores = scale(scores, 1.0 / math.sqrt(memory.kp_t.shape[-2]))
-    out = ad.matmul(ad.softmax(scores), memory.vp)
+    out = matmul(ad.softmax(scores), memory.vp)
     return reshape(out, query.shape[:-1] + memory.vp.shape[-1:])
 
 
@@ -899,6 +955,137 @@ def test_attend_rejects_a_memory_from_another_tape():
         ad.attend(queries[0], w_q, b_q, frozen)
     assert [n.op for n in tape.nodes] == ["attention"]
     assert ad.attend(queries[0], w_q, b_q, memory).shape == (3, 4)
+
+
+# Input parts: widths, and which part takes a gradient. The no-grad parts
+# stand for a teacher-forced step input or the forecast-day weather.
+PART_CASES = [
+    ((3, 2), (True, True)),
+    ((3, 2), (True, False)),
+    ((2, 3), (False, True)),
+    ((1, 2, 2), (False, False, True)),
+    ((2, 1, 2), (True, False, True)),
+    ((1, 1, 3), (False, False, False)),
+]
+
+
+def _concat_parts(parts):
+    """The reference join: a chain of concat nodes, left to right."""
+    joined = parts[0]
+    for part in parts[1:]:
+        joined = concat(joined, part, axis=-1)
+    return joined
+
+
+def _part_tensors(rng, lead, widths, grads):
+    return [Tensor(rng.normal(size=lead + (w,)), requires_grad=g) for w, g in zip(widths, grads)]
+
+
+def _lstm_parts_run(join, widths, grads, steps):
+    """lstm_layer over join(parts): its outputs, every input's gradient and
+    the tape's ops. steps=None runs one (batch, in) step."""
+    rng = np.random.default_rng(51)
+    batch, units = 3, 4
+    lead = (batch,) if steps is None else (batch, steps)
+    parts = _part_tensors(rng, lead, widths, grads)
+    rest = [Tensor(rng.normal(size=s), requires_grad=True)
+            for s in [(batch, units), (batch, units), (sum(widths), 4 * units),
+                      (units, 4 * units), (4 * units,)]]
+    with Tape() as tape:
+        outputs = ad.lstm_layer(join(parts), *rest)
+        loss = None
+        for out in outputs:
+            term = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
+            loss = term if loss is None else add(loss, term)
+    backward(tape, loss)
+    return [o.data for o in outputs], [t.grad for t in parts + rest], [n.op for n in tape.nodes]
+
+
+def _attend_parts_run(join, widths, grads):
+    """Two attend queries over one memory, the second with its parts reversed,
+    so every part takes gradient from two nodes: the context values, every
+    input's gradient and the tape's ops."""
+    rng = np.random.default_rng(52)
+    batch, width, keys = 3, 4, 6
+    parts = _part_tensors(rng, (batch,), widths, grads)
+    w_q, w_q_rev = (Tensor(rng.normal(size=(sum(widths), width)), requires_grad=True)
+                    for _ in range(2))
+    b_q = Tensor(rng.normal(size=width), requires_grad=True)
+    kp_t = Tensor(rng.normal(size=(batch, width, keys)), requires_grad=True)
+    vp = Tensor(rng.normal(size=(batch, keys, width)), requires_grad=True)
+    with Tape() as tape:
+        memory = ad.attention_memory(kp_t, vp)
+        first = ad.attend(join(parts), w_q, b_q, memory)
+        second = ad.attend(join(parts[::-1]), w_q_rev, b_q, memory)
+        loss = add(sum_all(mul(first, Tensor(rng.normal(size=first.shape)))),
+                   sum_all(mul(second, Tensor(rng.normal(size=second.shape)))))
+    backward(tape, loss)
+    grads = [t.grad for t in parts + [w_q, w_q_rev, b_q, kp_t, vp]]
+    return [first.data, second.data], grads, [n.op for n in tape.nodes]
+
+
+def _assert_parts_match(new, ref, op: str, nodes: int, part_grads):
+    (out_new, grads_new, ops_new), (out_ref, grads_ref, ops_ref) = new, ref
+    assert ops_new.count(op) == ops_ref.count(op) == nodes and "concat" not in ops_new
+    for a, b in zip(out_new, out_ref):
+        assert np.array_equal(a, b)
+    assert len(grads_new) == len(grads_ref)
+    for k, (a, b) in enumerate(zip(grads_new, grads_ref)):
+        assert (a is None) == (b is None), k
+        assert a is None or (a.shape == b.shape and np.array_equal(a, b)), k
+    for k, g in enumerate(part_grads):  # exactly the trainable parts take one
+        assert (grads_new[k] is None) == (not g), k
+
+
+@pytest.mark.parametrize("steps", [None, 5], ids=["one_step", "sequence"])
+@pytest.mark.parametrize("widths, grads", PART_CASES)
+def test_lstm_layer_parts_bitwise_equal_concat_then_one_tensor(widths, grads, steps):
+    new = _lstm_parts_run(tuple, widths, grads, steps)
+    ref = _lstm_parts_run(_concat_parts, widths, grads, steps)
+    _assert_parts_match(new, ref, "lstm_layer", 1, grads)
+
+
+@pytest.mark.parametrize("widths, grads", PART_CASES)
+def test_attend_parts_bitwise_equal_concat_then_one_tensor(widths, grads):
+    new = _attend_parts_run(tuple, widths, grads)
+    ref = _attend_parts_run(_concat_parts, widths, grads)
+    _assert_parts_match(new, ref, "attention", 2, grads)
+
+
+def test_one_part_is_read_without_a_copy():
+    inputs = _layer_inputs(x_grad=True)
+    x = inputs[0]
+    assert ad._join("lstm_layer", (x,))[1] is x.data
+    with Tape() as tape:
+        alone = ad.lstm_layer(x, *inputs[1:])
+        one_part = ad.lstm_layer((x,), *inputs[1:])
+    assert [n.inputs[0] for n in tape.nodes] == [x, x]
+    for a, b in zip(alone, one_part):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_parts_that_do_not_join_raise_shape_error_naming_them():
+    inputs = _layer_inputs(x_grad=False)  # x (3, 6, 4), state (3, 5)
+    queries, w_q, b_q, kp_t, vp, _ = _attention_inputs()  # queries (3, 5)
+    memory = ad.attention_memory(kp_t, vp)
+    for a, b in [((3, 6, 2), (3, 5, 2)), ((3, 2), (2, 2)), ((3, 6, 2), (3, 2))]:
+        parts = (Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+        shapes = re.escape(f"parts [{a}, {b}]")
+        with pytest.raises(ShapeError, match=f"lstm_layer: {shapes}"):
+            ad.lstm_layer(parts, *inputs[1:])
+        with pytest.raises(ShapeError, match=f"attend: {shapes}"):
+            ad.attend(parts, w_q, b_q, memory)
+    with pytest.raises(ShapeError, match="parts"):
+        ad.attend((Tensor(np.zeros((3, 2))), Tensor(np.zeros(()))), w_q, b_q, memory)
+    # Parts that join, to a width that does not fit the weights.
+    with pytest.raises(ShapeError, match=r"lstm_layer shapes do not fit: x \(3, 6, 5\)"):
+        ad.lstm_layer((Tensor(np.zeros((3, 6, 2))), Tensor(np.zeros((3, 6, 3)))), *inputs[1:])
+    with pytest.raises(ShapeError, match=r"attend shapes do not fit: query \(3, 6\)"):
+        ad.attend((Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4)))), w_q, b_q, memory)
+    # The step count is read from the joined input.
+    empty = (Tensor(np.zeros((3, 0, 2))), Tensor(np.zeros((3, 0, 2))))
+    with pytest.raises(ShapeError, match=r"lstm_layer needs .* got \(3, 0, 4\)"):
+        ad.lstm_layer(empty, *inputs[1:])
 
 
 def test_sequence_op_tapes_are_freed_without_the_cycle_collector():

@@ -1,6 +1,8 @@
 """Loss functions, the fit loop, early stopping, and checkpoint round-trips."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -513,16 +515,18 @@ def test_fit_seeded_s2s_attn_numerics_are_pinned(mode):
     assert report.val_nrmse == [val_nrmse]
 
 
-MAX_TAPE_NODES_C4_STEP = 228
+MAX_TAPE_NODES_C4_STEP = 156
 
 
 def test_teacher_forced_s2s_attn_step_tape_size():
-    # Criterion-4 scale: 192 encoder steps, 32 units, batch 32. One lstm_layer
-    # node per encoder layer and per decoder step, one attention node per query
-    # step (its query projection included), one key/value node per attention
-    # layer, one affine node per other dense layer call, and one stack of the
-    # decoder's outputs feeding one loss node over the whole forecast give 228
-    # nodes.
+    # Criterion-4 scale: 192 encoder steps, 32 units, batch 32. 50 lstm_layer
+    # nodes, one per encoder layer and per decoder step, each joining its
+    # (context, input) parts itself; 48 attention nodes, one per query step,
+    # each with its query projection and query parts; 2 attention_kv nodes and
+    # 2 key swaps, one each per attention layer; 28 affine nodes, one per head
+    # call and per key or value projection; 24 softmax nodes, one per pdf step;
+    # and one stack of the decoder's outputs feeding one loss node over the
+    # whole forecast give 156 nodes.
     rng = np.random.default_rng(0)
     cfg = ModelConfig(family="s2s_attn", target_mode="pdf", units_per_layer=32,
                       input_steps=192)
@@ -548,23 +552,23 @@ def test_teacher_forced_s2s_attn_step_tape_size():
     # projections.
     assert ops["affine"] == cfg.output_steps + 2 * cfg.depth == 28
     assert ops["attention"] == 48
-    assert ops["matmul"] == 0
+    # No concat joins a context to its input or a query's parts.
+    assert ops["concat"] == ops["matmul"] == 0
     assert len(tape) == MAX_TAPE_NODES_C4_STEP
 
 
 # Criterion-4 teacher-forced step tapes (192 steps, 32 units, batch 32), pdf
 # and expected mode.
 TAPE_NODES_C4_STEP = {
-    "s2s_attn": (228, 204),
+    "s2s_attn": (156, 132),
     "s2s": (100, 76),
-    "lstm": (8, 7),
-    "ffnn": (10, 9),
+    "lstm": (6, 5),
+    "ffnn": (8, 7),
 }
 
 
-@pytest.mark.parametrize("mode", ["pdf", "expected"])
-@pytest.mark.parametrize("family", sorted(TAPE_NODES_C4_STEP))
-def test_teacher_forced_step_tape_has_one_loss_node_and_no_scalar_ops(family, mode):
+def _c4_step_tape(family: str, mode: str) -> Tape:
+    """The tape of one criterion-4 teacher-forced step, loss included."""
     rng = np.random.default_rng(1)
     cfg = ModelConfig(family=family, target_mode=mode, units_per_layer=32, input_steps=192)
     model = build_model(cfg, seed=2)
@@ -579,11 +583,36 @@ def test_teacher_forced_step_tape_has_one_loss_node_and_no_scalar_ops(family, mo
     with Tape() as tape:
         outputs = model.forward_batch(inputs, p0, teacher, "teacher_forcing")
         _batch_loss("kl" if mode == "pdf" else "mse", outputs, teacher, 1e-9)
+    return tape
+
+
+@pytest.mark.parametrize("mode", ["pdf", "expected"])
+@pytest.mark.parametrize("family", sorted(TAPE_NODES_C4_STEP))
+def test_teacher_forced_step_tape_has_one_loss_node_and_no_scalar_ops(family, mode):
+    tape = _c4_step_tape(family, mode)
     ops = Counter(node.op for node in tape.nodes)
     assert ops["loss"] == 1 and tape.nodes[-1].op == "loss"
-    for op in ("add", "sub", "mul", "scale", "sum", "clamped_log", "reshape"):
+    for op in ("add", "sub", "mul", "scale", "sum", "clamped_log", "reshape", "concat",
+               "matmul"):
         assert ops[op] == 0, op
     assert len(tape) == TAPE_NODES_C4_STEP[family][mode != "pdf"]
+
+
+def _recorded_op_names(source: Path) -> set:
+    """Every op name that `source` passes as a string to _emit or Node."""
+    return {call.args[0].value for call in ast.walk(ast.parse(source.read_text()))
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id in ("_emit", "Node") and call.args
+            and isinstance(call.args[0], ast.Constant)}
+
+
+def test_autodiff_op_set_is_what_the_models_record():
+    # The package defines no op that the models do not record.
+    defined = _recorded_op_names(Path(ad.__file__))
+    recorded = {node.op for family in TAPE_NODES_C4_STEP for mode in ("pdf", "expected")
+                for node in _c4_step_tape(family, mode).nodes}
+    assert defined == recorded == {"affine", "attention", "attention_kv", "loss", "lstm_layer",
+                                   "softmax", "stack", "swap", "tanh", "temporal"}
 
 
 def test_fit_gradient_clipping_flag_runs():
