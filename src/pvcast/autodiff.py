@@ -241,9 +241,12 @@ def _split(g, parts: tuple) -> tuple:
     """A joined input's gradient `g`, or None, as a view for each part that takes one."""
     if g is None:
         return (None,) * len(parts)
-    bounds = np.cumsum([p.shape[-1] for p in parts[:-1]])
-    return tuple(gp if p.requires_grad else None
-                 for p, gp in zip(parts, np.split(g, bounds, axis=-1)))
+    out, start = [], 0
+    for p in parts:
+        stop = start + p.shape[-1]
+        out.append(g[..., start:stop] if p.requires_grad else None)
+        start = stop
+    return tuple(out)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -530,11 +533,14 @@ def attend(query, w_q, b_q, memory: KeyValueMemory) -> Tensor:
     one tape node: a (..., q) query gives a (..., value width) context; a
     tuple of query parts is joined and split back as lstm_layer's input is.
 
-    Each query is read as a (..., 1, q) row, so that forward and the query,
-    w_q and b_q gradients repeat the affine/matmul/scale/softmax/matmul
-    composite operand for operand. The key and value gradients are left to
-    the memory's node (see KeyValueMemory), so the memory must have been
-    created under the tape that records the queries.
+    Each query is read as a (..., 1, q) row, so that forward and the query
+    and b_q gradients repeat the affine/matmul/scale/softmax/matmul composite
+    operand for operand. The w_q gradient is one (q, rows) @ (rows, width)
+    GEMM over every query row instead of the composite's per-row outer
+    products and their sum, so it may differ from it in the last bits. The
+    key and value gradients are left to the memory's node (see
+    KeyValueMemory), so the memory must have been created under the tape that
+    records the queries.
     """
     parts, query = _join("attend", query)
     w_q, b_q = as_tensor(w_q), as_tensor(b_q)
@@ -573,7 +579,8 @@ def attend(query, w_q, b_q, memory: KeyValueMemory) -> Tensor:
             d_query = ((d_qp @ _swap(w_q.data)).reshape(query.shape)
                        if any(p.requires_grad for p in parts) else None)
             return _split(d_query, parts) + (
-                _unbroadcast(_swap(rows) @ d_qp, w_q.shape) if w_q.requires_grad else None,
+                _swap(query.reshape(-1, query.shape[-1])) @ d_qp.reshape(-1, width)
+                if w_q.requires_grad else None,
                 _unbroadcast(d_qp, b_q.shape) if b_q.requires_grad else None,
                 np.zeros(()) if token.requires_grad else None)
 
@@ -636,7 +643,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     The tape is replayed in exact reverse insertion order; contributions to a
     tensor consumed by several later nodes are summed. Gradients are added on
-    top of whatever the buffers already hold. Every consumer of a node's
+    top of whatever the buffers already hold; a tensor with no buffer yet
+    takes a copy of its first contribution of its own shape, which equals
+    zeros plus it except that a -0.0 stays -0.0. Every consumer of a node's
     output was recorded after it, so once the node's rule has run its outputs'
     gradients are complete and unused: they are dropped to free memory. The
     loss keeps its gradient, and so does every leaf (a tensor no node outputs).
@@ -653,7 +662,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if t is not loss:
                 t.grad = None
         for t, gt in zip(node.inputs, grads):
-            if gt is not None and t.requires_grad:
+            if gt is None or not t.requires_grad:
+                continue
+            if t.grad is None and gt.shape == t.data.shape:
+                # The first contribution is copied, never adopted: a rule may
+                # return one array, or views of one, for several inputs.
+                t.grad = np.empty_like(t.data)
+                np.copyto(t.grad, gt)
+            else:
                 t.ensure_grad()[...] += gt
 
 

@@ -105,7 +105,9 @@ def lstm_sequence(layer: LstmLayer, x) -> tuple[Tensor, Tensor, Tensor]:
 
 class AttentionLayer:
     """Scaled dot-product attention with learned query/key/value projections
-    into a common width; the key width doubles as the score scale."""
+    into a common width; the key width doubles as the score scale. The query
+    projection is the weights `w_q` and bias `b_q` that `attend` applies
+    itself; keys and values go through dense layers once per sequence."""
 
     def __init__(self, query_size: int, key_size: int, value_size: int, width: int,
                  rng: np.random.Generator | None = None):
@@ -113,13 +115,16 @@ class AttentionLayer:
             raise ConfigError("attention width must be positive")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.width = width
-        self.w_q = DenseLayer(query_size, width, rng=rng)
+        self.w_q = Tensor(_glorot(rng, query_size, width, (query_size, width)),
+                          requires_grad=True)
+        self.b_q = Tensor(np.zeros(width), requires_grad=True)
         self.w_k = DenseLayer(key_size, width, rng=rng)
         self.w_v = DenseLayer(value_size, width, rng=rng)
 
     def parameters(self):
-        out = []
-        for name, part in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v)):
+        # The query projection keeps the names it had as a dense layer.
+        out = [("w_q.weights", self.w_q), ("w_q.bias", self.b_q)]
+        for name, part in (("w_k", self.w_k), ("w_v", self.w_v)):
             out.extend((f"{name}.{pname}", p) for pname, p in part.parameters())
         return out
 
@@ -133,7 +138,7 @@ class AttentionLayer:
 def attend_projected(layer: AttentionLayer, query, memory: ad.KeyValueMemory) -> Tensor:
     """softmax((q W_q + b_q) Kᵀ / sqrt(width)) V for (..., query_size) queries,
     or tuples of parts that join to them, one node."""
-    return ad.attend(query, layer.w_q.weights, layer.w_q.bias, memory)
+    return ad.attend(query, layer.w_q, layer.b_q, memory)
 
 
 class TemporalTransform:

@@ -368,6 +368,50 @@ def test_backward_rejects_nonscalar_loss():
         backward(tape, y)
 
 
+def _backward_through(inputs, rule):
+    """Backward from a scalar loss through one hand-recorded node whose
+    rule returns rule(loss gradient), one contribution per input."""
+    loss = Tensor(np.zeros(()), requires_grad=True)
+    tape = Tape()
+    tape.nodes.append(ad.Node("by_hand", tuple(inputs), loss, rule))
+    backward(tape, loss)
+
+
+@pytest.mark.parametrize("share", ["same_array", "views_of_one_array"])
+def test_backward_copies_a_first_contribution_shared_by_two_inputs(share):
+    a, b = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(2))
+    given = np.arange(6.0).reshape(2, 3)
+    contributions = (given, given) if share == "same_array" else (given[:], given.reshape(2, 3))
+    _backward_through((a, b), lambda g: contributions)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, given) and not np.shares_memory(b.grad, given)
+    a.grad += 10.0
+    assert np.array_equal(b.grad, np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(given, np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(a.grad, given + 10.0)
+
+
+def test_backward_first_contribution_of_minus_zero_equals_the_added_one():
+    # zeros + (-0.0) is +0.0 while a copy keeps -0.0: equal values, other bytes.
+    contribution = np.array([-0.0, 1.5, -2.0])
+    a = Tensor(np.ones(3), requires_grad=True)
+    _backward_through((a,), lambda g: (contribution,))
+    assert np.array_equal(a.grad, np.zeros(3) + contribution)
+    assert np.signbit(a.grad[0])
+
+
+def test_backward_broadcast_contribution_accumulates_through_the_add_path():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    row = np.array([1.0, -2.0, 0.5])
+    _backward_through((a, a), lambda g: (row, row.reshape(1, 3)))
+    assert a.grad.shape == (2, 3)
+    assert np.array_equal(a.grad, np.tile(row + row, (2, 1)))
+    # a buffer that exists already is added to in place, as between batches
+    held = a.grad
+    _backward_through((a,), lambda g: (np.ones((2, 3)),))
+    assert a.grad is held and np.array_equal(held, np.tile(row + row, (2, 1)) + 1.0)
+
+
 def test_slice_gradients():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape() as tape:
@@ -899,17 +943,43 @@ def test_attend_matches_composite_over_shared_keys():
         with Tape() as tape:
             loss = _attention_loss(attend, queries, w_q, b_q, kp_t, vp, mixes)
         backward(tape, loss)
-        results.append((loss.item(), [q.grad for q in queries] + [w_q.grad, b_q.grad],
+        results.append((loss.item(), [q.grad for q in queries] + [b_q.grad], w_q.grad,
                         kp_t.grad, vp.grad, tape))
-    (loss_ref, dq_ref, dk_ref, dv_ref, _), (loss_new, dq_new, dk_new, dv_new, tape) = results
+    (loss_ref, dq_ref, dw_ref, dk_ref, dv_ref, _), (loss_new, dq_new, dw_new, dk_new, dv_new,
+                                                    tape) = results
     assert loss_new == loss_ref
-    for new, ref in zip(dq_new, dq_ref):  # every query, then w_q and b_q
+    for new, ref in zip(dq_new, dq_ref):  # every query, then b_q
         assert np.array_equal(new, ref)
+    # w_q's gradient is one GEMM over all query rows, the composite's a sum of
+    # per-row outer products: the same terms summed in another order.
+    assert _close(dw_new, dw_ref)
     assert _close(dk_new, dk_ref) and _close(dv_new, dv_ref)
     ops = [n.op for n in tape.nodes]
     assert ops.count("attention") == 4 and ops.count("attention_kv") == 1
     assert ops.index("attention_kv") < ops.index("attention")
     assert "affine" not in ops and "reshape" not in ops
+
+
+@pytest.mark.parametrize("lead", [(1,), (3,), (32,), (2, 3)])
+def test_attend_w_q_gradient_matches_per_row_outer_products(lead):
+    q_size, width, keys = 6, 5, 7
+    grads = []
+    for attend in (_composite_attend, ad.attend):
+        rng = np.random.default_rng(31)  # the same inputs for both
+        query = Tensor(rng.normal(size=lead + (q_size,)))
+        w_q = Tensor(rng.normal(size=(q_size, width)), requires_grad=True)
+        b_q = Tensor(rng.normal(size=width), requires_grad=True)
+        kp_t = Tensor(rng.normal(size=lead + (width, keys)))
+        vp = Tensor(rng.normal(size=lead + (keys, width)))
+        with Tape() as tape:
+            out = attend(query, w_q, b_q, ad.attention_memory(kp_t, vp))
+            loss = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
+        backward(tape, loss)
+        grads.append((w_q.grad, b_q.grad))
+    (dw_ref, db_ref), (dw_new, db_new) = grads
+    assert dw_new.shape == (q_size, width)
+    assert _close(dw_new, dw_ref)
+    assert np.array_equal(db_new, db_ref)
 
 
 def test_attend_gradients_match_finite_differences():

@@ -138,10 +138,11 @@ def test_write_csv_bytes_match_csv_writer_reference(tmp_path):
         assert got.endswith(b"\r\n")
 
 
-# The row loop ingest_csv ran before chunked ingest, kept verbatim as the
-# reference the vectorized path must match bitwise (it drops blank rows from
-# the line count and keeps non-finite values, so cases with either compare
-# arrays only).
+# The row loop ingest_csv ran before chunked ingest, kept as the reference
+# the vectorized path must match bitwise (it keeps non-finite values, so
+# cases with them compare arrays only). Each row comes with the physical line
+# its record starts on, counted by csv.reader past blank lines, lone CRs and
+# quoted line ends.
 def _reference_read_rows(path, header):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -151,7 +152,14 @@ def _reference_read_rows(path, header):
             raise ParseError(f"{path}: empty file") from None
         if tuple(h.strip() for h in first) != header:
             raise ParseError(f"{path}: expected header {','.join(header)}")
-        return [row for row in reader if row]
+        rows = []
+        while True:
+            line = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                return rows
+            if row:
+                rows.append((line, row))
 
 
 def _reference_check_monotone(stamps, what):
@@ -168,17 +176,17 @@ def _reference_ingest(pv_path, nwp_path, p_max):
     stamps = np.empty(len(pv_rows), dtype=np.int64)
     power = np.empty(len(pv_rows))
     clipped = 0
-    for i, row in enumerate(pv_rows):
+    for i, (line, row) in enumerate(pv_rows):
         if len(row) != 2:
-            raise ParseError(f"{pv_path}: line {i + 2}: expected 2 fields, got {len(row)}")
+            raise ParseError(f"{pv_path}: line {line}: expected 2 fields, got {len(row)}")
         try:
             stamps[i] = data.parse_timestamp(row[0])
             value = float(row[1])
         except (ParseError, ValueError) as exc:
-            raise ParseError(f"{pv_path}: line {i + 2}: {exc}") from None
+            raise ParseError(f"{pv_path}: line {line}: {exc}") from None
         if value > p_max * 1.05:
             raise DataError(
-                f"{pv_path}: line {i + 2}: power {value} exceeds rated {p_max} by more than 5%")
+                f"{pv_path}: line {line}: power {value} exceeds rated {p_max} by more than 5%")
         if value < 0.0 or value > p_max:
             clipped += 1
             value = min(max(value, 0.0), p_max)
@@ -188,18 +196,18 @@ def _reference_ingest(pv_path, nwp_path, p_max):
     nwp_rows = _reference_read_rows(nwp_path, NWP_CSV_HEADER)
     nstamps = np.empty(len(nwp_rows), dtype=np.int64)
     chans = np.empty((len(nwp_rows), 5))
-    for i, row in enumerate(nwp_rows):
+    for i, (line, row) in enumerate(nwp_rows):
         if len(row) != 6:
-            raise ParseError(f"{nwp_path}: line {i + 2}: expected 6 fields, got {len(row)}")
+            raise ParseError(f"{nwp_path}: line {line}: expected 6 fields, got {len(row)}")
         try:
             nstamps[i] = data.parse_timestamp(row[0])
             chans[i] = [float(v) for v in row[1:]]
         except (ParseError, ValueError) as exc:
-            raise ParseError(f"{nwp_path}: line {i + 2}: {exc}") from None
+            raise ParseError(f"{nwp_path}: line {line}: {exc}") from None
         if not 0.0 <= chans[i, 4] <= 100.0:
-            raise DataError(f"{nwp_path}: line {i + 2}: humidity {chans[i, 4]} outside [0, 100]")
+            raise DataError(f"{nwp_path}: line {line}: humidity {chans[i, 4]} outside [0, 100]")
         if chans[i, 2] < 0.0:
-            raise DataError(f"{nwp_path}: line {i + 2}: negative irradiance {chans[i, 2]}")
+            raise DataError(f"{nwp_path}: line {line}: negative irradiance {chans[i, 2]}")
     _reference_check_monotone(nstamps, "NWP")
     return RawPvSeries(stamps, power, float(p_max), clipped), RawNwpSeries(nstamps, chans)
 
@@ -369,6 +377,14 @@ INGEST_ERROR_CASES = {
     "inversion": (_swap_stamps(5000), None),
     "humidity": (None, _set(100, lambda s, r: f"{s},{r.rsplit(',', 1)[0]},140.0\r\n")),
     "negative_ghi": (None, _set(100, lambda s, r: f"{s},1,2,-5,3,{r.rsplit(',', 1)[1]}")),
+    # a blank line, or a lone CR before a CRLF, earlier in the file: the
+    # error names the physical line, one past the row count
+    "blank_line_then_bad_value": (
+        lambda lines: _set(5001, lambda s, r: f"{s},abc\r\n")(
+            lines[:200] + ["\r\n"] + lines[200:]), None),
+    "lone_cr_then_overshoot": (
+        lambda lines: _set(5000, lambda s, r: f"{s},1060.0\r\n")(
+            _set(100, lambda s, r: f"{s},{r[:-2]}\r\r\n")(lines)), None),
     # a value error earlier in a row-loop chunk wins over a later parse error,
     # and the other way round
     "data_then_parse_in_slow_chunk": (

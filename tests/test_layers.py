@@ -193,9 +193,10 @@ def test_attention_single_key_degeneracy():
 
 def test_attention_identity_projections_hand_example():
     layer = AttentionLayer(1, 1, 1, width=1, rng=_rng())
-    for part in (layer.w_q, layer.w_k, layer.w_v):
-        part.weights.data[...] = np.eye(1)
-        part.bias.data[...] = 0.0
+    for weights, bias in [(layer.w_q, layer.b_q), (layer.w_k.weights, layer.w_k.bias),
+                          (layer.w_v.weights, layer.w_v.bias)]:
+        weights.data[...] = np.eye(1)
+        bias.data[...] = 0.0
     q = Tensor([[1.0]])
     k = Tensor([[1.0], [-1.0]])
     v = Tensor([[1.0], [0.0]])

@@ -1,6 +1,7 @@
 """Loss functions, the fit loop, early stopping, and checkpoint round-trips."""
 
 import ast
+import hashlib
 from collections import Counter
 from pathlib import Path
 
@@ -659,6 +660,26 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     a = model.forward(samples[0]).steps
     b = loaded.forward(samples[0]).steps
     assert np.array_equal(a, b)
+
+
+# SHA-256 of the checkpoint bytes of seeded units-4 s2s_attn models, recorded
+# while the query projection was a dense layer: equal bytes mean the files
+# written then, with the same names, shapes and draws, still load.
+V1_CHECKPOINT_SHA256 = {
+    "pdf": "934dc201459b4cbbc7875fd87973cee32bf0b208e20de859801768edfa0c8800",
+    "expected": "e26a2c968596408342bb6255b7bfdc6d38ed21f5d9ba2675df14158d88436889",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(V1_CHECKPOINT_SHA256))
+def test_checkpoint_bytes_of_s2s_attn_are_those_of_v1(tmp_path, mode):
+    model = build_model(_config("s2s_attn", mode), seed=13)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == V1_CHECKPOINT_SHA256[mode]
+    names = [name for name, _ in load_checkpoint(path).parameters()]
+    assert [n for n in names if n.startswith("attention0.")] == [
+        f"attention0.{p}.{q}" for p in ("w_q", "w_k", "w_v") for q in ("weights", "bias")]
 
 
 def test_checkpoint_corrupted_header(tmp_path):
