@@ -42,12 +42,19 @@ def read_manifest(path: Path) -> dict:
 # Run configuration file (flat key=value)
 # ---------------------------------------------------------------------------
 
+def _bool(text: str) -> bool:
+    """true or false, in any case; anything else is a ValueError."""
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got '{text}'")
+    return text.lower() == "true"
+
+
 _RUN_KEYS = {
     "learning_rate": float, "momentum": float, "batch_size": int,
     "patience": int, "max_epochs": int, "seed": int, "epsilon_floor": float,
     "clip_norm": float,
     "units": int, "depth": int, "window_days": int, "stride_hours": int,
-    "bins": int, "split_seed": int, "decoder_nwp": lambda v: v.lower() == "true",
+    "bins": int, "split_seed": int, "decoder_nwp": _bool,
 }
 
 _RUN_DEFAULTS = {

@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -28,7 +28,7 @@ SLOTS_PER_HOUR = HOUR // GRID_STEP
 NWP_CHANNELS = ("temp_c", "pressure_kpa", "ghi_wm2", "wind_ms", "rh_pct")
 PV_CSV_HEADER = ("timestamp", "power_w")
 NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
-CSV_CHUNK_ROWS = 4096  # lines per chunk once the byte path stops
+CSV_CHUNK_ROWS = 4096  # records per batch once the byte path stops
 CSV_BLOCK_BYTES = 1 << 18  # bytes read per block on the byte path
 MAX_GAP_MINUTES = 120  # longest interior gap that consolidate fills
 MIN_DAYS = 6  # shortest overlapping coverage a grid is built from
@@ -86,16 +86,14 @@ def _check_monotone(stamps: np.ndarray, what: str, path) -> None:
             f"{format_timestamp(int(stamps[i]))} then {format_timestamp(int(stamps[i + 1]))}")
 
 
-def _records(reader, stop: float):
-    """(line, fields) of each non-blank record that starts before line `stop`
-    of the reader's input, counting lines from 1 at the reader's first line."""
-    while reader.line_num < stop:
-        line = reader.line_num + 1
-        row = next(reader, None)
-        if row is None:
-            return
+def _records(reader):
+    """(line, fields) of each non-blank record of a csv.reader, with the line
+    of its input that the record starts on, counting from 1."""
+    line = reader.line_num + 1
+    for row in reader:
         if row:
             yield line, row
+        line = reader.line_num + 1
 
 
 def _record_line(path, index: int) -> int:
@@ -103,7 +101,7 @@ def _record_line(path, index: int) -> int:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        return next(islice(_records(reader, math.inf), index, None))[0]
+        return next(islice(_records(reader), index, None))[0]
 
 
 # write_csv's stamp layout with the comma that ends it: a digit wherever it
@@ -201,27 +199,6 @@ def _parse_fixed(buf: np.ndarray, n_values: int):
     return stamps, values.reshape(ends.size, n_values)
 
 
-def _parse_rows(path, reader, stop: int, lines_before: int, n_fields: int):
-    """The row loop over the records that start in one chunk: csv.reader
-    fields, parse_timestamp and float(). Returns stamps, values, the file line
-    of each row, and the first ParseError (no later row is read)."""
-    stamps, values, lines = [], [], []
-    for offset, row in _records(reader, stop):
-        line = lines_before + offset
-        if len(row) != n_fields:
-            return stamps, values, lines, ParseError(
-                f"{path}: line {line}: expected {n_fields} fields, got {len(row)}")
-        try:
-            stamp = parse_timestamp(row[0])
-            row_values = [float(v) for v in row[1:]]
-        except (ParseError, ValueError) as exc:
-            return stamps, values, lines, ParseError(f"{path}: line {line}: {exc}")
-        stamps.append(stamp)
-        values.append(row_values)
-        lines.append(line)
-    return stamps, values, lines, None
-
-
 def _read_blocks(fh, header: tuple, keep) -> int | None:
     """Read a CSV file from the binary file fh in blocks of whole lines of
     about CSV_BLOCK_BYTES, each through _parse_fixed, and pass keep() each
@@ -253,43 +230,43 @@ def _read_blocks(fh, header: tuple, keep) -> int | None:
         rest = block[cut:]
 
 
-def _read_chunks(fh, path, header: tuple, done: int, keep) -> None:
-    """Read the rest of a CSV file, after its first `done` lines, from the
-    text file fh, CSV_CHUNK_ROWS lines at a time, and pass keep() each
-    chunk's rows as _read_blocks does, with the chunk's first ParseError.
-    A chunk in write_csv's layout is parsed by _parse_fixed; any other goes
-    through the row loop. The header is read first when done is 0."""
-    n_values = len(header) - 1
+def _read_rows(fh, path, header: tuple, done: int, keep) -> None:
+    """The row loop: read the rest of a CSV file, after its first `done`
+    lines, from the text file fh with one csv.reader, parse_timestamp and
+    float(), and pass keep() the records CSV_CHUNK_ROWS at a time as
+    _read_blocks does, with the batch's first ParseError; no later record is
+    read. The header is read first when done is 0."""
+    reader = csv.reader(fh)
     if not done:
-        reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:
             raise ParseError(f"{path}: empty file")
         if tuple(h.strip() for h in first) != header:
             raise ParseError(f"{path}: expected header {','.join(header)}")
-        done = reader.line_num
-    while chunk := list(islice(fh, CSV_CHUNK_ROWS)):
-        # The file splits lines at CR, LF and CRLF, as csv.reader does.
-        parsed = _parse_fixed(_line_buffer(
-            "\n".join(line.rstrip("\r\n") for line in chunk).encode()), n_values)
-        if parsed is not None:
-            keep(parsed, range(done + 1, done + 1 + len(chunk)))
-            done += len(chunk)
-        else:
-            # A quoted record may run past the chunk: the reader then takes
-            # its remaining lines from the file.
-            reader = csv.reader(chain(chunk, fh))
-            chunk_stamps, chunk_values, lines, error = _parse_rows(
-                path, reader, len(chunk), done, n_values + 1)
-            keep((np.array(chunk_stamps, dtype=np.int64),
-                  np.array(chunk_values).reshape(-1, n_values)), lines, error)
-            done += reader.line_num
+    records = _records(reader)
+    while True:
+        stamps, values, lines, error = [], [], [], None
+        for offset, row in islice(records, CSV_CHUNK_ROWS):
+            try:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}")
+                stamp, row_values = parse_timestamp(row[0]), [float(v) for v in row[1:]]
+            except (ParseError, ValueError) as exc:
+                error = ParseError(f"{path}: line {done + offset}: {exc}")
+                break
+            stamps.append(stamp)
+            values.append(row_values)
+            lines.append(done + offset)
+        if not lines and error is None:
+            return
+        keep((np.array(stamps, dtype=np.int64), np.array(values).reshape(-1, len(header) - 1)),
+             lines, error)
 
 
 def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndarray]:
     """Stamps and (rows, values) of one CSV file: read by blocks of bytes up
     to the first block that is not all in write_csv's layout with plain
-    values, and by chunks of lines from there on. `first_problem(values)`
+    values, and by the row loop from there on. `first_problem(values)`
     returns the index and message of the first row whose values fail a
     check, or None. Errors name the file line and come in row order, as in a
     plain row loop."""
@@ -308,7 +285,7 @@ def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndar
     with open(path, "rb") as fh:
         done = _read_blocks(fh, header, keep)
         if done is not None:
-            _read_chunks(io.TextIOWrapper(fh, newline=""), path, header, done, keep)
+            _read_rows(io.TextIOWrapper(fh, newline=""), path, header, done, keep)
     return np.concatenate(stamps), np.concatenate(values)
 
 

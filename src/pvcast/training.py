@@ -234,6 +234,8 @@ def _parse_config(pairs: dict[str, str]) -> ModelConfig:
         raw = pairs[name]
         kind = ModelConfig.__dataclass_fields__[name].type
         if kind in (bool, "bool"):
+            if raw not in ("True", "False"):
+                raise FormatError(f"'{name}' must be True or False, got '{raw}'")
             kwargs[name] = raw == "True"
         elif kind in (int, "int"):
             kwargs[name] = int(raw)

@@ -1,9 +1,12 @@
 """End-to-end command-line tests over a small synthetic dataset."""
 
+import re
+
 import numpy as np
 import pytest
 
-from pvcast.cli import main, read_manifest
+from pvcast.cli import load_run_config, main, read_manifest
+from pvcast.errors import ConfigError
 
 CONFIG = """\
 units=4
@@ -122,6 +125,24 @@ def test_unknown_config_key_rejected(data_dir, tmp_path):
     cfg.write_text("uints=7\n")
     assert main(["train", "--model", "ffnn", "--mode", "E", "--data", str(data_dir),
                  "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text,value", [("true", True), ("TRUE", True), ("False", False)])
+def test_decoder_nwp_reads_true_or_false_in_any_case(tmp_path, text, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"decoder_nwp={text}\n")
+    assert load_run_config(str(cfg))["decoder_nwp"] is value
+
+
+@pytest.mark.parametrize("text", ["yes", "ture", "1", ""])
+def test_decoder_nwp_rejects_anything_but_true_or_false(data_dir, tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"units=4\ndecoder_nwp={text}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 2: bad value for 'decoder_nwp'")):
+        load_run_config(str(cfg))
+    assert main(["train", "--model", "s2s", "--data", str(data_dir), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_forecast_pdf_shapes(data_dir, config_file, tmp_path):

@@ -257,8 +257,8 @@ INGEST_CASES = {
     "cr": (_line_ends("\r"), None),
     "quoted": (_set(10, lambda s, r: f'"{s}","{r[:-2]}"\r\n'),
                _set(7, lambda s, r: f'"{s}",{r}')),
-    # a quoted value whose record runs from the first chunk's last line into
-    # the next chunk
+    # a quoted value over two lines whose record is the last of the row
+    # loop's first batch
     "quoted_newline_across_chunk": (_set(4096, lambda s, r: f'{s},"{r}"\r\n'), None),
     "offset_stamps": (lambda lines: _set(4100, _offset_stamp)(_set(5, _offset_stamp)(lines)),
                       _set(3, _offset_stamp)),
@@ -274,7 +274,7 @@ INGEST_CASES = {
     "rows_4097_slow_tail": (lambda lines: _set(4097, _offset_stamp)(lines[:4098]), None),
     "rows_4097_lf": (lambda lines: _line_ends("\n")(lines[:4098]), None),
     # records split across block reads (CSV_BLOCK_BYTES is patched down),
-    # the byte path handing over to the chunked reader at a late block, and
+    # the byte path handing over to the row loop at a late block, and
     # a line longer than a block: 400 zeros before its pressure
     "blocks_of_300_bytes": (None, None),
     "hand_over_at_late_block": (_set(6000, lambda s, r: f'"{s}",{r}'),
@@ -291,12 +291,12 @@ INGEST_CASES = {
 }
 BLOCK_BYTES = {"blocks_of_300_bytes": 300, "hand_over_at_late_block": 300,
                "line_longer_than_a_block": 300}
-# The readers besides the byte path that each case needs: the chunked reader
-# ("chunks"), and its row loop ("rows"), which every other case needs.
-READERS = {case: set() for case in (
-    "crlf", "lf", "spaces_in_values", "rows_4095", "rows_4096", "rows_4097", "rows_4097_lf",
-    "blocks_of_300_bytes", "no_final_line_end", "underscore_value")}
-READERS.update(cr={"chunks"}, line_longer_than_a_block={"chunks"})
+# The cases that the byte path hands over to the row loop, _read_rows; the
+# byte path reads every other case to its end.
+READERS = {"arabic_indic_digits", "blank_lines", "cr", "fractional_seconds",
+           "hand_over_at_late_block", "line_longer_than_a_block", "lone_cr_before_crlf",
+           "no_z", "offset_stamps", "quoted", "quoted_newline_across_chunk",
+           "rows_4097_slow_tail"}
 
 
 def _assert_same_ingest(got, want):
@@ -318,14 +318,13 @@ def test_ingest_matches_row_loop_reference(tmp_path, monkeypatch, case, start):
     for path, edit in zip((pv_path, nwp_path), INGEST_CASES[case]):
         if edit is not None:
             _edit(path, edit)
-    readers = set()
-    for name, reader in (("chunks", data._read_chunks), ("rows", data._parse_rows)):
-        monkeypatch.setattr(data, reader.__name__, lambda *args, name=name, reader=reader:
-                            readers.add(name) or reader(*args))
+    calls = []
+    row_loop = data._read_rows
+    monkeypatch.setattr(data, "_read_rows", lambda *args: calls.append(args) or row_loop(*args))
     monkeypatch.setattr(data, "CSV_BLOCK_BYTES", BLOCK_BYTES.get(case, data.CSV_BLOCK_BYTES))
     got = ingest_csv(pv_path, nwp_path, P_MAX)
     _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
-    assert readers == READERS.get(case, {"chunks", "rows"})
+    assert bool(calls) == (case in READERS)
     assert got[0].clip_warnings == 2 and got[0].power[3] == 0.0
     if start.startswith("2020"):
         leap_day = data.parse_timestamp("2020-02-29T12:00:00Z")
@@ -385,7 +384,7 @@ INGEST_ERROR_CASES = {
     "lone_cr_then_overshoot": (
         lambda lines: _set(5000, lambda s, r: f"{s},1060.0\r\n")(
             _set(100, lambda s, r: f"{s},{r[:-2]}\r\r\n")(lines)), None),
-    # a value error earlier in a row-loop chunk wins over a later parse error,
+    # a value error earlier in a row-loop batch wins over a later parse error,
     # and the other way round
     "data_then_parse_in_slow_chunk": (
         lambda lines: _set(4300, lambda s, r: f"{s},abc\r\n")(
@@ -444,7 +443,7 @@ def test_ingest_errors_name_file_lines_after_blank_lines_and_multiline_records(t
     with pytest.raises(DataError, match="at row 4: 2021-01-01T00:02:00Z then"):
         ingest_csv(pv_path, _small_nwp(tmp_path), P_MAX)
 
-    # a quoted record over two lines, from the first chunk into the second
+    # a quoted record over two lines, the last of the row loop's first batch
     pv_path, nwp_path = _written_files(tmp_path)
     _edit(pv_path, lambda lines: _set(5000, lambda s, r: f"{s},abc\r\n")(
         _set(4096, lambda s, r: f'{s},"{r}"\r\n')(lines)))
@@ -482,22 +481,58 @@ def test_ingest_rejects_non_finite_values(tmp_path, which, values, channel, quot
 
 
 def test_ingest_of_written_files_never_falls_back_to_row_loop(tmp_path, monkeypatch):
-    calls = []
-    row_loop = data._parse_rows
+    calls, kept = [], []
+    row_loop, parse_fixed = data._read_rows, data._parse_fixed
 
-    def counted(*args):
-        calls.append(args[2])
-        return row_loop(*args)
+    def counted(fh, path, header, done, keep):
+        calls.append((path, done, 1 + sum(kept)))
+        return row_loop(fh, path, header, done, keep)
 
-    monkeypatch.setattr(data, "_parse_rows", counted)
+    def fixed(buf, n_values):
+        parsed = parse_fixed(buf, n_values)
+        if parsed is not None:
+            kept.append(parsed[0].size)
+        return parsed
+
+    monkeypatch.setattr(data, "_read_rows", counted)
+    monkeypatch.setattr(data, "_parse_fixed", fixed)
     pv_path, nwp_path = _written_files(tmp_path)
     pv, nwp = ingest_csv(pv_path, nwp_path, P_MAX)
     assert (pv.timestamps.size, nwp.timestamps.size) == (6 * DAY, 6 * 24)
     assert calls == []
-    # the counter sees a chunk the fixed layout cannot read
+    # With blocks of about 300 bytes, the block that holds file line 5,001,
+    # which the fixed layout cannot read, is one of many: the row loop runs
+    # once, from the line after the header and the blocks the byte path kept.
+    monkeypatch.setattr(data, "CSV_BLOCK_BYTES", 300)
     _edit(pv_path, _set(5000, _offset_stamp))
-    ingest_csv(pv_path, nwp_path, P_MAX)
-    assert calls == [data.CSV_CHUNK_ROWS]
+    kept.clear()
+    got = ingest_csv(pv_path, nwp_path, P_MAX)
+    _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
+    [(path, done, after_kept)] = calls
+    assert path == pv_path and done == after_kept
+    assert 5001 - 15 <= done < 5001  # 300 bytes hold at most 15 such lines
+
+
+def test_row_loop_hands_keep_batches_of_at_most_chunk_rows(tmp_path, monkeypatch):
+    # CR-only line ends: the byte path hands the whole PV file to the row loop
+    pv_path, nwp_path = _written_files(tmp_path)
+    _edit(pv_path, _line_ends("\r"))
+    rows = 6 * DAY
+    assert rows > 2 * data.CSV_CHUNK_ROWS
+    batches = []
+    row_loop = data._read_rows
+
+    def counted(fh, path, header, done, keep):
+        def counted_keep(parsed, lines, error=None):
+            batches.append(parsed[0].size)
+            keep(parsed, lines, error)
+        row_loop(fh, path, header, done, counted_keep)
+
+    monkeypatch.setattr(data, "_read_rows", counted)
+    got = ingest_csv(pv_path, nwp_path, P_MAX)
+    _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
+    assert len(batches) == -(-rows // data.CSV_CHUNK_ROWS)
+    assert max(batches) <= data.CSV_CHUNK_ROWS and sum(batches) == rows
 
 
 # ------------------------------------------------------------------ bins ---

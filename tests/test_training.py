@@ -616,6 +616,35 @@ def test_autodiff_op_set_is_what_the_models_record():
                                    "softmax", "stack", "swap", "tanh", "temporal"}
 
 
+def _private_definitions(tree: ast.Module) -> set:
+    """The _-prefixed functions, classes and constants a module defines at
+    its top level, __all__ aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and name != "__all__"}
+
+
+def test_every_private_package_name_is_used():
+    # A private helper that nothing in the package refers to is dead code.
+    trees = [ast.parse(path.read_text()) for path in Path(ad.__file__).parent.glob("*.py")]
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    defined = set().union(*map(_private_definitions, trees))
+    assert defined
+    assert defined - used == set()
+
+
 def test_fit_gradient_clipping_flag_runs():
     samples = _samples(days=8)
     model = build_model(_config("ffnn", "expected", units_per_layer=2), seed=1)
@@ -709,6 +738,18 @@ def test_checkpoint_trailing_bytes(tmp_path):
     save_checkpoint(model, path)
     path.write_bytes(path.read_bytes() + b"\x00" * 5)
     with pytest.raises(FormatError, match="5 bytes after the last parameter block"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", [b"false", b"yes", b""])
+def test_checkpoint_bool_is_true_or_false_only(tmp_path, text):
+    model = build_model(_config("s2s", "pdf"), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    assert b"\ndecoder_nwp=False\n" in blob
+    path.write_bytes(blob.replace(b"\ndecoder_nwp=False\n", b"\ndecoder_nwp=" + text + b"\n", 1))
+    with pytest.raises(FormatError, match="'decoder_nwp' must be True or False"):
         load_checkpoint(path)
 
 
