@@ -346,7 +346,9 @@ def _lstm_pre_grad(grad_h, grad_c, gates: np.ndarray, c: np.ndarray, tc: np.ndar
 
 # Steps whose input projection a forward-only lstm_layer computes in one GEMM.
 # The buffer then holds 32 steps instead of all of them (480 at the published
-# window), while each GEMM still has 32 x batch rows.
+# window), while each GEMM still has 32 x batch rows. The forward-only seq2seq
+# encoder streams chunks of the same length, so each of its lstm_layer calls
+# projects its whole chunk in the GEMM the whole-sequence call would run.
 _PROJECTION_CHUNK = 32
 
 

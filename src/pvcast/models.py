@@ -61,6 +61,10 @@ class ModelConfig:
         return self.bins if self.target_mode == "pdf" else 1
 
     @property
+    def attn_width(self) -> int:
+        return max(1, self.units_per_layer // 2)
+
+    @property
     def name(self) -> str:
         label = _FAMILY_LABEL[self.family]
         if self.family == "persistence":
@@ -124,8 +128,7 @@ class Model:
         """Run the samples through forward_batch in groups of _forward_group
         windows, in order; one Forecast each."""
         cfg = self.config
-        if mode not in ("teacher_forcing", "self_recurrent"):
-            raise ContractError(f"unknown decoding mode '{mode}'")
+        _check_decoding(mode)
         group = _forward_group(cfg)
         forecasts = []
         for g0 in range(0, len(samples), group):
@@ -144,25 +147,47 @@ class Model:
 # target, not a bound. A wider group pays the forward pass's per-step Python
 # cost, and streams each weight, once for more windows, so it runs faster; this
 # budget keeps evaluate and validation from growing with the number of windows
-# they score. A window is estimated as three (input_steps, units) float64
-# arrays, what an ffnn layer's input, affine output and tanh output hold; one
-# over the budget runs alone. Measured untaped peaks (tracemalloc, one call,
-# 480 steps, published widths, pdf/E): ffnn 7.4/7.7 MB for 1 window, lstm
-# 3.4 MB for 2, s2s 4.8/5.0 MB for 4 and s2s_attn 5.3/5.5 MB for 4, against
-# 6.29 MB (6 MiB). The estimate under-counts small models, whose per-step
-# buffers do not scale with the units: at 32 units and 192 steps, 42 s2s_attn
-# windows peak at about 6.8 MB. A finer estimate would change group widths, and
-# with them forecasts in the last bit, since the BLAS rounds a row differently
-# with the number of rows beside it. Groups of 8 s2s_attn windows ran a
-# published-width evaluate faster still, but at 6 MB (12%) more peak RSS than
-# groups of 4.
-_FORWARD_BYTES = 6 * 2**20
+# they score. _window_bytes estimates one window; one over the budget runs
+# alone. Measured untaped peaks of one call (tracemalloc, 480 steps, published
+# widths, pdf/E) against 9.44 MB (9 MiB):
+#   family    units    windows  peak MB     estimate MB per window
+#   ffnn      616/640  1        7.42/7.71   7.10/7.37
+#   lstm      184      4        6.96        2.12
+#   s2s       128/132  37/36    9.04/9.03   0.25/0.26 (0.24/0.25 measured)
+#   s2s_attn  110/115  8        8.47/8.78   1.06/1.10 (1.06/1.10 measured)
+# At 32 units and 192 steps (criterion 4) s2s_attn takes 57 windows, 165 KB
+# each (163 KB measured). 8 published s2s_attn windows per call run about
+# 1.2x faster than the 4 that the whole-sequence encoder's windows allowed;
+# streamed at 4 a call they ran 0.95x, so the gain comes from the width. A
+# group width also sets the BLAS's rounding of a row, so forecasts may move
+# in the last bit with it.
+_FORWARD_BYTES = 9 * 2**20
+
+
+def _window_bytes(cfg: ModelConfig) -> int:
+    """Estimated bytes one window holds in an untaped forward_batch call.
+    An encoder-decoder window holds its inputs, the keys and values of its
+    attention layers, and one _PROJECTION_CHUNK of the streamed encoder's step
+    buffers: about seven (chunk, units) arrays, the gate buffer's four, both
+    layers' h buffers and the step scratch. A one-block window holds three
+    (input_steps, units) arrays, what an ffnn layer's input, affine output
+    and tanh output hold."""
+    steps, u = cfg.input_steps, cfg.units_per_layer
+    if cfg.family not in ("s2s", "s2s_attn"):
+        return 8 * 3 * steps * u
+    keys_values = 2 * cfg.depth * steps * cfg.attn_width if cfg.family == "s2s_attn" else 0
+    return 8 * (steps * cfg.input_features + keys_values + 7 * ad._PROJECTION_CHUNK * u)
 
 
 def _forward_group(cfg: ModelConfig) -> int:
     """Windows per forward_batch call under the approximate _FORWARD_BYTES
     budget; a window larger than the budget runs alone."""
-    return max(1, _FORWARD_BYTES // (3 * 8 * cfg.input_steps * cfg.units_per_layer))
+    return max(1, _FORWARD_BYTES // _window_bytes(cfg))
+
+
+def _check_decoding(mode: str) -> None:
+    if mode not in ("teacher_forcing", "self_recurrent"):
+        raise ContractError(f"unknown decoding mode '{mode}'")
 
 
 def sample_arrays(samples: list[Sample], cfg: ModelConfig, targets: bool = True):
@@ -199,6 +224,7 @@ class PersistenceModel(Model):
     """Zero-parameter reference: replays the previous day's distributions."""
 
     def forward(self, sample: Sample, mode: str = "self_recurrent") -> Forecast:
+        _check_decoding(mode)
         history = sample.history_pdf
         if history.shape[0] != self.config.output_steps:
             raise ContractError(
@@ -207,6 +233,7 @@ class PersistenceModel(Model):
 
     def forward_samples(self, samples, mode="self_recurrent"):
         """No network to batch: one replay per sample."""
+        _check_decoding(mode)
         return [self.forward(s, mode) for s in samples]
 
 
@@ -263,7 +290,7 @@ class Seq2SeqModel(Model):
         u = config.units_per_layer
         feat = config.input_features
         self.attention = config.family == "s2s_attn"
-        self.attn_width = max(1, u // 2)
+        self.attn_width = config.attn_width
 
         self.encoder = []
         width = feat
@@ -301,14 +328,16 @@ class Seq2SeqModel(Model):
             raise ContractError("teacher forcing requires target values")
         if cfg.decoder_nwp and nwp_ahead is None:
             raise ContractError("decoder_nwp models need forecast-day weather")
-        seq = Tensor(inputs)
-        dec_states = []  # the encoder layers' last states seed the decoder layers
-        for layer in self.encoder:
-            seq, h_last, c_last = ly.lstm_sequence(layer, seq)
-            dec_states.append((h_last, c_last))
-        # The top layer's outputs are the keys and values of every attention layer.
-        memories = [layer.project_keys_values(seq, seq) for layer in self.attn]
-        del seq  # untaped, this frees the encoder output before the decoder runs
+        if ad._active_tape() is None:
+            dec_states, memories = self._encode_streamed(inputs)
+        else:  # the backward needs every step, so each layer runs whole
+            seq = Tensor(inputs)
+            dec_states = []  # the encoder layers' last states seed the decoder layers
+            for layer in self.encoder:
+                seq, h_last, c_last = ly.lstm_sequence(layer, seq)
+                dec_states.append((h_last, c_last))
+            # The top layer's outputs are the keys and values of every attention layer.
+            memories = [layer.project_keys_values(seq, seq) for layer in self.attn]
 
         feedback = Tensor(p0)
         outputs = []
@@ -330,6 +359,37 @@ class Seq2SeqModel(Model):
                 feedback = Tensor(np.clip(out.data, 0.0, 1.0))
             outputs.append(out)
         return ad.stack(outputs, axis=1)
+
+    def _encode_streamed(self, inputs: np.ndarray):
+        """The untaped encoder, run _PROJECTION_CHUNK steps at a time: each
+        layer carries its (h, c) from chunk to chunk, and each top-layer chunk
+        goes straight through every attention layer's key and value
+        projections, so no layer's full output sequence is ever held. Returns
+        the layers' last states and one memory per attention layer. These equal
+        the whole-sequence path's bitwise, except where the BLAS runs a chunk's
+        smaller key and value GEMMs on another kernel, which may round them
+        differently in the last bit."""
+        batch, steps = inputs.shape[:2]
+        states = [layer.initial_state(batch) for layer in self.encoder]
+        keys = [np.empty((batch, self.attn_width, steps)) for _ in self.attn]
+        values = [np.empty((batch, steps, self.attn_width)) for _ in self.attn]
+        for t0 in range(0, steps, ad._PROJECTION_CHUNK):
+            t1 = min(t0 + ad._PROJECTION_CHUNK, steps)
+            seq = Tensor(inputs[:, t0:t1])
+            for i, layer in enumerate(self.encoder):
+                seq, h, c = ad.lstm_layer(seq, *states[i], layer.w_x, layer.w_h, layer.bias)
+                states[i] = (h, c)
+            # The chunk's top-layer outputs as step-major rows, the layout
+            # lstm_layer keeps them in: one key and one value GEMM per chunk.
+            n = t1 - t0
+            rows = seq.data.swapaxes(0, 1).reshape(n * batch, -1)
+            for layer, k, v in zip(self.attn, keys, values):
+                k[..., t0:t1] = (ly.dense_forward(layer.w_k, rows).data
+                                 .reshape(n, batch, -1).transpose(1, 2, 0))
+                v[:, t0:t1] = (ly.dense_forward(layer.w_v, rows).data
+                               .reshape(n, batch, -1).swapaxes(0, 1))
+            del rows  # the next chunk's layers run without this one's buffers
+        return states, [ad.attention_memory(k, v) for k, v in zip(keys, values)]
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> Model:

@@ -109,6 +109,8 @@ def _batch_loss(kind: str, outputs: Tensor, teacher: np.ndarray,
 
 def validation_nrmse(model: Model, samples: list[Sample]) -> float:
     """Mean per-window nRMSE of self-recurrent forecasts, in normalized power."""
+    if not samples:
+        raise ContractError("validation needs a nonempty sample list")
     forecasts = model.forward_samples(samples)
     scores = [nrmse(f.expected, s.target_e, 1.0) for f, s in zip(forecasts, samples)]
     return float(np.mean(scores))

@@ -252,14 +252,20 @@ def test_batched_evaluate_matches_per_window_forward(monkeypatch, n_windows):
         model.forward_batch = counted
     expected = _per_window_rows(models, samples)
     # At 4 units the default budget takes every window in one group; a
-    # two-window budget makes pairs, the last one partial for odd n.
+    # budget of two s2s_attn windows makes s2s_attn pairs, the last one
+    # partial for odd n, and groups of 3 for the smaller windows of the
+    # other families.
+    attn_window = pvmodels._window_bytes(models[1].config)
     for budget_windows in (None, 2):
         if budget_windows is not None:
-            monkeypatch.setattr(pvmodels, "_FORWARD_BYTES", budget_windows * 3 * 8 * 96 * 4)
+            monkeypatch.setattr(pvmodels, "_FORWARD_BYTES", budget_windows * attn_window)
         calls.clear()
         report = evaluate(models, samples, P_MAX, "test")
         groups = {m.config: pvmodels._forward_group(m.config) for m in models[1:]}
-        assert set(groups.values()) == {budget_windows or 682}
+        if budget_windows is None:
+            assert min(groups.values()) == 526
+        else:
+            assert list(groups.values()) == [2, 2, 3, 3, 3]
         # One forward_batch call per budget group.
         assert calls == {cfg: math.ceil(n_windows / g) for cfg, g in groups.items()}
         assert len(report.rows) == len(expected)

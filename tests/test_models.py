@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pvcast import autodiff as ad
 from pvcast import models
-from pvcast.autodiff import Tensor
+from pvcast.autodiff import Tape, Tensor
 from pvcast.data import (DAY, HOUR, RawNwpSeries, RawPvSeries, consolidate,
                          make_samples, synth_generate)
 from pvcast.errors import ConfigError, ContractError
@@ -177,7 +178,7 @@ def spy_forward_batch(model):
 
 def budget_for(cfg, windows):
     """A _FORWARD_BYTES value that gives groups of `windows` for cfg."""
-    return windows * 3 * 8 * cfg.input_steps * cfg.units_per_layer
+    return windows * models._window_bytes(cfg)
 
 
 @pytest.mark.parametrize("family,mode,decoding", [
@@ -216,15 +217,15 @@ def test_forward_samples_runs_budget_groups_in_order(monkeypatch, family, mode,
 
 
 def test_forward_group_follows_the_budget():
-    assert models._FORWARD_BYTES == 6 * 2**20
+    assert models._FORWARD_BYTES == 9 * 2**20
     groups = {key: models._forward_group(benchmark_config(*key)) for key in BENCHMARK_UNITS}
     assert groups == {("ffnn", "expected"): 1, ("ffnn", "pdf"): 1,
-                      ("lstm", "expected"): 2, ("lstm", "pdf"): 2,
-                      ("s2s", "expected"): 4, ("s2s", "pdf"): 4,
-                      ("s2s_attn", "expected"): 4, ("s2s_attn", "pdf"): 4}
+                      ("lstm", "expected"): 4, ("lstm", "pdf"): 4,
+                      ("s2s", "expected"): 36, ("s2s", "pdf"): 37,
+                      ("s2s_attn", "expected"): 8, ("s2s_attn", "pdf"): 8}
     # Criterion 4's s2s_attn: a 9-window validation split is one call.
     assert models._forward_group(ModelConfig(family="s2s_attn", units_per_layer=32,
-                                             input_steps=192)) == 42
+                                             input_steps=192)) == 57
 
 
 @pytest.fixture(scope="module")
@@ -247,23 +248,50 @@ def traced_peak(call) -> int:
 
 
 @pytest.mark.parametrize("family,mode", [("ffnn", "expected"), ("lstm", "pdf"),
-                                         ("s2s", "expected"), ("s2s_attn", "expected")])
+                                         ("s2s", "expected"), ("s2s_attn", "expected"),
+                                         ("s2s_attn", "pdf")])
 def test_forward_samples_peak_memory_stays_within_the_budget(published_windows,
                                                              family, mode):
-    # The wider mode of each family at the published widths, over two groups.
+    # The wider mode of each family, and s2s_attn pdf, at the published widths
+    # over two groups, or one where a group takes all eight windows.
     cfg = benchmark_config(family, mode)
     model = build_model(cfg, seed=1)
     group = models._forward_group(cfg)
     windows = published_windows[:2 * group]
     model.forward_samples(windows[:1])  # lazy numpy and BLAS set-up
     peak = traced_peak(lambda: model.forward_samples(windows))
-    if budget_for(cfg, 1) <= models._FORWARD_BYTES:
-        assert peak <= models._FORWARD_BYTES
-    else:
-        # ffnn: one window is over the budget and runs alone, so two windows
-        # peak as high as one does.
-        assert group == 1
-        assert peak <= 1.05 * traced_peak(lambda: model.forward_samples(windows[:1]))
+    assert peak <= models._FORWARD_BYTES
+
+
+@pytest.mark.parametrize("family", ["s2s", "s2s_attn"])
+@pytest.mark.parametrize("mode", ["pdf", "expected"])
+@pytest.mark.parametrize("decoder_nwp", [False, True], ids=["plain", "decoder_nwp"])
+def test_streamed_encoder_equals_the_taped_whole_sequence_forward(monkeypatch, family,
+                                                                  mode, decoder_nwp):
+    # Two whole projection chunks and a partial third: the untaped encoder
+    # carries each layer's state over two chunk boundaries.
+    chunk = ad._PROJECTION_CHUNK
+    steps = 2 * chunk + 5
+    samples, _ = _micro_samples(input_steps=steps)
+    cfg = _micro_config(family, mode, input_steps=steps, decoder_nwp=decoder_nwp)
+    model = build_model(cfg, seed=6)
+    inputs, p0, _, nwp = sample_arrays(samples[:3], cfg, targets=False)
+    encoder_steps, inner = [], ad.lstm_layer
+
+    def spy(x, *args):
+        if not isinstance(x, tuple) and x.data.ndim == 3:
+            encoder_steps.append(x.shape[1])
+        return inner(x, *args)
+
+    monkeypatch.setattr(ad, "lstm_layer", spy)
+    streamed = model.forward_batch(inputs, p0, None, "self_recurrent", nwp).data
+    assert encoder_steps == [chunk, chunk, chunk, chunk, 5, 5]
+    encoder_steps.clear()
+    with Tape() as tape:
+        taped = model.forward_batch(inputs, p0, None, "self_recurrent", nwp).data
+    assert encoder_steps == [steps, steps]
+    assert tape.nodes[0].op == "lstm_layer"
+    assert np.array_equal(streamed, taped)
 
 
 def test_expected_mode_outputs_clipped_to_unit_interval():
@@ -341,6 +369,18 @@ def test_persistence_matches_index_shift_oracle():
     forecast = model.forward(s)
     h0 = ds.hour_index(s.anchor)
     assert np.array_equal(forecast.steps, ds.hour_targets[h0 - 24:h0])
+
+
+def test_persistence_rejects_an_unknown_decoding_mode():
+    samples, _ = _micro_samples()
+    persistence = build_model(_micro_config("persistence", "pdf"), seed=0)
+    network = build_model(_micro_config("s2s", "pdf"), seed=0)
+    for model in (persistence, network):
+        for call in (lambda: model.forward_samples(samples, "bogus"),
+                     lambda: model.forward_samples([], "bogus"),
+                     lambda: model.forward(samples[0], "bogus")):
+            with pytest.raises(ContractError, match="unknown decoding mode 'bogus'"):
+                call()
 
 
 def test_persistence_wrong_history_length():

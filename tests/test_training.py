@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -364,6 +365,14 @@ def test_fit_best_epoch_is_minimum_and_weights_restored():
     assert validation_nrmse(model, samples[4:6]) == pytest.approx(best, abs=1e-15)
 
 
+def test_validation_nrmse_rejects_an_empty_split():
+    model = build_model(_config("s2s", "pdf"), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+        with pytest.raises(ContractError, match="nonempty"):
+            validation_nrmse(model, [])
+
+
 def test_validation_nrmse_runs_budget_groups(monkeypatch):
     samples = _samples(days=10)
     assert len(samples) == 9
@@ -371,8 +380,7 @@ def test_validation_nrmse_runs_budget_groups(monkeypatch):
     model = build_model(cfg, seed=2)
     reference = model.forward_batch
     # Groups of two windows: four pairs and one single.
-    monkeypatch.setattr(models, "_FORWARD_BYTES",
-                        2 * 3 * 8 * cfg.input_steps * cfg.units_per_layer)
+    monkeypatch.setattr(models, "_FORWARD_BYTES", 2 * models._window_bytes(cfg))
     widths = []
 
     def spy(inputs, *args, **kwargs):
