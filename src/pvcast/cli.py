@@ -102,7 +102,11 @@ def _load_dataset(data_dir: str, pmax_flag: float | None):
     if p_max is None and manifest.exists():
         entries = read_manifest(manifest)
         if "p_max" in entries:
-            p_max = float(entries["p_max"])
+            try:
+                p_max = float(entries["p_max"])
+            except ValueError:
+                raise ConfigError(f"{manifest}: p_max={entries['p_max']} is not a number; "
+                                  "fix it or pass --pmax") from None
     if p_max is None:
         raise ConfigError("rated power unknown: pass --pmax or provide manifest.txt")
     return ingest_csv(pv_path, nwp_path, p_max)

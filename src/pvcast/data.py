@@ -9,8 +9,8 @@ the forecast targets cover [t0, t0 + 24h).
 """
 
 import csv
-import io
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import islice
@@ -28,8 +28,7 @@ SLOTS_PER_HOUR = HOUR // GRID_STEP
 NWP_CHANNELS = ("temp_c", "pressure_kpa", "ghi_wm2", "wind_ms", "rh_pct")
 PV_CSV_HEADER = ("timestamp", "power_w")
 NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
-CSV_CHUNK_ROWS = 4096  # records per batch once the byte path stops
-CSV_BLOCK_BYTES = 1 << 18  # bytes read per block on the byte path
+CSV_CHUNK_ROWS = 4096  # records per row-loop batch, stamps per fast-path chunk
 MAX_GAP_MINUTES = 120  # longest interior gap that consolidate fills
 MIN_DAYS = 6  # shortest overlapping coverage a grid is built from
 
@@ -104,32 +103,27 @@ def _record_line(path, index: int) -> int:
         return next(islice(_records(reader), index, None))[0]
 
 
-# write_csv's stamp layout with the comma that ends it: a digit wherever it
-# has "d".
-_FIXED_HEAD = np.frombuffer(b"dddd-dd-ddTdd:dd:00Z,", dtype=np.uint8)
+# write_csv's stamp layout as a 21-byte field holds it, with the NUL that
+# pads it: a digit wherever it has "d".
+_FIXED_HEAD = np.frombuffer(b"dddd-dd-ddTdd:dd:00Z\0", dtype=np.uint8)
 _DIGIT = _FIXED_HEAD == ord("d")
 # Month lengths and the days before each month: a common year's, then a
 # leap year's.
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31,
                         31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.concatenate([np.cumsum(m) - m for m in _MONTH_DAYS.reshape(2, 12)])
+# The bytes a file on the fast path may hold: printable ASCII, tab and line
+# ends. np.loadtxt strips other control bytes around a value, which float()
+# rejects, and drops a NUL after a stamp.
+_PLAIN_BYTES = bytes(range(32, 127)) + b"\t\r\n"
 
 
-def _windows(buf: np.ndarray, width: int) -> np.ndarray:
-    """A view of buf with the `width` bytes from each offset as one item, so
-    that one gather or scatter reads or writes the heads of many lines."""
-    return np.ndarray((buf.size - width + 1,), dtype=np.dtype((np.void, width)),
-                      buffer=buf, strides=(1,))
-
-
-def _stamp_minutes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The byte head parser: minutes since the epoch of the stamps that start
-    the lines buf[starts:ends], each in write_csv's layout, from arithmetic
-    on their digits, as parse_timestamp reads them; None if any line does not
-    start so, or names a date or time that does not exist."""
-    if not (ends - starts >= _FIXED_HEAD.size).all():
-        return None
-    cols = _windows(buf, _FIXED_HEAD.size)[starts].view(np.uint8).reshape(-1, _FIXED_HEAD.size).T
+def _stamp_minutes(heads: np.ndarray) -> np.ndarray | None:
+    """Minutes since the epoch of (rows, 21) stamp fields, each in
+    write_csv's layout, from arithmetic on their digits, as parse_timestamp
+    reads them; None if any field is not so, or names a date or time that
+    does not exist."""
+    cols = heads.T
     digits = cols[_DIGIT] - ord("0")  # bytes below "0" wrap round above 9
     if (digits > 9).any() or (cols[~_DIGIT] != _FIXED_HEAD[~_DIGIT, None]).any():
         return None
@@ -156,136 +150,95 @@ def _stamp_minutes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
     return days * DAY + hour * HOUR + minute
 
 
-def _line_buffer(text: bytes) -> np.ndarray:
-    """Writable bytes of whole lines, with a line end after the last."""
-    buf = bytearray(text)
-    if not buf.endswith(b"\n"):
-        buf += b"\n"
-    return np.frombuffer(buf, dtype=np.uint8)
-
-
-def _parse_fixed(buf: np.ndarray, n_values: int):
-    """Stamps and (lines, n_values) values of a buffer from _line_buffer
-    whose lines each start with a stamp in write_csv's layout: exactly as the
-    row loop reads them, with float() per value. None if any line is in
-    another layout, any field may split or read otherwise under csv.reader,
-    or any value does not parse. The buffer is overwritten."""
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.empty_like(ends)
-    starts[0], starts[1:] = 0, ends[:-1] + 1
-    stamps = _stamp_minutes(buf, starts, ends)
-    if stamps is None:
-        return None
-    # A CR only in a CRLF: csv.reader ends a line at a lone CR.
-    if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(buf[ends - 1] == ord("\r")):
-        return None
-    # Each line has n_values commas when the head's comma, checked above, is
-    # the first of each n_values in the block.
-    commas = np.flatnonzero(buf == ord(","))
-    if (commas.size != n_values * ends.size
-            or (commas[::n_values] != starts + (_FIXED_HEAD.size - 1)).any()):
-        return None
-    # With the heads blanked and the line ends made commas, each cell is one
-    # csv.reader field. float() strips the spaces and the CR around a value,
-    # as in the row loop; an empty field, a space inside a value, a quote or
-    # a byte outside ASCII fails in float() of bytes.
-    _windows(buf, _FIXED_HEAD.size)[starts] = np.void(b" " * _FIXED_HEAD.size)
-    buf[ends] = ord(",")
-    cells = buf[:-1].tobytes().split(b",")
+def _read_fixed(path, header: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+    """Stamps and (rows, values) of a CSV file whose records each start with
+    a stamp in write_csv's layout, read by one np.loadtxt call exactly as the
+    row loop reads them. None if the header or any record may read otherwise
+    there: another stamp layout, quotes, a field that loadtxt rejects, or a
+    byte outside _PLAIN_BYTES."""
+    with open(path, "rb") as fh:
+        first = fh.readline(1 << 20)
+        names = first.removesuffix(b"\n").removesuffix(b"\r")
+        if (not first.endswith(b"\n") or b"\r" in names
+                or [n.strip() for n in names.split(b",")] != [h.encode() for h in header]):
+            return None
+        blocks = iter(lambda: fh.read(1 << 20), b"")
+        if any(block.translate(None, _PLAIN_BYTES) for block in blocks):
+            return None
+    layout = [("stamp", "S21"), ("values", np.float64, (len(header) - 1,))]
     try:
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, layout, delimiter=",", comments=None, quotechar=None,
+                               skiprows=1, ndmin=1)
     except ValueError:
         return None
-    return stamps, values.reshape(ends.size, n_values)
-
-
-def _read_blocks(fh, header: tuple, keep) -> int | None:
-    """Read a CSV file from the binary file fh in blocks of whole lines of
-    about CSV_BLOCK_BYTES, each through _parse_fixed, and pass keep() each
-    block's stamps and values with its file lines. Stop at the header or the
-    first block in doubt with fh at its first byte, and return the count of
-    file lines before it; None when the whole file is read."""
-    first = fh.readline(CSV_BLOCK_BYTES)
-    names = first.removesuffix(b"\n").removesuffix(b"\r")
-    if (not first.endswith(b"\n") or b"\r" in names
-            or [n.strip() for n in names.split(b",")] != [h.encode() for h in header]):
-        fh.seek(0)
-        return 0
-    done, offset, rest = 1, len(first), b""
-    while True:
-        more = fh.read(CSV_BLOCK_BYTES)
-        block = rest + more
-        if not block:
+    values = np.ascontiguousarray(table["values"])
+    heads = table.view(np.uint8).reshape(table.size, table.itemsize)[:, :_FIXED_HEAD.size]
+    stamps = np.empty(table.size, dtype=np.int64)
+    # A chunk at a time bounds the scratch of the digit arithmetic.
+    for lo in range(0, table.size, CSV_CHUNK_ROWS):
+        chunk = _stamp_minutes(heads[lo:lo + CSV_CHUNK_ROWS])
+        if chunk is None:
             return None
-        # Whole lines, or the last line, which may have no line end. No line
-        # end at all: a line longer than a block, or CR line ends.
-        cut = block.rfind(b"\n") + 1 if more else len(block)
-        parsed = _parse_fixed(_line_buffer(block[:cut]), len(header) - 1) if cut else None
-        if parsed is None:
-            fh.seek(offset)
-            return done
-        keep(parsed, range(done + 1, done + 1 + parsed[0].size))
-        done += parsed[0].size
-        offset += cut
-        rest = block[cut:]
+        stamps[lo:lo + CSV_CHUNK_ROWS] = chunk
+    return stamps, values
 
 
-def _read_rows(fh, path, header: tuple, done: int, keep) -> None:
-    """The row loop: read the rest of a CSV file, after its first `done`
-    lines, from the text file fh with one csv.reader, parse_timestamp and
-    float(), and pass keep() the records CSV_CHUNK_ROWS at a time as
-    _read_blocks does, with the batch's first ParseError; no later record is
-    read. The header is read first when done is 0."""
-    reader = csv.reader(fh)
-    if not done:
+def _read_rows(path, header: tuple, keep) -> None:
+    """The row loop: read a CSV file with one csv.reader, parse_timestamp and
+    float(), and pass keep() the records CSV_CHUNK_ROWS at a time, each batch
+    with the file line of each record by index and its first ParseError; no
+    later record is read."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:
             raise ParseError(f"{path}: empty file")
         if tuple(h.strip() for h in first) != header:
             raise ParseError(f"{path}: expected header {','.join(header)}")
-    records = _records(reader)
-    while True:
-        stamps, values, lines, error = [], [], [], None
-        for offset, row in islice(records, CSV_CHUNK_ROWS):
-            try:
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} fields, got {len(row)}")
-                stamp, row_values = parse_timestamp(row[0]), [float(v) for v in row[1:]]
-            except (ParseError, ValueError) as exc:
-                error = ParseError(f"{path}: line {done + offset}: {exc}")
-                break
-            stamps.append(stamp)
-            values.append(row_values)
-            lines.append(done + offset)
-        if not lines and error is None:
-            return
-        keep((np.array(stamps, dtype=np.int64), np.array(values).reshape(-1, len(header) - 1)),
-             lines, error)
+        records = _records(reader)
+        while True:
+            stamps, values, lines, error = [], [], [], None
+            for line, row in islice(records, CSV_CHUNK_ROWS):
+                try:
+                    if len(row) != len(header):
+                        raise ParseError(f"expected {len(header)} fields, got {len(row)}")
+                    stamp, row_values = parse_timestamp(row[0]), [float(v) for v in row[1:]]
+                except (ParseError, ValueError) as exc:
+                    error = ParseError(f"{path}: line {line}: {exc}")
+                    break
+                stamps.append(stamp)
+                values.append(row_values)
+                lines.append(line)
+            if not lines and error is None:
+                return
+            keep((np.array(stamps, dtype=np.int64), np.array(values).reshape(-1, len(header) - 1)),
+                 lines.__getitem__, error)
 
 
 def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndarray]:
-    """Stamps and (rows, values) of one CSV file: read by blocks of bytes up
-    to the first block that is not all in write_csv's layout with plain
-    values, and by the row loop from there on. `first_problem(values)`
-    returns the index and message of the first row whose values fail a
-    check, or None. Errors name the file line and come in row order, as in a
-    plain row loop."""
+    """Stamps and (rows, values) of one CSV file: by _read_fixed, or else by
+    the row loop from its first line. `first_problem(values)` returns the
+    index and message of the first row whose values fail a check, or None.
+    Errors name the file line and come in row order, as in a plain row loop."""
     stamps = [np.empty(0, dtype=np.int64)]
     values = [np.empty((0, len(header) - 1))]
 
-    def keep(parsed, lines, error=None):
-        problem = first_problem(parsed[1])
+    def keep(batch, line_of, error=None):
+        problem = first_problem(batch[1])
         if problem is not None:
-            raise DataError(f"{path}: line {lines[problem[0]]}: {problem[1]}")
+            raise DataError(f"{path}: line {line_of(problem[0])}: {problem[1]}")
         if error is not None:
             raise error
-        stamps.append(parsed[0])
-        values.append(parsed[1])
+        stamps.append(batch[0])
+        values.append(batch[1])
 
-    with open(path, "rb") as fh:
-        done = _read_blocks(fh, header, keep)
-        if done is not None:
-            _read_rows(io.TextIOWrapper(fh, newline=""), path, header, done, keep)
+    parsed = _read_fixed(path, header)
+    if parsed is not None:
+        keep(parsed, lambda i: _record_line(path, i))
+        return parsed
+    _read_rows(path, header, keep)
     return np.concatenate(stamps), np.concatenate(values)
 
 
@@ -313,8 +266,8 @@ def ingest_csv(pv_path, nwp_path, p_max: float) -> tuple[RawPvSeries, RawNwpSeri
     warning); beyond 5% is a data error, and so is a non-finite value in any
     channel. Timestamps must strictly increase. Errors name the file line.
     """
-    if p_max <= 0:
-        raise ContractError("p_max must be positive")
+    if not 0 < p_max < math.inf:
+        raise ContractError(f"p_max must be positive and finite, got {p_max}")
     limit = p_max * 1.05
 
     def first_pv_problem(power: np.ndarray):

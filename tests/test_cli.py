@@ -120,6 +120,21 @@ def test_train_deterministic_across_runs(data_dir, config_file, tmp_path):
     assert vals[0] == vals[1]
 
 
+@pytest.mark.parametrize("value,message", [
+    ("abc", "manifest.txt: p_max=abc is not a number"),
+    ("inf", "p_max must be positive and finite, got inf")])
+def test_train_rejects_a_bad_manifest_p_max(data_dir, tmp_path, capsys, value, message):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("pv.csv", "nwp.csv"):
+        (data / name).write_bytes((data_dir / name).read_bytes())
+    (data / "manifest.txt").write_text(f"command=gen-data\np_max={value}\n")
+    capsys.readouterr()
+    assert main(["train", "--model", "ffnn", "--mode", "E", "--data", str(data),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(data_dir, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("uints=7\n")

@@ -2,6 +2,8 @@
 and the synthetic generator."""
 
 import csv
+import math
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -273,9 +275,8 @@ INGEST_CASES = {
     "rows_4097": (_truncate(4097), None),
     "rows_4097_slow_tail": (lambda lines: _set(4097, _offset_stamp)(lines[:4098]), None),
     "rows_4097_lf": (lambda lines: _line_ends("\n")(lines[:4098]), None),
-    # records split across block reads (CSV_BLOCK_BYTES is patched down),
-    # the byte path handing over to the row loop at a late block, and
-    # a line longer than a block: 400 zeros before its pressure
+    # a plain file, a quoted stamp late in each file, and a long line: 400
+    # zeros before its pressure
     "blocks_of_300_bytes": (None, None),
     "hand_over_at_late_block": (_set(6000, lambda s, r: f'"{s}",{r}'),
                                 _set(100, lambda s, r: f'"{s}",{r}')),
@@ -288,15 +289,16 @@ INGEST_CASES = {
     "lone_cr_before_crlf": (_set(100, lambda s, r: f"{s},{r[:-2]}\r\r\n"), None),
     # digits that float() reads in text but not in bytes: U+0661 U+0660 is 10
     "arabic_indic_digits": (_set(8, lambda s, r: f"{s},\u0661\u0660\r\n"), None),
+    # a NUL after a stamp, which parse_timestamp reads and a 21-byte stamp
+    # field would drop
+    "nul_after_stamp": (_set(11, lambda s, r: f"{s}\x00,{r}"),
+                        _set(6, lambda s, r: f"{s}\x00,{r}")),
 }
-BLOCK_BYTES = {"blocks_of_300_bytes": 300, "hand_over_at_late_block": 300,
-               "line_longer_than_a_block": 300}
-# The cases that the byte path hands over to the row loop, _read_rows; the
-# byte path reads every other case to its end.
-READERS = {"arabic_indic_digits", "blank_lines", "cr", "fractional_seconds",
-           "hand_over_at_late_block", "line_longer_than_a_block", "lone_cr_before_crlf",
-           "no_z", "offset_stamps", "quoted", "quoted_newline_across_chunk",
-           "rows_4097_slow_tail"}
+# The cases that the row loop, _read_rows, reads from the first line; the
+# fast path reads every other case.
+READERS = {"arabic_indic_digits", "cr", "fractional_seconds", "hand_over_at_late_block",
+           "no_z", "nul_after_stamp", "offset_stamps", "quoted", "quoted_newline_across_chunk",
+           "rows_4097_slow_tail", "underscore_value"}
 
 
 def _assert_same_ingest(got, want):
@@ -321,7 +323,6 @@ def test_ingest_matches_row_loop_reference(tmp_path, monkeypatch, case, start):
     calls = []
     row_loop = data._read_rows
     monkeypatch.setattr(data, "_read_rows", lambda *args: calls.append(args) or row_loop(*args))
-    monkeypatch.setattr(data, "CSV_BLOCK_BYTES", BLOCK_BYTES.get(case, data.CSV_BLOCK_BYTES))
     got = ingest_csv(pv_path, nwp_path, P_MAX)
     _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
     assert bool(calls) == (case in READERS)
@@ -332,11 +333,10 @@ def test_ingest_matches_row_loop_reference(tmp_path, monkeypatch, case, start):
 
 
 def _stamp_minutes(lines):
-    """The byte head parser over the lines."""
-    buf = np.frombuffer("".join(lines).encode(), dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    return data._stamp_minutes(buf, starts, ends)
+    """The stamp parser over the 21-byte fields that np.loadtxt would cut
+    from the first field of each line."""
+    fields = np.array([line.split(",")[0].encode() for line in lines], dtype="S21")
+    return data._stamp_minutes(fields.view(np.uint8).reshape(len(lines), 21))
 
 
 def test_fixed_layout_stamps_match_parse_timestamp():
@@ -405,30 +405,66 @@ INGEST_ERROR_CASES = {
             _set(5000, lambda s, r: f"{s},\r\n")(lines)),
         lambda lines: _set(31, lambda s, r: f"{s},1,2 9,3,4,5\r\n")(
             _set(30, lambda s, r: f"{s},1,,3,4,5\r\n")(lines))),
-    # a PV file of two blocks: an error in the second, read by the byte path,
-    # and one after the byte path hands over at the second
+    # a PV file of its rows twice over: an overshoot in the second copy, and
+    # a parse error there after a quoted stamp
     "overshoot_in_second_block": (
         lambda lines: _set(12000, lambda s, r: f"{s},1060.0\r\n")(lines + lines[1:]), None),
     "parse_error_after_hand_over": (
         lambda lines: _set(13000, lambda s, r: f"{s},abc\r\n")(
             _set(10000, lambda s, r: f'"{s}",{r}')(lines + lines[1:])), None),
+    # bytes that np.loadtxt strips around a value and float() does not
+    "control_bytes_around_value": (_set(5000, lambda s, r: f"{s},\x0c{r[:-2]}\x1f\r\n"), None),
+    # a stamp field past 20 bytes, a record of one blank field, and an
+    # error that the fast path finds after a blank line
+    "two_spaces_after_stamp": (_set(5000, lambda s, r: f"{s}  ,{r}"), None),
+    "whitespace_only_line": (lambda lines: lines[:300] + ["   \r\n"] + lines[300:], None),
+    "blank_line_then_overshoot": (
+        lambda lines: _set(5001, lambda s, r: f"{s},1060.0\r\n")(
+            lines[:200] + ["\r\n"] + lines[200:]), None),
     # five and seven fields: the right count of values over the two lines
     "nwp_field_counts_even_out": (None, lambda lines: _set(21, lambda s, r: f"{s},1,{r}")(
         _set(20, lambda s, r: f"{s},{r.split(',', 1)[1]}")(lines))),
 }
 
 
+# The error cases that the fast path finds; the row loop finds every other.
+FAST_ERRORS = {"blank_line_then_overshoot", "humidity", "inversion", "lone_cr_then_overshoot",
+               "negative_ghi", "overshoot", "overshoot_in_second_block"}
+
+
 @pytest.mark.parametrize("case", sorted(INGEST_ERROR_CASES))
-def test_ingest_errors_match_row_loop_reference(tmp_path, case):
+def test_ingest_errors_match_row_loop_reference(tmp_path, monkeypatch, case):
     pv_path, nwp_path = _written_files(tmp_path)
     for path, edit in zip((pv_path, nwp_path), INGEST_ERROR_CASES[case]):
         if edit is not None:
             _edit(path, edit)
     with pytest.raises((ParseError, DataError)) as want:
         _reference_ingest(pv_path, nwp_path, P_MAX)
+    calls = []
+    row_loop = data._read_rows
+    monkeypatch.setattr(data, "_read_rows", lambda *args: calls.append(args) or row_loop(*args))
     with pytest.raises(want.type) as got:
         ingest_csv(pv_path, nwp_path, P_MAX)
     assert str(got.value) == str(want.value)
+    assert (not calls) == (case in FAST_ERRORS)
+
+
+def test_ingest_of_header_only_files_matches_reference_without_warnings(tmp_path):
+    pv_path, nwp_path = _written_files(tmp_path)
+    for path in (pv_path, nwp_path):
+        _edit(path, lambda lines: lines[:1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ingest_csv(pv_path, nwp_path, P_MAX)
+    _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
+    assert got[0].timestamps.size == got[1].timestamps.size == 0
+
+
+@pytest.mark.parametrize("p_max", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_ingest_rejects_p_max_not_positive_and_finite(tmp_path, p_max):
+    pv_path, nwp_path = _written_files(tmp_path)
+    with pytest.raises(ContractError, match="p_max must be positive and finite"):
+        ingest_csv(pv_path, nwp_path, p_max)
 
 
 def test_ingest_errors_name_file_lines_after_blank_lines_and_multiline_records(tmp_path):
@@ -481,40 +517,17 @@ def test_ingest_rejects_non_finite_values(tmp_path, which, values, channel, quot
 
 
 def test_ingest_of_written_files_never_falls_back_to_row_loop(tmp_path, monkeypatch):
-    calls, kept = [], []
-    row_loop, parse_fixed = data._read_rows, data._parse_fixed
-
-    def counted(fh, path, header, done, keep):
-        calls.append((path, done, 1 + sum(kept)))
-        return row_loop(fh, path, header, done, keep)
-
-    def fixed(buf, n_values):
-        parsed = parse_fixed(buf, n_values)
-        if parsed is not None:
-            kept.append(parsed[0].size)
-        return parsed
-
-    monkeypatch.setattr(data, "_read_rows", counted)
-    monkeypatch.setattr(data, "_parse_fixed", fixed)
+    calls = []
+    monkeypatch.setattr(data, "_read_rows", lambda *args: calls.append(args))
     pv_path, nwp_path = _written_files(tmp_path)
     pv, nwp = ingest_csv(pv_path, nwp_path, P_MAX)
     assert (pv.timestamps.size, nwp.timestamps.size) == (6 * DAY, 6 * 24)
     assert calls == []
-    # With blocks of about 300 bytes, the block that holds file line 5,001,
-    # which the fixed layout cannot read, is one of many: the row loop runs
-    # once, from the line after the header and the blocks the byte path kept.
-    monkeypatch.setattr(data, "CSV_BLOCK_BYTES", 300)
-    _edit(pv_path, _set(5000, _offset_stamp))
-    kept.clear()
-    got = ingest_csv(pv_path, nwp_path, P_MAX)
-    _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
-    [(path, done, after_kept)] = calls
-    assert path == pv_path and done == after_kept
-    assert 5001 - 15 <= done < 5001  # 300 bytes hold at most 15 such lines
+    _assert_same_ingest((pv, nwp), _reference_ingest(pv_path, nwp_path, P_MAX))
 
 
 def test_row_loop_hands_keep_batches_of_at_most_chunk_rows(tmp_path, monkeypatch):
-    # CR-only line ends: the byte path hands the whole PV file to the row loop
+    # CR-only line ends: the row loop reads the whole PV file
     pv_path, nwp_path = _written_files(tmp_path)
     _edit(pv_path, _line_ends("\r"))
     rows = 6 * DAY
@@ -522,11 +535,11 @@ def test_row_loop_hands_keep_batches_of_at_most_chunk_rows(tmp_path, monkeypatch
     batches = []
     row_loop = data._read_rows
 
-    def counted(fh, path, header, done, keep):
-        def counted_keep(parsed, lines, error=None):
-            batches.append(parsed[0].size)
-            keep(parsed, lines, error)
-        row_loop(fh, path, header, done, counted_keep)
+    def counted(path, header, keep):
+        def counted_keep(batch, line_of, error=None):
+            batches.append(batch[0].size)
+            keep(batch, line_of, error)
+        row_loop(path, header, counted_keep)
 
     monkeypatch.setattr(data, "_read_rows", counted)
     got = ingest_csv(pv_path, nwp_path, P_MAX)
