@@ -9,11 +9,12 @@ for NaN/Inf and raises ``NumericsError`` instead of propagating bad values.
 
 ``lstm_layer`` is the one LSTM op: one fused node per layer over a whole
 sequence, or per step for a one-step input, with the last h and c as two
-more outputs that each take a gradient. ``attend`` is one node per attention
-query step, its query projection included; the key and value gradients of
-all steps are computed together by the node that ``attention_memory`` records.
-Both join a tuple of input parts themselves. ``temporal`` maps over time.
-``summed_loss`` records a whole KL or squared-error loss as one node.
+more outputs that each take a gradient. It joins a tuple of input parts
+itself, and it may read an attention context at every step, its query
+projection included; the key and value gradients of all steps are computed
+together by the node that ``attention_memory`` records. ``unstack`` hands
+out a sequence's steps as views, one node for all. ``temporal`` maps over
+time. ``summed_loss`` records a whole KL or squared-error loss as one node.
 """
 
 import math
@@ -265,6 +266,29 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _emit("stack", tensors, out, grad_fn)
 
 
+def unstack(x, axis: int = 0) -> tuple[Tensor, ...]:
+    """The slices of x along `axis` as views, one tape node with an output
+    per slice; stack's inverse. The rule writes each slice's gradient, or
+    zeros for one that received none, into one array laid out like x."""
+    x = as_tensor(x)
+    if x.data.ndim == 0:
+        raise ShapeError("unstack needs at least one axis")
+    ax = axis % x.data.ndim
+    outs = tuple(Tensor(s, requires_grad=x.requires_grad) for s in np.moveaxis(x.data, ax, 0))
+    tape = _active_tape()
+    if tape is not None and x.requires_grad and outs:
+        def grad_fn(*grads):
+            g = np.zeros_like(x.data)
+            slices = np.moveaxis(g, ax, 0)
+            for i, gi in enumerate(grads):
+                if gi is not None:
+                    slices[i] = gi
+            return (g,)
+
+        tape.nodes.append(Node("unstack", (x,), outs[0], grad_fn, aux=outs[1:]))
+    return outs
+
+
 def swap_last_axes(x) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim < 2:
@@ -352,11 +376,11 @@ def _lstm_pre_grad(grad_h, grad_c, gates: np.ndarray, c: np.ndarray, tc: np.ndar
 _PROJECTION_CHUNK = 32
 
 
-def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
+def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Tensor]:
     """An LSTM layer as one three-output tape node. Over a (batch, steps, in)
     input it returns every step's h as (batch, steps, units), then the last h
     and c; a (batch, in) input is one step, and h comes back as (batch, units).
-    The input may be a tuple of parts, such as a context and a step input:
+    The input may be a tuple of parts, such as a step input and the weather:
     the node joins them on the last axis and splits their gradient back.
 
     With pre = (x @ w_x + h @ w_h) + bias split into gate blocks (i, f, g, o),
@@ -374,9 +398,21 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
     Each sweep writes its step temporaries into scratch buffers of one step's
     size that it allocates once.
 
+    `read`, a (w_q, b_q, KeyValueMemory) triple, makes each step first read
+    an attention context (see _attend_step). Its query is (x_t, h) or h
+    alone, whichever has w_q's row count, and the cell's input is
+    (context, x_t), so w_x has the context's rows first. That input waits on
+    h, so each step projects its own in one GEMM, and the reverse sweep runs
+    the read's backward and forms each weight's gradient step by step,
+    summing the steps from the last to the first. So the node equals, value
+    for value and gradient for gradient, a chain of one-step nodes that each
+    follow a node reading the context. The key and value gradients are left
+    to the memory's node (see KeyValueMemory), so the memory must have been
+    created under the tape that records the layer.
+
     When no tape records the node, no backward cache is kept, the input is
-    projected _PROJECTION_CHUNK steps at a time, and the last h is a copy, so
-    a caller that drops h_seq frees the step buffer.
+    projected _PROJECTION_CHUNK steps at a time (one with a read), and the
+    last h is a copy, so a caller that drops h_seq frees the step buffer.
     """
     parts, x = _join("lstm_layer", x)
     h0, c0, w_x, w_h, bias = (as_tensor(t) for t in (h0, c0, w_x, w_h, bias))
@@ -387,17 +423,39 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
     # A (batch, in) input is read as (batch, 1, in) through views.
     batch, steps, width = x.shape[0], x.shape[1] if rank == 3 else 1, x.shape[-1]
     u = h0.shape[1]
-    if (c0.shape != (batch, u) or h0.shape[0] != batch or w_x.shape != (width, 4 * u)
+    inputs = parts + (h0, c0, w_x, w_h, bias)
+    context = 0  # the width of the context that leads each step's cell input
+    if read is not None:
+        w_q, b_q, memory = read
+        w_q, b_q = as_tensor(w_q), as_tensor(b_q)
+        kp_t, vp = memory.kp_t.data, memory.vp.data
+        if (kp_t.ndim != 3 or kp_t.shape[0] != batch or w_q.data.ndim != 2
+                or w_q.shape not in ((width + u, kp_t.shape[1]), (u, kp_t.shape[1]))
+                or b_q.shape != (kp_t.shape[1],)):
+            raise ShapeError(f"lstm_layer read does not fit: query (x {width}, h {u}) or h, "
+                             f"w_q {w_q.shape}, b_q {b_q.shape}, keys {kp_t.shape}")
+        context = vp.shape[-1]
+        # A query that holds x_t lists the parts once more: their query
+        # gradients are added after their cell gradients, as when a node of
+        # its own read the context.
+        joined = w_q.shape[0] == width + u
+        inputs += (w_q, b_q, memory.token) + (parts if joined else ())
+    if (c0.shape != (batch, u) or h0.shape[0] != batch or w_x.shape != (context + width, 4 * u)
             or w_h.shape != (u, 4 * u) or bias.shape != (4 * u,)):
         raise ShapeError(f"lstm_layer shapes do not fit: x {x.shape}, h0 {h0.shape}, "
-                         f"c0 {c0.shape}, w_x {w_x.shape}, w_h {w_h.shape}, bias {bias.shape}")
-    inputs = parts + (h0, c0, w_x, w_h, bias)
-    requires = any(t.requires_grad for t in inputs)
+                         f"c0 {c0.shape}, w_x {w_x.shape}, w_h {w_h.shape}, bias {bias.shape}"
+                         + (f", context width {context}" if context else ""))
     tape = _active_tape()
+    if (read is not None and tape is not None and (memory.tape is None or memory.tape() is not tape)
+            and (memory.kp_t.requires_grad or memory.vp.requires_grad)):
+        raise ContractError("lstm_layer: the key/value memory was not created under the "
+                            "recording tape, so its keys and values would get no "
+                            "gradient; call attention_memory inside that tape")
+    requires = any(t.requires_grad for t in inputs)
     record = tape is not None and requires
 
     xs = np.swapaxes(x.reshape(batch, steps, width), 0, 1)  # (steps, batch, in)
-    chunk = steps if record else min(_PROJECTION_CHUNK, steps)
+    chunk = steps if record else 1 if read is not None else min(_PROJECTION_CHUNK, steps)
     gates = np.empty((chunk, batch, 4 * u))  # projections, then activations
     hs = np.empty((steps + 1, batch, u))
     hs[0] = h0.data
@@ -407,6 +465,18 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
         tcs = np.empty((steps, batch, u))
     else:  # one c updated in place and one tanh(c) scratch
         c, tc = c0.data.copy(), np.empty((batch, u))
+    if read is not None:
+        # Each step's cell input (context, x_t) and query: (x_t, h) in a
+        # buffer, or h itself, read from hs. The reverse sweep reads them
+        # again, with every step's projected query and weights, which it
+        # hands to the memory's rule. That rule reads them step-major from
+        # the last step back, the order in which one-step readers add
+        # theirs, so they are kept in that layout.
+        cell_in = np.empty((chunk, batch, context + width))
+        queries = np.empty((chunk, batch, width + u)) if joined else hs
+        if record:
+            qp_rows = np.empty((batch, steps, kp_t.shape[1]))
+            weight_rows = np.empty((batch, steps, kp_t.shape[2]))
     # Step scratch, reused by every step: h @ w_h, the sigmoid's exp(-|pre|),
     # the finiteness mask, tanh(g) and i*g.
     hw, e = np.empty((2, batch, 4 * u))
@@ -415,7 +485,18 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected
         for t in range(steps):
             k = t % chunk
-            if k == 0:
+            if read is not None:
+                query = (np.concatenate((xs[t], hs[t]), axis=1, out=queries[k]) if joined
+                         else hs[t])
+                qp, a, ctx = _attend_step(query, w_q.data, b_q.data, kp_t, vp)
+                if record:
+                    qp_rows[:, steps - 1 - t] = qp[:, 0]
+                    weight_rows[:, steps - 1 - t] = a[:, 0]
+                block = cell_in[k]
+                block[:, :context] = ctx
+                block[:, context:] = xs[t]
+                np.matmul(block, w_x.data, out=gates[k])
+            elif k == 0:
                 n = min(chunk, steps - t)
                 block = np.ascontiguousarray(xs[t:t + n]).reshape(n * batch, width)
                 np.matmul(block, w_x.data, out=gates[:n].reshape(n * batch, 4 * u))
@@ -436,12 +517,13 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
     h_last, c_last = (Tensor(a, requires_grad=requires) for a in (h, c))
     if not record:
         return h_seq, h_last, c_last
-    cache = [gates, cs, tcs, block]
+    cache = ([gates, cs, tcs, block] if read is None
+             else [gates, cs, tcs, cell_in, qp_rows, weight_rows])
 
     def grad_fn(grad_seq, grad_h, grad_c):
         if not cache:
             raise ContractError("lstm_layer backward ran twice on one tape")
-        d_pre, cs, tcs, x_rows = cache
+        d_pre, cs, tcs, x_rows, *step_reads = cache
         cache.clear()
         ext = None if grad_seq is None else np.swapaxes(grad_seq.reshape(batch, steps, u), 0, 1)
         # Step scratch, reused by every step; each step reads the c gradient
@@ -449,6 +531,18 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
         d_gates, one_minus = np.empty((2, batch, 4 * u))
         dc_step, tmp, dh_buf, dc_prev = np.empty((4, batch, u))
         w_h_t = _swap(w_h.data)
+        x_grad = any(p.requires_grad for p in parts)
+        if read is not None:
+            qp_rows, weight_rows = step_reads
+            # The score and context gradients, laid out as qp_rows is.
+            d_score_rows = np.empty_like(weight_rows)
+            g_rows = np.empty((batch, steps, context))
+            # The x gradient through the cell by step, and through the query
+            # when it holds x_t; the sums over the steps so far of the w_x,
+            # w_h, bias, w_q and b_q gradients.
+            d_x = np.empty((steps, batch, width)) if x_grad else None
+            d_xq = np.empty((steps, batch, width)) if x_grad and joined else None
+            sums = [None] * 5
         dh, dc = grad_h, grad_c  # the last h's gradient joins the last step's
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(steps - 1, -1, -1):
@@ -456,14 +550,43 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias) -> tuple[Tensor, Tensor, Tensor]:
                     dh = ext[t] if dh is None else np.add(ext[t], dh, out=dh_buf)
                 dc = _lstm_pre_grad(dh, dc, d_pre[t], cs[t], tcs[t], d_pre[t], d_gates,
                                     one_minus, dc_step, tmp, dc_prev)
+                if read is not None:
+                    d_in = d_pre[t] @ _swap(w_x.data)  # (batch, context + in)
+                    row = slice(steps - 1 - t, steps - t)
+                    g_rows[:, row] = d_in[:, None, :context]
+                    d_qp = _attend_step_grad(g_rows[:, row], weight_rows[:, row], kp_t, vp,
+                                             d_score_rows[:, row])
+                    d_query = (d_qp @ _swap(w_q.data)).reshape(batch, -1)
+                    if d_x is not None:
+                        d_x[t] = d_in[:, context:]
+                    if d_xq is not None:
+                        d_xq[t] = d_query[:, :width]
+                    terms = (_swap(x_rows[t]) @ d_pre[t], _swap(hs[t]) @ d_pre[t],
+                             d_pre[t].sum(axis=0), _swap(queries[t]) @ d_qp.reshape(batch, -1),
+                             _unbroadcast(d_qp, b_q.shape))
+                    for j, term in enumerate(terms):
+                        sums[j] = term if sums[j] is None else np.add(sums[j], term, out=sums[j])
                 if t or h0.requires_grad:
                     dh = np.matmul(d_pre[t], w_h_t, out=dh_buf)
+                    if read is not None:
+                        dh += d_query[:, -u:]  # the query's h part
+            states = (dh if h0.requires_grad else None, dc if c0.requires_grad else None)
+            if read is not None:
+                if memory.token.requires_grad:
+                    memory.rows.append((qp_rows, d_score_rows, weight_rows, g_rows))
+
+                def by_part(d):
+                    return _split(None if d is None else np.swapaxes(d, 0, 1).reshape(x.shape),
+                                  parts)
+
+                return by_part(d_x) + states + tuple(
+                    s if p.requires_grad else None
+                    for s, p in zip(sums + [np.zeros(())], (w_x, w_h, bias, w_q, b_q, memory.token))
+                ) + (by_part(d_xq) if joined else ())
             rows = d_pre.reshape(steps * batch, 4 * u)
             d_x = (np.swapaxes((rows @ _swap(w_x.data)).reshape(steps, batch, width), 0, 1)
-                   .reshape(x.shape) if any(p.requires_grad for p in parts) else None)
-            return _split(d_x, parts) + (
-                dh if h0.requires_grad else None,
-                dc if c0.requires_grad else None,
+                   .reshape(x.shape) if x_grad else None)
+            return _split(d_x, parts) + states + (
                 _swap(x_rows) @ rows if w_x.requires_grad else None,
                 _swap(hs[:-1].reshape(steps * batch, u)) @ rows if w_h.requires_grad else None,
                 rows.sum(axis=0) if bias.requires_grad else None,
@@ -483,15 +606,17 @@ class KeyValueMemory:
     (..., steps, width), shared by every query of one sequence.
 
     While a tape records, ``attention_memory`` records one node before any
-    query reads the memory. Each ``attend`` node's backward saves its rows
-    in ``rows`` instead of building full-size key and value gradients; the
-    memory's own rule runs after all of them and turns the rows into
-    d(kp_t) = Qᵀ·dS and d(vp) = Aᵀ·dC, one batched GEMM each. ``token`` is
-    that node's output: a scalar without meaning whose gradient marks that
-    rows are waiting. ``tape`` is a weak reference to the tape that recorded
-    the node (None if none did), so the tape does not reach itself through
-    its own rule and is freed as soon as it is dropped; ``attend`` refuses
-    to record on any other tape.
+    query reads the memory. The reverse sweep of each ``lstm_layer`` that
+    reads it adds one entry to ``rows``, its steps' rows from the last step
+    back, instead of building full-size key and value gradients; the
+    memory's own rule runs after all of them, joins the entries on the step
+    axis and turns the rows into d(kp_t) = Qᵀ·dS and d(vp) = Aᵀ·dC, one
+    batched GEMM each. ``token`` is that node's output, and an input of every
+    layer that reads the memory: a scalar without meaning whose gradient
+    marks that rows are waiting. ``tape`` is a weak reference to the tape
+    that recorded the node (None if none did), so the tape does not reach
+    itself through its own rule and is freed as soon as it is dropped;
+    ``lstm_layer`` refuses to read the memory on any other tape.
     """
 
     __slots__ = ("kp_t", "vp", "token", "rows", "tape")
@@ -506,8 +631,8 @@ class KeyValueMemory:
 
 
 def attention_memory(kp_t, vp) -> KeyValueMemory:
-    """Wrap projected keys and values for attend; create it under the same
-    tape as the queries that read it."""
+    """Wrap projected keys and values for lstm_layer's attention read;
+    create it under the same tape as the layers that read it."""
     kp_t, vp = as_tensor(kp_t), as_tensor(vp)
     if (kp_t.data.ndim < 2 or vp.data.ndim != kp_t.data.ndim
             or kp_t.shape[:-2] != vp.shape[:-2] or kp_t.shape[-1] != vp.shape[-2]):
@@ -519,7 +644,8 @@ def attention_memory(kp_t, vp) -> KeyValueMemory:
                             weakref.ref(tape) if record else None)
     if record:
         def grad_fn(_):
-            q, d_scores, weights, d_out = (np.concatenate(part, axis=-2)
+            q, d_scores, weights, d_out = (part[0] if len(part) == 1
+                                           else np.concatenate(part, axis=-2)
                                            for part in zip(*memory.rows))
             memory.rows = []
             with np.errstate(over="ignore", invalid="ignore"):
@@ -530,63 +656,34 @@ def attention_memory(kp_t, vp) -> KeyValueMemory:
     return memory
 
 
-def attend(query, w_q, b_q, memory: KeyValueMemory) -> Tensor:
-    """softmax((qp @ kp_t) / sqrt(width)) @ vp with qp = query @ w_q + b_q, as
-    one tape node: a (..., q) query gives a (..., value width) context; a
-    tuple of query parts is joined and split back as lstm_layer's input is.
+def _attend_step(query, w_q, b_q, kp_t, vp) -> tuple:
+    """One step's attention read for lstm_layer: softmax((qp @ kp_t) /
+    sqrt(width)) @ vp with qp = query @ w_q + b_q, for a (batch, q) query.
+    Each query is read as a (batch, 1, q) row, so the values repeat the
+    affine/matmul/scale/softmax/matmul composite operand for operand. Returns
+    qp and the weights, which the reverse sweep reads, and the (batch, value
+    width) context. The caller holds the errstate."""
+    scale = 1.0 / math.sqrt(kp_t.shape[-2])
+    qp = query.reshape(query.shape[0], 1, -1) @ w_q  # (batch, 1, q) rows
+    qp += b_q
+    scores = (qp @ kp_t) * scale
+    _check_finite("attention", scores)
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = ex / ex.sum(axis=-1, keepdims=True)
+    context = np.squeeze(weights @ vp, -2)
+    _check_finite("attention", context)
+    return qp, weights, context
 
-    Each query is read as a (..., 1, q) row, so that forward and the query
-    and b_q gradients repeat the affine/matmul/scale/softmax/matmul composite
-    operand for operand. The w_q gradient is one (q, rows) @ (rows, width)
-    GEMM over every query row instead of the composite's per-row outer
-    products and their sum, so it may differ from it in the last bits. The
-    key and value gradients are left to the memory's node (see
-    KeyValueMemory), so the memory must have been created under the tape that
-    records the queries.
-    """
-    parts, query = _join("attend", query)
-    w_q, b_q = as_tensor(w_q), as_tensor(b_q)
-    kp_t, vp, token = memory.kp_t.data, memory.vp.data, memory.token
-    width = kp_t.shape[-2]
-    if (query.ndim != kp_t.ndim - 1 or query.shape[:-1] != kp_t.shape[:-2]
-            or w_q.shape != (query.shape[-1], width) or b_q.shape != (width,)):
-        raise ShapeError(f"attend shapes do not fit: query {query.shape}, w_q {w_q.shape}, "
-                         f"b_q {b_q.shape}, keys {kp_t.shape}")
-    tape = _active_tape()
-    if (tape is not None and (memory.tape is None or memory.tape() is not tape)
-            and (memory.kp_t.requires_grad or memory.vp.requires_grad)):
-        raise ContractError("attend: the key/value memory was not created under the "
-                            "recording tape, so its keys and values would get no "
-                            "gradient; call attention_memory inside that tape")
-    rows = np.expand_dims(query, -2)
-    scale = 1.0 / math.sqrt(width)
-    with np.errstate(over="ignore", invalid="ignore"):
-        qp = rows @ w_q.data
-        qp += b_q.data
-        scores = (qp @ kp_t) * scale
-        _check_finite("attention", scores)
-        ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        weights = ex / ex.sum(axis=-1, keepdims=True)
-        out = np.squeeze(weights @ vp, -2)  # non-finite results are rejected in _emit
 
-    def grad_fn(g):
-        g = np.expand_dims(g, -2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_weights = g @ _swap(vp)
-            inner = (d_weights * weights).sum(axis=-1, keepdims=True)
-            d_scores = (weights * (d_weights - inner)) * scale
-            if token.requires_grad:
-                memory.rows.append((qp, d_scores, weights, g))
-            d_qp = d_scores @ _swap(kp_t)
-            d_query = ((d_qp @ _swap(w_q.data)).reshape(query.shape)
-                       if any(p.requires_grad for p in parts) else None)
-            return _split(d_query, parts) + (
-                _swap(query.reshape(-1, query.shape[-1])) @ d_qp.reshape(-1, width)
-                if w_q.requires_grad else None,
-                _unbroadcast(d_qp, b_q.shape) if b_q.requires_grad else None,
-                np.zeros(()) if token.requires_grad else None)
-
-    return _emit("attention", parts + (w_q, b_q, token), out, grad_fn)
+def _attend_step_grad(g, weights, kp_t, vp, d_scores) -> np.ndarray:
+    """The gradient that reaches _attend_step's qp from the (batch, 1,
+    width) context gradient `g`, with the composite's operands; the score
+    gradient goes into `d_scores`, shaped like the step's weights."""
+    scale = 1.0 / math.sqrt(kp_t.shape[-2])
+    d_weights = g @ _swap(vp)
+    inner = (d_weights * weights).sum(axis=-1, keepdims=True)
+    np.multiply(weights * (d_weights - inner), scale, out=d_scores)
+    return d_scores @ _swap(kp_t)
 
 
 # ---------------------------------------------------------------------------

@@ -83,31 +83,38 @@ class LstmLayer:
         return Tensor(zeros.copy()), Tensor(zeros.copy())
 
 
-def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor],
+              read: tuple | None = None) -> tuple[Tensor, Tensor]:
     """One recurrence step of a (batch, in) input, or of a tuple of parts that
     join to one on the last axis: c' = f*c + i*g, h' = o*tanh(c'), one
-    lstm_layer node. A wrong input width raises lstm_layer's ShapeError."""
+    lstm_layer node, which first reads an attention context when given a
+    `read` from attend_projected. A wrong input width raises lstm_layer's
+    ShapeError."""
     h, c = state
     if h.shape[-1] != layer.units or c.shape[-1] != layer.units:
         raise ContractError(
             f"lstm state width {h.shape[-1]}/{c.shape[-1]}, expected {layer.units}")
-    return ad.lstm_layer(x_t, h, c, layer.w_x, layer.w_h, layer.bias)[1:]
+    return ad.lstm_layer(x_t, h, c, layer.w_x, layer.w_h, layer.bias, read)[1:]
 
 
-def lstm_sequence(layer: LstmLayer, x) -> tuple[Tensor, Tensor, Tensor]:
-    """The layer over a whole (batch, steps, in) input from a zero state,
-    one fused tape node: every step's h as (batch, steps, units), then the
-    last h and c. A wrong input width raises lstm_layer's ShapeError."""
-    x = ad.as_tensor(x)
-    h, c = layer.initial_state(x.shape[0])
-    return ad.lstm_layer(x, h, c, layer.w_x, layer.w_h, layer.bias)
+def lstm_sequence(layer: LstmLayer, x, state: tuple[Tensor, Tensor] | None = None,
+                  read: tuple | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """The layer over a whole (batch, steps, in) input, or a tuple of parts
+    that join to one, from `state` or a zero state, one fused tape node that
+    reads an attention context at each step when given a `read`: every
+    step's h as (batch, steps, units), then the last h and c. A wrong input
+    width raises lstm_layer's ShapeError."""
+    if state is None:
+        state = layer.initial_state(ad.as_tensor(x[0] if isinstance(x, tuple) else x).shape[0])
+    return ad.lstm_layer(x, *state, layer.w_x, layer.w_h, layer.bias, read)
 
 
 class AttentionLayer:
     """Scaled dot-product attention with learned query/key/value projections
     into a common width; the key width doubles as the score scale. The query
-    projection is the weights `w_q` and bias `b_q` that `attend` applies
-    itself; keys and values go through dense layers once per sequence."""
+    projection is the weights `w_q` and bias `b_q` that lstm_layer applies at
+    each step it reads; keys and values go through dense layers once per
+    sequence."""
 
     def __init__(self, query_size: int, key_size: int, value_size: int, width: int,
                  rng: np.random.Generator | None = None):
@@ -135,10 +142,11 @@ class AttentionLayer:
         return ad.attention_memory(ad.swap_last_axes(self.w_k(k)), self.w_v(v))
 
 
-def attend_projected(layer: AttentionLayer, query, memory: ad.KeyValueMemory) -> Tensor:
-    """softmax((q W_q + b_q) Kᵀ / sqrt(width)) V for (..., query_size) queries,
-    or tuples of parts that join to them, one node."""
-    return ad.attend(query, layer.w_q, layer.b_q, memory)
+def attend_projected(layer: AttentionLayer, memory: ad.KeyValueMemory) -> tuple:
+    """The read of `memory` that lstm_step and lstm_sequence pass to
+    lstm_layer: at each step, softmax((q W_q + b_q) Kᵀ / sqrt(width)) V for
+    the step's (batch, query_size) query."""
+    return layer.w_q, layer.b_q, memory
 
 
 class TemporalTransform:

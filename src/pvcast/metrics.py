@@ -11,14 +11,20 @@ from .data import Sample
 from .errors import ContractError
 
 
+def _check_p_max(p_max: float) -> None:
+    # An infinite p_max would score every forecast 0, and NaN would pass a
+    # plain `<= 0` test.
+    if not (math.isfinite(p_max) and p_max > 0.0):
+        raise ContractError(f"p_max must be positive and finite, got {p_max}")
+
+
 def nme(f, p, p_max: float) -> float:
     """Mean absolute error normalized by horizon length and rated power."""
     f = np.asarray(f, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if f.shape != p.shape:
         raise ContractError(f"nme shape mismatch: {f.shape} vs {p.shape}")
-    if p_max <= 0.0:
-        raise ContractError("p_max must be positive")
+    _check_p_max(p_max)
     return float(np.abs(f - p).sum() / (f.size * p_max))
 
 
@@ -29,8 +35,7 @@ def nrmse(f, p, p_max: float) -> float:
     p = np.asarray(p, dtype=np.float64)
     if f.shape != p.shape:
         raise ContractError(f"nrmse shape mismatch: {f.shape} vs {p.shape}")
-    if p_max <= 0.0:
-        raise ContractError("p_max must be positive")
+    _check_p_max(p_max)
     sq = float(((f - p) ** 2).sum())
     return math.sqrt(sq) / (f.size * p_max)
 
@@ -48,8 +53,9 @@ def crps(f, p) -> float:
 
 def skill(model_err: float, persistence_err: float) -> float:
     """Relative improvement over the persistence reference: 1 - err/ref."""
-    if persistence_err <= 0.0:
-        raise ContractError("persistence error must be positive")
+    if not (math.isfinite(persistence_err) and persistence_err > 0.0):
+        raise ContractError(f"persistence error must be positive and finite, "
+                            f"got {persistence_err}")
     return 1.0 - model_err / persistence_err
 
 

@@ -2,15 +2,21 @@
 encoder-decoder models with and without attention, in expected-value and
 binned-distribution target modes.
 
-Decoder wiring for the attention variant, per step: each context is one
-attend node that projects its (batch, q) query itself, over the encoder's
-top-layer outputs as keys and values. Layer 1's query is (step input,
-layer-1 h) and LSTM layer 1 reads (context, step input); layer j>1's query
-is layer j's h and layer j reads (context, layer j-1's output). Each tuple is
-passed as parts, which the node joins on the last axis itself, so no concat
-node sits between them; with decoder_nwp the step input adds the weather.
-The attention projection width is units//2, which keeps the attention
-variants' parameter count in line with the equal-capacity baselines.
+Decoder wiring for the attention variant: each decoder LSTM layer reads an
+attention context at every step inside its lstm_layer node, which projects
+the (batch, q) query itself, over the encoder's top-layer outputs as keys
+and values. Layer 1's query is (step input, layer-1 h) and it reads
+(context, step input); layer j>1's query is layer j's h and it reads
+(context, layer j-1's output); with decoder_nwp the step input adds the
+weather. Under teacher forcing no layer's input depends on the layer above,
+so each layer runs its 24 steps as one node (layer-major, Appleyard et al.
+2016) and the head runs per step on one unstack node's views of the top
+layer's outputs. The self-recurrent decoder feeds each forecast back, so it
+runs one node per layer and step. The attention-free s2s decoder stays per
+step in both modes: one input GEMM over every step would round differently
+from the self-recurrent per-step GEMM. The attention projection width is
+units//2, which keeps the attention variants' parameter count in line with
+the equal-capacity baselines.
 """
 
 from dataclasses import dataclass, replace
@@ -339,26 +345,33 @@ class Seq2SeqModel(Model):
             # The top layer's outputs are the keys and values of every attention layer.
             memories = [layer.project_keys_values(seq, seq) for layer in self.attn]
 
+        reads = ([ly.attend_projected(a, m) for a, m in zip(self.attn, memories)]
+                 or [None] * cfg.depth)
+        if mode == "teacher_forcing" and self.attention:
+            # Step t reads the teacher row t-1, and the first step reads p0.
+            x = (Tensor(np.concatenate((p0[:, None], teacher[:, :-1]), axis=1)),)
+            x += (Tensor(nwp_ahead),) if cfg.decoder_nwp else ()
+            for layer, state, read in zip(self.decoder, dec_states, reads):
+                x = ly.lstm_sequence(layer, x, state, read)[0]
+            return ad.stack([self._head(h) for h in ad.unstack(x, axis=1)], axis=1)
+
         feedback = Tensor(p0)
         outputs = []
         for t in range(cfg.output_steps):
             step_in = Tensor(teacher[:, t - 1]) if t and mode == "teacher_forcing" else feedback
             x = (step_in, Tensor(nwp_ahead[:, t])) if cfg.decoder_nwp else (step_in,)
             for i, layer in enumerate(self.decoder):
-                if self.attention:
-                    query = x + (dec_states[i][0],) if i == 0 else dec_states[i][0]
-                    x = (ly.attend_projected(self.attn[i], query, memories[i]),) + x
-                h, c = ly.lstm_step(layer, x, dec_states[i])
-                dec_states[i] = (h, c)
-                x = (h,)
-            out = self.head(h)
-            if cfg.target_mode == "pdf":
-                out = ad.softmax(out)
-                feedback = out
-            else:
-                feedback = Tensor(np.clip(out.data, 0.0, 1.0))
+                dec_states[i] = ly.lstm_step(layer, x, dec_states[i], reads[i])
+                x = dec_states[i][0]
+            out = self._head(x)
+            feedback = out if cfg.target_mode == "pdf" else Tensor(np.clip(out.data, 0.0, 1.0))
             outputs.append(out)
         return ad.stack(outputs, axis=1)
+
+    def _head(self, h: Tensor) -> Tensor:
+        """One step's forecast from the top decoder layer's h."""
+        out = self.head(h)
+        return ad.softmax(out) if self.config.target_mode == "pdf" else out
 
     def _encode_streamed(self, inputs: np.ndarray):
         """The untaped encoder, run _PROJECTION_CHUNK steps at a time: each

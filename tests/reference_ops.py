@@ -1,14 +1,21 @@
 """Test-only references: the matmul and concat ops, which the package folds
-into affine, lstm_layer, attend and temporal; the sigmoid and slice ops that
-composite LSTM cells are built from (fused into lstm_layer); the elementwise,
-reduction and reshape ops of the composite losses (fused into summed_loss);
-and central finite-difference gradient checking for tapes and models."""
+into affine, lstm_layer and temporal; the sigmoid and slice ops that
+composite LSTM cells are built from (fused into lstm_layer); the attend node
+and the step-major seq2seq decoder built from it, the references for
+lstm_layer's attention read and the layer-major teacher-forced decoder; the
+elementwise, reduction and reshape ops of the composite losses (fused into
+summed_loss); and central finite-difference gradient checking for tapes and
+models."""
+
+import math
 
 import numpy as np
 
-from pvcast.autodiff import (Tape, Tensor, _emit, _sigmoid, _swap, _unbroadcast, as_tensor,
-                             backward)
+from pvcast import autodiff as ad
+from pvcast.autodiff import (Tape, Tensor, _check_finite, _emit, _join, _sigmoid, _split, _swap,
+                             _unbroadcast, as_tensor, backward)
 from pvcast.errors import ContractError, ShapeError
+from pvcast.layers import lstm_sequence
 
 
 def matmul(a, b) -> Tensor:
@@ -150,6 +157,91 @@ def sum_all(x) -> Tensor:
         return (np.full(x.data.shape, float(g)),)
 
     return _emit("sum", (x,), out, grad_fn)
+
+
+def attend(query, w_q, b_q, memory: ad.KeyValueMemory) -> Tensor:
+    """softmax((qp @ kp_t) / sqrt(width)) @ vp with qp = query @ w_q + b_q, as
+    one "attention" node: a (..., q) query gives a (..., value width)
+    context; a tuple of query parts is joined and split back as lstm_layer's
+    input is. The reference for lstm_layer's read, which runs these numpy
+    calls and checks at each step.
+
+    Each query is read as a (..., 1, q) row, so that forward and the query
+    and b_q gradients repeat the affine/matmul/scale/softmax/matmul composite
+    operand for operand. The w_q gradient is one (q, rows) @ (rows, width)
+    GEMM over every query row instead of the composite's per-row outer
+    products and their sum, so it may differ from it in the last bits. The
+    key and value gradients are left to the memory's node.
+    """
+    parts, query = _join("attend", query)
+    w_q, b_q = as_tensor(w_q), as_tensor(b_q)
+    kp_t, vp, token = memory.kp_t.data, memory.vp.data, memory.token
+    width = kp_t.shape[-2]
+    if (query.ndim != kp_t.ndim - 1 or query.shape[:-1] != kp_t.shape[:-2]
+            or w_q.shape != (query.shape[-1], width) or b_q.shape != (width,)):
+        raise ShapeError(f"attend shapes do not fit: query {query.shape}, w_q {w_q.shape}, "
+                         f"b_q {b_q.shape}, keys {kp_t.shape}")
+    tape = ad._active_tape()
+    if (tape is not None and (memory.tape is None or memory.tape() is not tape)
+            and (memory.kp_t.requires_grad or memory.vp.requires_grad)):
+        raise ContractError("attend: the key/value memory was not created under the "
+                            "recording tape; call attention_memory inside that tape")
+    rows = np.expand_dims(query, -2)
+    scale = 1.0 / math.sqrt(width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qp = rows @ w_q.data
+        qp += b_q.data
+        scores = (qp @ kp_t) * scale
+        _check_finite("attention", scores)
+        ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = ex / ex.sum(axis=-1, keepdims=True)
+        out = np.squeeze(weights @ vp, -2)  # non-finite results are rejected in _emit
+
+    def grad_fn(g):
+        g = np.expand_dims(g, -2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_weights = g @ _swap(vp)
+            inner = (d_weights * weights).sum(axis=-1, keepdims=True)
+            d_scores = (weights * (d_weights - inner)) * scale
+            if token.requires_grad:
+                memory.rows.append((qp, d_scores, weights, g))
+            d_qp = d_scores @ _swap(kp_t)
+            d_query = ((d_qp @ _swap(w_q.data)).reshape(query.shape)
+                       if any(p.requires_grad for p in parts) else None)
+            return _split(d_query, parts) + (
+                _swap(query.reshape(-1, query.shape[-1])) @ d_qp.reshape(-1, width)
+                if w_q.requires_grad else None,
+                _unbroadcast(d_qp, b_q.shape) if b_q.requires_grad else None,
+                np.zeros(()) if token.requires_grad else None)
+
+    return _emit("attention", parts + (w_q, b_q, token), out, grad_fn)
+
+
+def step_major_forward(model, inputs, p0, teacher, nwp_ahead=None) -> Tensor:
+    """A Seq2SeqModel's teacher-forced forward_batch with the step-major
+    decoder, the reference for the layer-major one: the model's own taped
+    encoder, then per step and layer an attend node (for s2s_attn) and a
+    one-step lstm_layer node, and the head's affine and softmax nodes."""
+    seq = Tensor(inputs)
+    states = []
+    for layer in model.encoder:
+        seq, h_last, c_last = lstm_sequence(layer, seq)
+        states.append((h_last, c_last))
+    memories = [layer.project_keys_values(seq, seq) for layer in model.attn]
+    outputs = []
+    for t in range(model.config.output_steps):
+        step_in = Tensor(teacher[:, t - 1] if t else p0)
+        x = (step_in, Tensor(nwp_ahead[:, t])) if model.config.decoder_nwp else (step_in,)
+        for i, layer in enumerate(model.decoder):
+            h, c = states[i]
+            if model.attention:
+                attn = model.attn[i]
+                x = (attend(x + (h,) if i == 0 else h, attn.w_q, attn.b_q, memories[i]),) + x
+            states[i] = ad.lstm_layer(x, h, c, layer.w_x, layer.w_h, layer.bias)[1:]
+            x = (states[i][0],)
+        out = model.head(x[0])
+        outputs.append(ad.softmax(out) if model.config.target_mode == "pdf" else out)
+    return ad.stack(outputs, axis=1)
 
 
 def numeric_gradient(f, array: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -72,12 +72,18 @@ def test_criterion_1_gradient_suite():
     kv = rng.normal(size=(4, 3))
     mix_a = rng.normal(size=(2, 2))
     kv_rows = np.broadcast_to(kv, (2,) + kv.shape)  # one key/value sequence per query
+    # The read inside an LSTM step whose query (step input, h) is q; the
+    # cell draws from its own generator, so the later checks' inputs stay.
+    reader = LstmLayer(2 + 1, 2, rng=np.random.default_rng(GRADCHECK_SEED))
+
+    def attention_loss():
+        memory = attn.project_keys_values(Tensor(kv_rows), Tensor(kv_rows))
+        h, _ = lstm_step(reader, Tensor(q[:, :1]), (Tensor(q[:, 1:]), Tensor(np.zeros((2, 2)))),
+                         attend_projected(attn, memory))
+        return sum_all(mul(h, Tensor(mix_a)))
+
     worst["attention"] = check_gradients(
-        lambda: sum_all(mul(
-            attend_projected(attn, Tensor(q),
-                             attn.project_keys_values(Tensor(kv_rows), Tensor(kv_rows))),
-            Tensor(mix_a))),
-        [p for _, p in attn.parameters()])
+        attention_loss, [p for _, p in attn.parameters() + reader.parameters()])
 
     tt = TemporalTransform(8, 3, 2, out_steps=24, rng=rng)
     xt = rng.normal(size=(8, 3))

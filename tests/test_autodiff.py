@@ -17,7 +17,7 @@ from pvcast import autodiff as ad
 from pvcast.autodiff import SgdNesterov, Tape, Tensor, backward
 from pvcast.errors import ContractError, DomainError, NumericsError, ShapeError
 
-from reference_ops import (add, check_gradients, clamped_log, concat, matmul,
+from reference_ops import (add, attend, check_gradients, clamped_log, concat, matmul,
                            max_relative_error, mul, numeric_gradient, reshape, scale, sigmoid,
                            slice_axis, sub, sum_all)
 
@@ -906,7 +906,9 @@ def test_lstm_layer_reverse_sweeps_of_two_nodes_do_not_alias():
 
 def _composite_attend(query, w_q, b_q, memory):
     """Attention as reshape/affine/matmul/scale/softmax/matmul/reshape nodes
-    over (batch, 1, q) query rows, the reference for attend."""
+    over (batch, 1, q) query rows, after a concat chain joins a tuple of
+    query parts: the composite that the attend node reproduces."""
+    query = _concat_parts(query) if isinstance(query, tuple) else query
     rows = reshape(query, query.shape[:-1] + (1, query.shape[-1]))
     scores = matmul(ad.affine(rows, w_q, b_q), memory.kp_t)
     scores = scale(scores, 1.0 / math.sqrt(memory.kp_t.shape[-2]))
@@ -914,117 +916,170 @@ def _composite_attend(query, w_q, b_q, memory):
     return reshape(out, query.shape[:-1] + memory.vp.shape[-1:])
 
 
-def _attention_inputs():
-    rng = np.random.default_rng(12)
-    batch, q_size, width, keys, steps = 3, 5, 4, 7, 4
-    queries = [Tensor(rng.normal(size=(batch, q_size)), requires_grad=True)
-               for _ in range(steps)]
-    w_q = Tensor(rng.normal(size=(q_size, width)), requires_grad=True)
-    b_q = Tensor(rng.normal(size=width), requires_grad=True)
-    kp_t = Tensor(rng.normal(size=(batch, width, keys)), requires_grad=True)
-    vp = Tensor(rng.normal(size=(batch, keys, width)), requires_grad=True)
-    mixes = [rng.normal(size=(batch, width)) for _ in range(steps)]
-    return queries, w_q, b_q, kp_t, vp, mixes
+def _read_inputs(joined: bool, lead=(3, 4), seed: int = 12):
+    """x, h0, c0, w_x, w_h, bias, w_q, b_q, kp_t, vp of an LSTM layer that
+    reads an attention memory at each step, all taking gradients, and the
+    mixes of its loss. x is (batch, in) for one step or (batch, steps, in);
+    the query is (x_t, h) when `joined`, else h."""
+    rng = np.random.default_rng(seed)
+    batch, width, units, key_width, keys = lead[0], 2, 3, 4, 7
+    shapes = [lead + (width,), (batch, units), (batch, units), (key_width + width, 4 * units),
+              (units, 4 * units), (4 * units,),
+              (width + units if joined else units, key_width), (key_width,),
+              (batch, key_width, keys), (batch, keys, key_width)]
+    inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    steps = lead[1] if len(lead) == 2 else 1
+    mixes = [rng.normal(size=(batch, units)) for _ in range(steps + 1)]  # every h, then c
+    return inputs, mixes
 
 
-def _attention_loss(attend, queries, w_q, b_q, kp_t, vp, mixes):
+def _read_loss(attend, inputs, mixes):
+    """The loss of an LSTM layer that reads an attention memory at each
+    step. attend=None runs the fused read, one lstm_layer node; otherwise
+    each step is an attend(query, w_q, b_q, memory) context followed by a
+    one-step lstm_layer node, with the loss term of its h recorded right
+    after it, where the decoder's head reads it."""
+    x, h, c, w_x, w_h, bias, w_q, b_q, kp_t, vp = inputs
     memory = ad.attention_memory(kp_t, vp)
-    loss = None
-    for query, mix in zip(queries, mixes):  # every step reads the same keys
-        term = sum_all(mul(attend(query, w_q, b_q, memory), Tensor(mix)))
-        loss = term if loss is None else add(loss, term)
+    terms = []
+    if attend is None:
+        seq, _, c = ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, memory))
+        hs = (seq,) if x.data.ndim == 2 else ad.unstack(seq, axis=1)
+        terms = [sum_all(mul(h_t, Tensor(mix))) for h_t, mix in zip(hs, mixes)]
+    else:
+        for x_t, mix in zip((x,) if x.data.ndim == 2 else ad.unstack(x, axis=1), mixes):
+            context = attend((x_t, h) if w_q.shape[0] > h.shape[1] else h, w_q, b_q, memory)
+            h, c = ad.lstm_layer((context, x_t), h, c, w_x, w_h, bias)[1:]
+            terms.append(sum_all(mul(h, Tensor(mix))))
+    loss = terms[0]
+    for term in terms[1:] + [sum_all(mul(c, Tensor(mixes[-1])))]:
+        loss = add(loss, term)
     return loss
 
 
+def _read_run(attend, joined: bool, lead=(3, 4)):
+    """_read_loss on fresh inputs: the loss, every input's gradient and the
+    tape's ops."""
+    inputs, mixes = _read_inputs(joined, lead)
+    with Tape() as tape:
+        loss = _read_loss(attend, inputs, mixes)
+    backward(tape, loss)
+    return loss.item(), [t.grad for t in inputs], [n.op for n in tape.nodes]
+
+
+READ_NAMES = ["x", "h0", "c0", "w_x", "w_h", "bias", "w_q", "b_q", "kp_t", "vp"]
+
+
 def test_attend_matches_composite_over_shared_keys():
-    results = []
-    for attend in (_composite_attend, ad.attend):
-        queries, w_q, b_q, kp_t, vp, mixes = _attention_inputs()
-        with Tape() as tape:
-            loss = _attention_loss(attend, queries, w_q, b_q, kp_t, vp, mixes)
-        backward(tape, loss)
-        results.append((loss.item(), [q.grad for q in queries] + [b_q.grad], w_q.grad,
-                        kp_t.grad, vp.grad, tape))
-    (loss_ref, dq_ref, dw_ref, dk_ref, dv_ref, _), (loss_new, dq_new, dw_new, dk_new, dv_new,
-                                                    tape) = results
+    # Four steps read one memory. The fused read equals a chain of attend
+    # nodes and one-step cells bitwise, gradients included.
+    loss_new, grads_new, ops = _read_run(None, joined=True)
+    loss_ref, grads_ref, ops_ref = _read_run(attend, joined=True)
     assert loss_new == loss_ref
-    for new, ref in zip(dq_new, dq_ref):  # every query, then b_q
-        assert np.array_equal(new, ref)
-    # w_q's gradient is one GEMM over all query rows, the composite's a sum of
-    # per-row outer products: the same terms summed in another order.
-    assert _close(dw_new, dw_ref)
-    assert _close(dk_new, dk_ref) and _close(dv_new, dv_ref)
-    ops = [n.op for n in tape.nodes]
-    assert ops.count("attention") == 4 and ops.count("attention_kv") == 1
-    assert ops.index("attention_kv") < ops.index("attention")
-    assert "affine" not in ops and "reshape" not in ops
+    for name, new, ref in zip(READ_NAMES, grads_new, grads_ref):
+        assert np.array_equal(new, ref), name
+    assert ops.count("lstm_layer") == 1 and ops.count("attention_kv") == 1
+    assert ops.index("attention_kv") < ops.index("lstm_layer")
+    assert "attention" not in ops and "affine" not in ops and "reshape" not in ops
+    assert ops_ref.count("attention") == ops_ref.count("lstm_layer") == 4
+    # Against the composite, w_q's gradient is one GEMM per step over its
+    # query rows where the composite sums per-row outer products, and the key
+    # and value gradients are batched GEMMs: the same terms in another order.
+    loss_comp, grads_comp, _ = _read_run(_composite_attend, joined=True)
+    assert loss_new == loss_comp
+    for name, new, ref in zip(READ_NAMES, grads_new, grads_comp):
+        if name in ("w_q", "kp_t", "vp"):
+            assert _close(new, ref), name
+        else:
+            assert np.array_equal(new, ref), name
 
 
 @pytest.mark.parametrize("lead", [(1,), (3,), (32,), (2, 3)])
 def test_attend_w_q_gradient_matches_per_row_outer_products(lead):
-    q_size, width, keys = 6, 5, 7
-    grads = []
-    for attend in (_composite_attend, ad.attend):
-        rng = np.random.default_rng(31)  # the same inputs for both
-        query = Tensor(rng.normal(size=lead + (q_size,)))
-        w_q = Tensor(rng.normal(size=(q_size, width)), requires_grad=True)
-        b_q = Tensor(rng.normal(size=width), requires_grad=True)
-        kp_t = Tensor(rng.normal(size=lead + (width, keys)))
-        vp = Tensor(rng.normal(size=lead + (keys, width)))
-        with Tape() as tape:
-            out = attend(query, w_q, b_q, ad.attention_memory(kp_t, vp))
-            loss = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
-        backward(tape, loss)
-        grads.append((w_q.grad, b_q.grad))
-    (dw_ref, db_ref), (dw_new, db_new) = grads
-    assert dw_new.shape == (q_size, width)
-    assert _close(dw_new, dw_ref)
-    assert np.array_equal(db_new, db_ref)
+    # (batch,) runs one step, the self-recurrent decoder's call; (batch,
+    # steps) one node over the steps.
+    _, grads_new, _ = _read_run(None, joined=True, lead=lead)
+    _, grads_ref, _ = _read_run(_composite_attend, joined=True, lead=lead)
+    dw_new, db_new = grads_new[6:8]
+    assert dw_new.shape == (5, 4)
+    assert _close(dw_new, grads_ref[6])
+    assert np.array_equal(db_new, grads_ref[7])
 
 
 def test_attend_gradients_match_finite_differences():
-    queries, w_q, b_q, kp_t, vp, mixes = _attention_inputs()
-    assert check_gradients(
-        lambda: _attention_loss(ad.attend, queries, w_q, b_q, kp_t, vp, mixes),
-        queries + [w_q, b_q, kp_t, vp]) < 1e-6
+    # Four one-step calls that each read the memory, as the self-recurrent
+    # decoder makes them.
+    inputs, mixes = _read_inputs(joined=True)
+    x, rest = inputs[0], inputs[1:]
+
+    def loss():
+        h, c = rest[:2]
+        for t, mix in enumerate(mixes[:-1]):
+            memory = ad.attention_memory(*rest[7:])
+            h, c = ad.lstm_layer(Tensor(x.data[:, t]), h, c, *rest[2:5],
+                                 (rest[5], rest[6], memory))[1:]
+            term = sum_all(mul(h, Tensor(mix)))
+            total = term if t == 0 else add(total, term)
+        return add(total, sum_all(mul(c, Tensor(mixes[-1]))))
+
+    assert check_gradients(loss, rest) < 1e-6
+
+
+@pytest.mark.parametrize("joined", [True, False], ids=["x_and_h", "h_only"])
+def test_lstm_layer_read_gradients_match_finite_differences(joined):
+    inputs, mixes = _read_inputs(joined)
+    assert check_gradients(lambda: _read_loss(None, inputs, mixes), inputs) < 1e-6
 
 
 def test_attend_shape_errors():
-    queries, w_q, b_q, kp_t, vp, _ = _attention_inputs()
+    (x, h, c, w_x, w_h, bias, w_q, b_q, kp_t, vp), _ = _read_inputs(joined=True)
     memory = ad.attention_memory(kp_t, vp)
-    for query, w, b in [
-        (Tensor(np.zeros((3, 1, 5))), w_q, b_q),  # a query row already, one axis too many
-        (Tensor(np.zeros(5)), w_q, b_q),          # no batch axis
-        (Tensor(np.zeros((2, 5))), w_q, b_q),     # batch 2 against 3 key sequences
-        (queries[0], Tensor(np.zeros((6, 4))), b_q),
-        (queries[0], Tensor(np.zeros((5, 3))), b_q),
-        (queries[0], w_q, Tensor(np.zeros(3))),
-        (queries[0], w_q, Tensor(np.zeros((1, 4)))),
+    for w, b, mem in [
+        (Tensor(np.zeros((6, 4))), b_q, memory),     # rows neither (x_t, h) = 5 nor h = 3
+        (Tensor(np.zeros((5, 3))), b_q, memory),     # width 3 against keys of width 4
+        (Tensor(np.zeros((1, 5, 4))), b_q, memory),  # weights not 2-D
+        (w_q, Tensor(np.zeros(3)), memory),
+        (w_q, Tensor(np.zeros((1, 4))), memory),
+        (w_q, b_q, ad.attention_memory(np.zeros((2, 4, 7)), np.zeros((2, 7, 4)))),  # batch 2
+        (w_q, b_q, ad.attention_memory(np.zeros((4, 7)), np.zeros((7, 4)))),  # no batch axis
     ]:
-        with pytest.raises(ShapeError, match="attend shapes"):
-            ad.attend(query, w, b, memory)
+        with pytest.raises(ShapeError, match="lstm_layer read does not fit"):
+            ad.lstm_layer(x, h, c, w_x, w_h, bias, (w, b, mem))
+    # w_x's rows are the context's, then the input's.
+    wide = ad.attention_memory(kp_t, np.zeros((3, 7, 5)))
+    with pytest.raises(ShapeError, match=r"do not fit: .*w_x \(6, 12\).*context width 5"):
+        ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, wide))
+    with pytest.raises(ShapeError, match=r"do not fit: .*w_x \(2, 12\).*context width 4"):
+        ad.lstm_layer(x, h, c, Tensor(w_x.data[4:]), w_h, bias, (w_q, b_q, memory))
 
 
 def test_attend_rejects_a_memory_from_another_tape():
-    queries, w_q, b_q, kp_t, vp, _ = _attention_inputs()
+    (x, h, c, w_x, w_h, bias, w_q, b_q, kp_t, vp), _ = _read_inputs(joined=False)
+
+    def read(memory):
+        return ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, memory))
+
     outside = ad.attention_memory(kp_t, vp)  # no tape: no attention_kv node
     with Tape():
         with pytest.raises(ContractError, match="attention_memory"):
-            ad.attend(queries[0], w_q, b_q, outside)
+            read(outside)
     with Tape() as outer:
         memory = ad.attention_memory(kp_t, vp)
         with Tape() as inner:
             with pytest.raises(ContractError, match="attention_memory"):
-                ad.attend(queries[0], w_q, b_q, memory)
-        ad.attend(queries[0], w_q, b_q, memory)
-    assert len(inner) == 0 and [n.op for n in outer.nodes] == ["attention_kv", "attention"]
+                read(memory)
+        read(memory)
+    assert len(inner) == 0 and [n.op for n in outer.nodes] == ["attention_kv", "lstm_layer"]
     assert memory.rows == []
     # Constant keys and values need no memory node, and reading outside a tape records nothing.
     frozen = ad.attention_memory(Tensor(kp_t.data), Tensor(vp.data))
     with Tape() as tape:
-        ad.attend(queries[0], w_q, b_q, frozen)
-    assert [n.op for n in tape.nodes] == ["attention"]
-    assert ad.attend(queries[0], w_q, b_q, memory).shape == (3, 4)
+        seq = read(frozen)[0]
+        loss = sum_all(seq)
+    assert [n.op for n in tape.nodes] == ["lstm_layer", "sum"]
+    backward(tape, loss)
+    assert frozen.rows == [] and kp_t.grad is None and w_q.grad is not None
+    assert read(memory)[0].shape == (3, 4, 3)
 
 
 # Input parts: widths, and which part takes a gradient. The no-grad parts
@@ -1072,26 +1127,26 @@ def _lstm_parts_run(join, widths, grads, steps):
 
 
 def _attend_parts_run(join, widths, grads):
-    """Two attend queries over one memory, the second with its parts reversed,
-    so every part takes gradient from two nodes: the context values, every
-    input's gradient and the tape's ops."""
+    """An LSTM layer over two steps of join(parts) that reads a memory with
+    the query (x_t, h), so every part takes gradient through the cell's
+    input, after the context, and through the query, before h: the outputs,
+    every input's gradient and the tape's ops."""
     rng = np.random.default_rng(52)
-    batch, width, keys = 3, 4, 6
-    parts = _part_tensors(rng, (batch,), widths, grads)
-    w_q, w_q_rev = (Tensor(rng.normal(size=(sum(widths), width)), requires_grad=True)
-                    for _ in range(2))
-    b_q = Tensor(rng.normal(size=width), requires_grad=True)
-    kp_t = Tensor(rng.normal(size=(batch, width, keys)), requires_grad=True)
-    vp = Tensor(rng.normal(size=(batch, keys, width)), requires_grad=True)
+    batch, units, width, keys = 3, 4, 4, 6
+    parts = _part_tensors(rng, (batch, 2), widths, grads)
+    rest = [Tensor(rng.normal(size=s), requires_grad=True)
+            for s in [(batch, units), (batch, units), (width + sum(widths), 4 * units),
+                      (units, 4 * units), (4 * units,), (sum(widths) + units, width), (width,),
+                      (batch, width, keys), (batch, keys, width)]]
     with Tape() as tape:
-        memory = ad.attention_memory(kp_t, vp)
-        first = ad.attend(join(parts), w_q, b_q, memory)
-        second = ad.attend(join(parts[::-1]), w_q_rev, b_q, memory)
-        loss = add(sum_all(mul(first, Tensor(rng.normal(size=first.shape)))),
-                   sum_all(mul(second, Tensor(rng.normal(size=second.shape)))))
+        memory = ad.attention_memory(*rest[7:])
+        outputs = ad.lstm_layer(join(parts), *rest[:5], (rest[5], rest[6], memory))
+        loss = None
+        for out in outputs:
+            term = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
+            loss = term if loss is None else add(loss, term)
     backward(tape, loss)
-    grads = [t.grad for t in parts + [w_q, w_q_rev, b_q, kp_t, vp]]
-    return [first.data, second.data], grads, [n.op for n in tape.nodes]
+    return [o.data for o in outputs], [t.grad for t in parts + rest], [n.op for n in tape.nodes]
 
 
 def _assert_parts_match(new, ref, op: str, nodes: int, part_grads):
@@ -1119,7 +1174,7 @@ def test_lstm_layer_parts_bitwise_equal_concat_then_one_tensor(widths, grads, st
 def test_attend_parts_bitwise_equal_concat_then_one_tensor(widths, grads):
     new = _attend_parts_run(tuple, widths, grads)
     ref = _attend_parts_run(_concat_parts, widths, grads)
-    _assert_parts_match(new, ref, "attention", 2, grads)
+    _assert_parts_match(new, ref, "lstm_layer", 1, grads)
 
 
 def test_one_part_is_read_without_a_copy():
@@ -1136,22 +1191,21 @@ def test_one_part_is_read_without_a_copy():
 
 def test_parts_that_do_not_join_raise_shape_error_naming_them():
     inputs = _layer_inputs(x_grad=False)  # x (3, 6, 4), state (3, 5)
-    queries, w_q, b_q, kp_t, vp, _ = _attention_inputs()  # queries (3, 5)
-    memory = ad.attention_memory(kp_t, vp)
     for a, b in [((3, 6, 2), (3, 5, 2)), ((3, 2), (2, 2)), ((3, 6, 2), (3, 2))]:
         parts = (Tensor(np.zeros(a)), Tensor(np.zeros(b)))
         shapes = re.escape(f"parts [{a}, {b}]")
         with pytest.raises(ShapeError, match=f"lstm_layer: {shapes}"):
             ad.lstm_layer(parts, *inputs[1:])
-        with pytest.raises(ShapeError, match=f"attend: {shapes}"):
-            ad.attend(parts, w_q, b_q, memory)
     with pytest.raises(ShapeError, match="parts"):
-        ad.attend((Tensor(np.zeros((3, 2))), Tensor(np.zeros(()))), w_q, b_q, memory)
+        ad.lstm_layer((Tensor(np.zeros((3, 2))), Tensor(np.zeros(()))), *inputs[1:])
     # Parts that join, to a width that does not fit the weights.
     with pytest.raises(ShapeError, match=r"lstm_layer shapes do not fit: x \(3, 6, 5\)"):
         ad.lstm_layer((Tensor(np.zeros((3, 6, 2))), Tensor(np.zeros((3, 6, 3)))), *inputs[1:])
-    with pytest.raises(ShapeError, match=r"attend shapes do not fit: query \(3, 6\)"):
-        ad.attend((Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4)))), w_q, b_q, memory)
+    memory = ad.attention_memory(np.zeros((3, 4, 7)), np.zeros((3, 7, 4)))
+    read = (Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)), memory)
+    with pytest.raises(ShapeError, match=r"lstm_layer read does not fit: query \(x 5, h 5\)"):
+        ad.lstm_layer((Tensor(np.zeros((3, 6, 2))), Tensor(np.zeros((3, 6, 3)))), *inputs[1:],
+                      read)
     # The step count is read from the joined input.
     empty = (Tensor(np.zeros((3, 0, 2))), Tensor(np.zeros((3, 0, 2))))
     with pytest.raises(ShapeError, match=r"lstm_layer needs .* got \(3, 0, 4\)"):
@@ -1160,13 +1214,12 @@ def test_parts_that_do_not_join_raise_shape_error_naming_them():
 
 def test_sequence_op_tapes_are_freed_without_the_cycle_collector():
     inputs = _layer_inputs(x_grad=True)
-    queries, w_q, b_q, kp_t, vp, mixes = _attention_inputs()
+    read_inputs, mixes = _read_inputs(joined=True)
     gc.disable()
     try:
         with Tape() as tape:
             seq, _, _ = ad.lstm_layer(*inputs)
-            loss = add(sum_all(seq),
-                          _attention_loss(ad.attend, queries, w_q, b_q, kp_t, vp, mixes))
+            loss = add(sum_all(seq), _read_loss(None, read_inputs, mixes))
         backward(tape, loss)
         freed = weakref.ref(tape)
         del tape, loss, seq
@@ -1177,22 +1230,25 @@ def test_sequence_op_tapes_are_freed_without_the_cycle_collector():
 
 def test_sequence_ops_overflow_without_runtime_warnings():
     inputs = _layer_inputs(x_grad=True)
-    queries, w_q, b_q, kp_t, vp, _ = _attention_inputs()
+    read_inputs, _ = _read_inputs(joined=True)
+    x, h, c, w_x, w_h, bias, w_q, b_q, kp_t, vp = read_inputs
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
-            seq, h_last, c = ad.lstm_layer(*inputs)
+            seq, h_last, c_last = ad.lstm_layer(*inputs)
             memory = ad.attention_memory(kp_t, vp)
-            ctx = ad.attend(queries[0], w_q, b_q, memory)
-        layer_node, kv_node, attend_node = tape.nodes
+            read = ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, memory))
+        layer_node, kv_node, read_node = tape.nodes
         # Rules fed gradients near the float64 limit overflow inside their matmuls.
-        grads = layer_node.grad_fn(*(np.full(t.shape, 1e308) for t in (seq, h_last, c)))
-        grads += attend_node.grad_fn(np.full(ctx.shape, 1e308))
+        grads = layer_node.grad_fn(*(np.full(t.shape, 1e308) for t in (seq, h_last, c_last)))
+        grads += read_node.grad_fn(*(np.full(t.shape, 1e308) for t in read))
         grads += kv_node.grad_fn(None)
         assert not all(np.isfinite(g).all() for g in grads)
         inputs[0].data[...] = 1e300
         inputs[3].data[...] = 1e300
         with pytest.raises(NumericsError, match="lstm"):
             ad.lstm_layer(*inputs)
-        with pytest.raises(NumericsError, match="attention"):
-            ad.attend(queries[0], Tensor(np.full(w_q.shape, 1e308)), b_q, memory)
+        # Scores that overflow are caught before the cell's gates.
+        with pytest.raises(NumericsError, match="'attention'"):
+            ad.lstm_layer(x, h, c, w_x, w_h, bias,
+                          (Tensor(np.full(w_q.shape, 1e308)), b_q, memory))

@@ -11,7 +11,7 @@ from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attend_projected, dense_forward,
                            lstm_sequence, lstm_step, temporal_transform)
 
-from reference_ops import add, check_gradients, mul, sum_all
+from reference_ops import add, attend, check_gradients, mul, sum_all
 
 RNG = np.random.default_rng(2024)
 
@@ -164,10 +164,12 @@ def _per_query(q, a) -> Tensor:
 
 
 def _attend(layer: AttentionLayer, q, k, v) -> Tensor:
-    """The model's attention path: keys and values projected once into a
-    memory, then each query row is projected and attends to it."""
+    """The model's attention read as a context: keys and values projected
+    once into a memory, then each query row is projected and attends to it,
+    through the reference attend node that lstm_layer's read equals bitwise
+    (tests/test_autodiff.py)."""
     memory = layer.project_keys_values(_per_query(q, k), _per_query(q, v))
-    return attend_projected(layer, q, memory)
+    return attend(q, *attend_projected(layer, memory))
 
 
 def _attention_weights(layer: AttentionLayer, q, k) -> Tensor:
@@ -175,7 +177,7 @@ def _attention_weights(layer: AttentionLayer, q, k) -> Tensor:
     values each context row is its weight row, exactly."""
     kp_t = ad.swap_last_axes(layer.w_k(_per_query(q, k)))
     memory = ad.attention_memory(kp_t, _per_query(q, np.eye(kp_t.shape[-1])))
-    return attend_projected(layer, q, memory)
+    return attend(q, *attend_projected(layer, memory))
 
 
 def test_attention_single_key_degeneracy():
@@ -245,17 +247,22 @@ def test_score_scaling_preserves_argmax():
 
 
 def test_attention_gradient_matches_finite_differences():
+    # The attention read inside an LSTM step, as the decoder makes it: the
+    # query is (step input, h) and the cell reads (context, step input).
     rng = _rng()
     layer = AttentionLayer(3, 3, 3, width=2, rng=rng)
+    cell = LstmLayer(2 + 1, 2, rng=rng)
     q = rng.normal(size=(2, 3))
     kv = rng.normal(size=(4, 3))
     mix = rng.normal(size=(2, 2))
 
     def build_loss():
-        out = _attend(layer, Tensor(q), Tensor(kv), Tensor(kv))
-        return sum_all(mul(out, Tensor(mix)))
+        memory = layer.project_keys_values(_per_query(q, kv), _per_query(q, kv))
+        h, c = lstm_step(cell, Tensor(q[:, :1]), (Tensor(q[:, 1:]), Tensor(np.zeros((2, 2)))),
+                         attend_projected(layer, memory))
+        return sum_all(add(mul(h, Tensor(mix)), mul(c, c)))
 
-    params = [p for _, p in layer.parameters()]
+    params = [p for _, p in layer.parameters() + cell.parameters()]
     assert check_gradients(build_loss, params) < 1e-5
 
 

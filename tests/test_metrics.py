@@ -104,6 +104,17 @@ def test_skill_examples():
         skill(0.1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_metrics_reject_a_reference_not_positive_and_finite(bad):
+    # nrmse([1, 2], [0, 0], inf) read 0.0 and nme([1], [0], nan) read nan.
+    with pytest.raises(ContractError, match="p_max must be positive and finite"):
+        nrmse(np.array([1.0, 2.0]), np.zeros(2), bad)
+    with pytest.raises(ContractError, match="p_max must be positive and finite"):
+        nme(np.array([1.0]), np.zeros(1), bad)
+    with pytest.raises(ContractError, match="persistence error must be positive and finite"):
+        skill(0.1, bad)
+
+
 def test_published_skill_table_consistent_with_rounding():
     # Each published skill was computed before the error columns were rounded
     # to three decimals. With half-ulp intervals around the rounded inputs,

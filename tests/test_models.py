@@ -16,6 +16,9 @@ from pvcast.metrics import nrmse
 from pvcast.models import (BENCHMARK_UNITS, Forecast, ModelConfig, assemble_forecast,
                            benchmark_config, build_model, count_parameters,
                            persistence_forecast, sample_arrays)
+from pvcast.training import _batch_loss
+
+from reference_ops import step_major_forward
 
 P_MAX = 1000.0
 
@@ -132,6 +135,49 @@ def test_teacher_forced_step_reads_the_previous_teacher_row(family, mode):
     feedback = recurrent if mode == "pdf" else np.clip(recurrent, 0.0, 1.0)
     replay = model.forward_batch(inputs, p0, feedback, "teacher_forcing").data
     assert np.array_equal(replay, recurrent)
+
+
+def _teacher_forced_step(model, forward, batch: int):
+    """The forecast, loss and every parameter gradient of one taped
+    teacher-forced batch of random windows through `forward`."""
+    cfg = model.config
+    rng = np.random.default_rng(batch)
+    inputs = rng.uniform(0.0, 1.0, (batch, cfg.input_steps, cfg.input_features))
+    if cfg.target_mode == "pdf":
+        p0 = rng.dirichlet(np.ones(cfg.step_width), size=batch)
+        teacher = rng.dirichlet(np.ones(cfg.step_width), size=(batch, cfg.output_steps))
+    else:
+        p0 = rng.uniform(0.0, 1.0, (batch, 1))
+        teacher = rng.uniform(0.0, 1.0, (batch, cfg.output_steps, 1))
+    nwp = rng.uniform(0.0, 1.0, (batch, cfg.output_steps, 5)) if cfg.decoder_nwp else None
+    with Tape() as tape:
+        out = forward(inputs, p0, teacher, nwp)
+        loss = _batch_loss("kl" if cfg.target_mode == "pdf" else "mse", out, teacher, 1e-9)
+    ad.backward(tape, loss)
+    return [("forecast", out.data), ("loss", loss.data)] + [(n, p.grad) for n, p in
+                                                            model.parameters()]
+
+
+@pytest.mark.parametrize("batch", [1, 3, 32])
+@pytest.mark.parametrize("family", ["s2s", "s2s_attn"])
+@pytest.mark.parametrize("mode", ["pdf", "expected"])
+@pytest.mark.parametrize("decoder_nwp", [False, True], ids=["plain", "decoder_nwp"])
+def test_teacher_forced_decoder_equals_the_step_major_reference(decoder_nwp, mode, family,
+                                                                batch):
+    # The layer-major decoder (one lstm_layer node per layer, reading its
+    # attention at every step) against per-step attend, one-step lstm_layer
+    # and head nodes: every value and every gradient, encoder included, is
+    # the same to the bit.
+    cfg = _micro_config(family, mode, units_per_layer=6, input_steps=40,
+                        decoder_nwp=decoder_nwp)
+    model = build_model(cfg, seed=4)
+    new = _teacher_forced_step(
+        model, lambda *a: model.forward_batch(*a[:3], "teacher_forcing", a[3]), batch)
+    model = build_model(cfg, seed=4)
+    ref = _teacher_forced_step(model, lambda *a: step_major_forward(model, *a), batch)
+    assert [name for name, _ in new] == [name for name, _ in ref]
+    for (name, a), (_, b) in zip(new, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("family", ["ffnn", "lstm", "s2s", "s2s_attn"])
