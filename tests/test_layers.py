@@ -11,7 +11,7 @@ from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attend_projected, dense_forward,
                            lstm_sequence, lstm_step, temporal_transform)
 
-from reference_ops import add, attend, check_gradients, mul, sum_all
+from reference_ops import add, check_gradients, mul, sum_all
 
 RNG = np.random.default_rng(2024)
 
@@ -163,21 +163,26 @@ def _per_query(q, a) -> Tensor:
     return Tensor(np.broadcast_to(a, (ad.as_tensor(q).shape[0],) + a.shape))
 
 
-def _attend(layer: AttentionLayer, q, k, v) -> Tensor:
-    """The model's attention read as a context: keys and values projected
-    once into a memory, then each query row is projected and attends to it,
-    through the reference attend node that lstm_layer's read equals bitwise
-    (tests/test_autodiff.py)."""
+def _read(layer: AttentionLayer, q, k, v) -> tuple[np.ndarray, np.ndarray]:
+    """The model's attention read of the (n, q) queries: keys and values
+    projected once into a memory, then each query row is projected and
+    attends to it through autodiff._attend_step, the read lstm_layer makes
+    at each step with attend_projected's triple. Returns the (n, steps)
+    weights and the (n, width) contexts."""
     memory = layer.project_keys_values(_per_query(q, k), _per_query(q, v))
-    return attend(q, *attend_projected(layer, memory))
+    w_q, b_q, memory = attend_projected(layer, memory)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, weights, context = ad._attend_step(ad.as_tensor(q).data, w_q.data, b_q.data,
+                                              memory.kp_t.data, memory.vp.data)
+    return np.squeeze(weights, -2), context
 
 
-def _attention_weights(layer: AttentionLayer, q, k) -> Tensor:
-    """The weights of _attend, read through the same op: with identity
-    values each context row is its weight row, exactly."""
-    kp_t = ad.swap_last_axes(layer.w_k(_per_query(q, k)))
-    memory = ad.attention_memory(kp_t, _per_query(q, np.eye(kp_t.shape[-1])))
-    return attend(q, *attend_projected(layer, memory))
+def _attend(layer: AttentionLayer, q, k, v) -> np.ndarray:
+    return _read(layer, q, k, v)[1]
+
+
+def _attention_weights(layer: AttentionLayer, q, k) -> np.ndarray:
+    return _read(layer, q, k, k)[0]
 
 
 def test_attention_single_key_degeneracy():
@@ -188,8 +193,8 @@ def test_attention_single_key_degeneracy():
     v = rng.normal(size=(1, 3))
     out = _attend(layer, Tensor(q), Tensor(k), Tensor(v))
     projected_v = v @ layer.w_v.weights.data + layer.w_v.bias.data
-    assert out.data.shape == (4, 2)
-    for row in out.data:
+    assert out.shape == (4, 2)
+    for row in out:
         assert row == pytest.approx(projected_v[0], abs=1e-12)
 
 
@@ -206,8 +211,8 @@ def test_attention_identity_projections_hand_example():
     weights = _attention_weights(layer, q, k)
     e = np.exp(1.0)
     expected_w = np.array([e, 1.0 / e]) / (e + 1.0 / e)
-    assert weights.data[0] == pytest.approx(expected_w, abs=1e-10)
-    assert out.data[0, 0] == pytest.approx(0.8808, abs=1e-4)
+    assert weights[0] == pytest.approx(expected_w, abs=1e-10)
+    assert out[0, 0] == pytest.approx(0.8808, abs=1e-4)
 
 
 def test_attention_weights_rows_sum_to_one():
@@ -215,7 +220,7 @@ def test_attention_weights_rows_sum_to_one():
     layer = AttentionLayer(5, 4, 4, width=3, rng=rng)
     q, k = rng.normal(size=(6, 5)), rng.normal(size=(9, 4))
     weights = _attention_weights(layer, Tensor(q), Tensor(k))
-    assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_attention_key_value_step_mismatch():
@@ -232,8 +237,8 @@ def test_attention_joint_permutation_of_keys_values_invariant():
     k = rng.normal(size=(7, 4))
     v = rng.normal(size=(7, 4))
     perm = rng.permutation(7)
-    base = _attend(layer, Tensor(q), Tensor(k), Tensor(v)).data
-    permuted = _attend(layer, Tensor(q), Tensor(k[perm]), Tensor(v[perm])).data
+    base = _attend(layer, Tensor(q), Tensor(k), Tensor(v))
+    permuted = _attend(layer, Tensor(q), Tensor(k[perm]), Tensor(v[perm]))
     assert np.allclose(base, permuted, atol=1e-12)
 
 
