@@ -11,14 +11,13 @@ for NaN/Inf and raises ``NumericsError`` instead of propagating bad values.
 sequence, or per step for a one-step input, with the last h and c as two
 more outputs that each take a gradient. It joins a tuple of input parts
 itself, and it may read an attention context at every step, its query
-projection included; the key and value gradients of all steps are computed
-together by the node that ``attention_memory`` records. ``unstack`` hands
+projection included, over keys and values that are inputs of the node like
+any other: its reverse sweep returns their gradients too. ``unstack`` hands
 out a sequence's steps as views, one node for all. ``temporal`` maps over
 time. ``summed_loss`` records a whole KL or squared-error loss as one node.
 """
 
 import math
-import weakref
 
 import numpy as np
 
@@ -398,17 +397,17 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
     Each sweep writes its step temporaries into scratch buffers of one step's
     size that it allocates once.
 
-    `read`, a (w_q, b_q, KeyValueMemory) triple, makes each step first read
-    an attention context (see _attend_step). Its query is (x_t, h) or h
-    alone, whichever has w_q's row count, and the cell's input is
-    (context, x_t), so w_x has the context's rows first. That input waits on
-    h, so each step projects its own in one GEMM, and the reverse sweep runs
-    the read's backward and forms each weight's gradient step by step,
-    summing the steps from the last to the first. So the node equals, value
-    for value and gradient for gradient, a chain of one-step nodes that each
-    follow a node reading the context. The key and value gradients are left
-    to the memory's node (see KeyValueMemory), so the memory must have been
-    created under the tape that records the layer.
+    `read`, a (w_q, b_q, kp_t, vp) tuple of the query projection, the keys
+    transposed to (batch, width, keys) and the values (batch, keys, value
+    width), makes each step first read an attention context (see
+    _attend_step). Its query is (x_t, h) or h alone, whichever has w_q's row
+    count, and the cell's input is (context, x_t), so w_x has the context's
+    rows first. That input waits on h, so each step projects its own in one
+    GEMM, and the reverse sweep runs the read's backward and forms each
+    weight's gradient step by step, summing the steps from the last to the
+    first. So the node equals, value for value and gradient for gradient, a
+    chain of one-step nodes that each follow a node reading the context. The
+    key and value gradients are one batched GEMM each over every step's rows.
 
     When no tape records the node, no backward cache is kept, the input is
     projected _PROJECTION_CHUNK steps at a time (one with a read), and the
@@ -426,31 +425,26 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
     inputs = parts + (h0, c0, w_x, w_h, bias)
     context = 0  # the width of the context that leads each step's cell input
     if read is not None:
-        w_q, b_q, memory = read
-        w_q, b_q = as_tensor(w_q), as_tensor(b_q)
-        kp_t, vp = memory.kp_t.data, memory.vp.data
-        if (kp_t.ndim != 3 or kp_t.shape[0] != batch or w_q.data.ndim != 2
+        w_q, b_q, kp_t, vp = (as_tensor(t) for t in read)
+        if (kp_t.data.ndim != 3 or kp_t.shape[0] != batch or w_q.data.ndim != 2
+                or vp.data.ndim != 3 or vp.shape[:2] != (batch, kp_t.shape[2])
                 or w_q.shape not in ((width + u, kp_t.shape[1]), (u, kp_t.shape[1]))
                 or b_q.shape != (kp_t.shape[1],)):
             raise ShapeError(f"lstm_layer read does not fit: query (x {width}, h {u}) or h, "
-                             f"w_q {w_q.shape}, b_q {b_q.shape}, keys {kp_t.shape}")
+                             f"w_q {w_q.shape}, b_q {b_q.shape}, keys {kp_t.shape} "
+                             f"(batch, width, keys), values {vp.shape} (batch, keys, width)")
         context = vp.shape[-1]
         # A query that holds x_t lists the parts once more: their query
         # gradients are added after their cell gradients, as when a node of
         # its own read the context.
         joined = w_q.shape[0] == width + u
-        inputs += (w_q, b_q, memory.token) + (parts if joined else ())
+        inputs += (w_q, b_q, kp_t, vp) + (parts if joined else ())
     if (c0.shape != (batch, u) or h0.shape[0] != batch or w_x.shape != (context + width, 4 * u)
             or w_h.shape != (u, 4 * u) or bias.shape != (4 * u,)):
         raise ShapeError(f"lstm_layer shapes do not fit: x {x.shape}, h0 {h0.shape}, "
                          f"c0 {c0.shape}, w_x {w_x.shape}, w_h {w_h.shape}, bias {bias.shape}"
                          + (f", context width {context}" if context else ""))
     tape = _active_tape()
-    if (read is not None and tape is not None and (memory.tape is None or memory.tape() is not tape)
-            and (memory.kp_t.requires_grad or memory.vp.requires_grad)):
-        raise ContractError("lstm_layer: the key/value memory was not created under the "
-                            "recording tape, so its keys and values would get no "
-                            "gradient; call attention_memory inside that tape")
     requires = any(t.requires_grad for t in inputs)
     record = tape is not None and requires
 
@@ -468,10 +462,11 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
     if read is not None:
         # Each step's cell input (context, x_t) and query: (x_t, h) in a
         # buffer, or h itself, read from hs. The reverse sweep reads them
-        # again, with every step's projected query and weights, which it
-        # hands to the memory's rule. That rule reads them step-major from
-        # the last step back, the order in which one-step readers add
-        # theirs, so they are kept in that layout.
+        # again, with every step's projected query and weights. Those are
+        # kept step-major from the last step back, the order in which a
+        # chain of one-step reads adds them, so that the key and value
+        # gradients, one GEMM each over these rows, equal that chain's
+        # bitwise (tests/reference_ops.py keeps it).
         cell_in = np.empty((chunk, batch, context + width))
         queries = np.empty((chunk, batch, width + u)) if joined else hs
         if record:
@@ -488,7 +483,7 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
             if read is not None:
                 query = (np.concatenate((xs[t], hs[t]), axis=1, out=queries[k]) if joined
                          else hs[t])
-                qp, a, ctx = _attend_step(query, w_q.data, b_q.data, kp_t, vp)
+                qp, a, ctx = _attend_step(query, w_q.data, b_q.data, kp_t.data, vp.data)
                 if record:
                     qp_rows[:, steps - 1 - t] = qp[:, 0]
                     weight_rows[:, steps - 1 - t] = a[:, 0]
@@ -554,8 +549,8 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
                     d_in = d_pre[t] @ _swap(w_x.data)  # (batch, context + in)
                     row = slice(steps - 1 - t, steps - t)
                     g_rows[:, row] = d_in[:, None, :context]
-                    d_qp = _attend_step_grad(g_rows[:, row], weight_rows[:, row], kp_t, vp,
-                                             d_score_rows[:, row])
+                    d_qp = _attend_step_grad(g_rows[:, row], weight_rows[:, row], kp_t.data,
+                                             vp.data, d_score_rows[:, row])
                     d_query = (d_qp @ _swap(w_q.data)).reshape(batch, -1)
                     if d_x is not None:
                         d_x[t] = d_in[:, context:]
@@ -572,16 +567,16 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
                         dh += d_query[:, -u:]  # the query's h part
             states = (dh if h0.requires_grad else None, dc if c0.requires_grad else None)
             if read is not None:
-                if memory.token.requires_grad:
-                    memory.rows.append((qp_rows, d_score_rows, weight_rows, g_rows))
-
                 def by_part(d):
                     return _split(None if d is None else np.swapaxes(d, 0, 1).reshape(x.shape),
                                   parts)
 
                 return by_part(d_x) + states + tuple(
                     s if p.requires_grad else None
-                    for s, p in zip(sums + [np.zeros(())], (w_x, w_h, bias, w_q, b_q, memory.token))
+                    for s, p in zip(sums, (w_x, w_h, bias, w_q, b_q))
+                ) + (
+                    _swap(qp_rows) @ d_score_rows if kp_t.requires_grad else None,
+                    _swap(weight_rows) @ g_rows if vp.requires_grad else None,
                 ) + (by_part(d_xq) if joined else ())
             rows = d_pre.reshape(steps * batch, 4 * u)
             d_x = (np.swapaxes((rows @ _swap(w_x.data)).reshape(steps, batch, width), 0, 1)
@@ -599,61 +594,6 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
 # ---------------------------------------------------------------------------
 # Fused attention
 # ---------------------------------------------------------------------------
-
-
-class KeyValueMemory:
-    """Projected keys, transposed to (..., width, steps), and values
-    (..., steps, width), shared by every query of one sequence.
-
-    While a tape records, ``attention_memory`` records one node before any
-    query reads the memory. The reverse sweep of each ``lstm_layer`` that
-    reads it adds one entry to ``rows``, its steps' rows from the last step
-    back, instead of building full-size key and value gradients; the
-    memory's own rule runs after all of them, joins the entries on the step
-    axis and turns the rows into d(kp_t) = Qᵀ·dS and d(vp) = Aᵀ·dC, one
-    batched GEMM each. ``token`` is that node's output, and an input of every
-    layer that reads the memory: a scalar without meaning whose gradient
-    marks that rows are waiting. ``tape`` is a weak reference to the tape
-    that recorded the node (None if none did), so the tape does not reach
-    itself through its own rule and is freed as soon as it is dropped;
-    ``lstm_layer`` refuses to read the memory on any other tape.
-    """
-
-    __slots__ = ("kp_t", "vp", "token", "rows", "tape")
-
-    def __init__(self, kp_t: Tensor, vp: Tensor, token: Tensor,
-                 tape: "weakref.ref[Tape] | None"):
-        self.kp_t = kp_t
-        self.vp = vp
-        self.token = token
-        self.rows: list[tuple] = []
-        self.tape = tape
-
-
-def attention_memory(kp_t, vp) -> KeyValueMemory:
-    """Wrap projected keys and values for lstm_layer's attention read;
-    create it under the same tape as the layers that read it."""
-    kp_t, vp = as_tensor(kp_t), as_tensor(vp)
-    if (kp_t.data.ndim < 2 or vp.data.ndim != kp_t.data.ndim
-            or kp_t.shape[:-2] != vp.shape[:-2] or kp_t.shape[-1] != vp.shape[-2]):
-        raise ShapeError(f"keys {kp_t.shape} (..., width, steps) do not fit "
-                         f"values {vp.shape} (..., steps, width)")
-    tape = _active_tape()
-    record = tape is not None and (kp_t.requires_grad or vp.requires_grad)
-    memory = KeyValueMemory(kp_t, vp, Tensor(np.zeros(()), requires_grad=record),
-                            weakref.ref(tape) if record else None)
-    if record:
-        def grad_fn(_):
-            q, d_scores, weights, d_out = (part[0] if len(part) == 1
-                                           else np.concatenate(part, axis=-2)
-                                           for part in zip(*memory.rows))
-            memory.rows = []
-            with np.errstate(over="ignore", invalid="ignore"):
-                return (_swap(q) @ d_scores if kp_t.requires_grad else None,
-                        _swap(weights) @ d_out if vp.requires_grad else None)
-
-        tape.nodes.append(Node("attention_kv", (kp_t, vp), memory.token, grad_fn))
-    return memory
 
 
 def _attend_step(query, w_q, b_q, kp_t, vp) -> tuple:

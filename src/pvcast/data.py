@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -155,14 +155,20 @@ def _read_fixed(path, header: tuple) -> tuple[np.ndarray, np.ndarray] | None:
     a stamp in write_csv's layout, read by one np.loadtxt call exactly as the
     row loop reads them. None if the header or any record may read otherwise
     there: another stamp layout, quotes, a field that loadtxt rejects, or a
-    byte outside _PLAIN_BYTES."""
+    byte outside _PLAIN_BYTES. A file whose first record's stamp is not in
+    that layout is turned away before loadtxt reads it."""
     with open(path, "rb") as fh:
         first = fh.readline(1 << 20)
         names = first.removesuffix(b"\n").removesuffix(b"\r")
         if (not first.endswith(b"\n") or b"\r" in names
                 or [n.strip() for n in names.split(b",")] != [h.encode() for h in header]):
             return None
-        blocks = iter(lambda: fh.read(1 << 20), b"")
+        record = fh.readline(1 << 20)
+        stamp = record.split(b",", 1)[0].ljust(_FIXED_HEAD.size, b"\0")
+        if (len(stamp) != _FIXED_HEAD.size
+                or _stamp_minutes(np.frombuffer(stamp, dtype=np.uint8)[None]) is None):
+            return None
+        blocks = chain([record], iter(lambda: fh.read(1 << 20), b""))
         if any(block.translate(None, _PLAIN_BYTES) for block in blocks):
             return None
     layout = [("stamp", "S21"), ("values", np.float64, (len(header) - 1,))]

@@ -135,18 +135,18 @@ class AttentionLayer:
             out.extend((f"{name}.{pname}", p) for pname, p in part.parameters())
         return out
 
-    def project_keys_values(self, k, v) -> ad.KeyValueMemory:
-        """Project once per sequence into a memory that serves every query
-        of it; the keys are transposed to (..., width, steps) once, so no
-        query transposes them again."""
-        return ad.attention_memory(ad.swap_last_axes(self.w_k(k)), self.w_v(v))
+    def project_keys_values(self, k, v) -> tuple[Tensor, Tensor]:
+        """Project once per sequence into the keys and values that serve
+        every query of it; the keys are transposed to (..., width, steps)
+        once, so no query transposes them again."""
+        return ad.swap_last_axes(self.w_k(k)), self.w_v(v)
 
 
-def attend_projected(layer: AttentionLayer, memory: ad.KeyValueMemory) -> tuple:
-    """The read of `memory` that lstm_step and lstm_sequence pass to
-    lstm_layer: at each step, softmax((q W_q + b_q) Kᵀ / sqrt(width)) V for
-    the step's (batch, query_size) query."""
-    return layer.w_q, layer.b_q, memory
+def attend_projected(layer: AttentionLayer, keys_values: tuple) -> tuple:
+    """The read of project_keys_values' (keys, values) that lstm_step and
+    lstm_sequence pass to lstm_layer: at each step, softmax((q W_q + b_q)
+    Kᵀ / sqrt(width)) V for the step's (batch, query_size) query."""
+    return (layer.w_q, layer.b_q, *keys_values)
 
 
 class TemporalTransform:

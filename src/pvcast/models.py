@@ -335,7 +335,7 @@ class Seq2SeqModel(Model):
         if cfg.decoder_nwp and nwp_ahead is None:
             raise ContractError("decoder_nwp models need forecast-day weather")
         if ad._active_tape() is None:
-            dec_states, memories = self._encode_streamed(inputs)
+            dec_states, keys_values = self._encode_streamed(inputs)
         else:  # the backward needs every step, so each layer runs whole
             seq = Tensor(inputs)
             dec_states = []  # the encoder layers' last states seed the decoder layers
@@ -343,9 +343,9 @@ class Seq2SeqModel(Model):
                 seq, h_last, c_last = ly.lstm_sequence(layer, seq)
                 dec_states.append((h_last, c_last))
             # The top layer's outputs are the keys and values of every attention layer.
-            memories = [layer.project_keys_values(seq, seq) for layer in self.attn]
+            keys_values = [layer.project_keys_values(seq, seq) for layer in self.attn]
 
-        reads = ([ly.attend_projected(a, m) for a, m in zip(self.attn, memories)]
+        reads = ([ly.attend_projected(a, kv) for a, kv in zip(self.attn, keys_values)]
                  or [None] * cfg.depth)
         if mode == "teacher_forcing" and self.attention:
             # Step t reads the teacher row t-1, and the first step reads p0.
@@ -378,10 +378,10 @@ class Seq2SeqModel(Model):
         layer carries its (h, c) from chunk to chunk, and each top-layer chunk
         goes straight through every attention layer's key and value
         projections, so no layer's full output sequence is ever held. Returns
-        the layers' last states and one memory per attention layer. These equal
-        the whole-sequence path's bitwise, except where the BLAS runs a chunk's
-        smaller key and value GEMMs on another kernel, which may round them
-        differently in the last bit."""
+        the layers' last states and each attention layer's (keys, values).
+        These equal the whole-sequence path's bitwise, except where the BLAS
+        runs a chunk's smaller key and value GEMMs on another kernel, which
+        may round them differently in the last bit."""
         batch, steps = inputs.shape[:2]
         states = [layer.initial_state(batch) for layer in self.encoder]
         keys = [np.empty((batch, self.attn_width, steps)) for _ in self.attn]
@@ -402,7 +402,7 @@ class Seq2SeqModel(Model):
                 v[:, t0:t1] = (ly.dense_forward(layer.w_v, rows).data
                                .reshape(n, batch, -1).swapaxes(0, 1))
             del rows  # the next chunk's layers run without this one's buffers
-        return states, [ad.attention_memory(k, v) for k, v in zip(keys, values)]
+        return states, list(zip(keys, values))
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> Model:

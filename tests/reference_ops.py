@@ -1,11 +1,11 @@
 """Test-only references: the matmul and concat ops, which the package folds
 into affine, lstm_layer and temporal; the sigmoid and slice ops that
-composite LSTM cells are built from (fused into lstm_layer); the attend node
-and the step-major seq2seq decoder built from it, the references for
-lstm_layer's attention read and the layer-major teacher-forced decoder; the
-elementwise, reduction and reshape ops of the composite losses (fused into
-summed_loss); and central finite-difference gradient checking for tapes and
-models."""
+composite LSTM cells are built from (fused into lstm_layer); the attend node,
+its key/value row collector and the step-major seq2seq decoder built from
+them, the references for lstm_layer's attention read and the layer-major
+teacher-forced decoder; the elementwise, reduction and reshape ops of the
+composite losses (fused into summed_loss); and central finite-difference
+gradient checking for tapes and models."""
 
 import math
 
@@ -159,7 +159,31 @@ def sum_all(x) -> Tensor:
     return _emit("sum", (x,), out, grad_fn)
 
 
-def attend(query, w_q, b_q, memory: ad.KeyValueMemory) -> Tensor:
+class KeyValueRows:
+    """Keys (..., width, steps) and values (..., steps, width) for attend
+    nodes to read, with one "key_value_rows" node that forms their
+    gradients. The node is recorded before any read, so its rule runs after
+    all of theirs. Each read's rule adds its rows to ``rows``, the last
+    step's first; the node's rule joins them on the step axis and turns them
+    into d(kp_t) = Qᵀ·dS and d(vp) = Aᵀ·dC, one batched GEMM each, over rows
+    in the layout that lstm_layer's reverse sweep keeps. ``token`` is the
+    node's output, an input of every read: a scalar without meaning whose
+    gradient marks that rows are waiting."""
+
+    def __init__(self, kp_t, vp):
+        self.kp_t, self.vp = as_tensor(kp_t), as_tensor(vp)
+        self.rows: list[tuple] = []
+        self.token = _emit("key_value_rows", (self.kp_t, self.vp), np.zeros(()), self._grad_fn)
+
+    def _grad_fn(self, _):
+        q, d_scores, weights, d_out = (np.concatenate(part, axis=-2) for part in zip(*self.rows))
+        self.rows = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (_swap(q) @ d_scores if self.kp_t.requires_grad else None,
+                    _swap(weights) @ d_out if self.vp.requires_grad else None)
+
+
+def attend(query, w_q, b_q, memory: KeyValueRows) -> Tensor:
     """softmax((qp @ kp_t) / sqrt(width)) @ vp with qp = query @ w_q + b_q, as
     one "attention" node: a (..., q) query gives a (..., value width)
     context; a tuple of query parts is joined and split back as lstm_layer's
@@ -181,11 +205,6 @@ def attend(query, w_q, b_q, memory: ad.KeyValueMemory) -> Tensor:
             or w_q.shape != (query.shape[-1], width) or b_q.shape != (width,)):
         raise ShapeError(f"attend shapes do not fit: query {query.shape}, w_q {w_q.shape}, "
                          f"b_q {b_q.shape}, keys {kp_t.shape}")
-    tape = ad._active_tape()
-    if (tape is not None and (memory.tape is None or memory.tape() is not tape)
-            and (memory.kp_t.requires_grad or memory.vp.requires_grad)):
-        raise ContractError("attend: the key/value memory was not created under the "
-                            "recording tape; call attention_memory inside that tape")
     rows = np.expand_dims(query, -2)
     scale = 1.0 / math.sqrt(width)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,7 +246,7 @@ def step_major_forward(model, inputs, p0, teacher, nwp_ahead=None) -> Tensor:
     for layer in model.encoder:
         seq, h_last, c_last = lstm_sequence(layer, seq)
         states.append((h_last, c_last))
-    memories = [layer.project_keys_values(seq, seq) for layer in model.attn]
+    memories = [KeyValueRows(*layer.project_keys_values(seq, seq)) for layer in model.attn]
     outputs = []
     for t in range(model.config.output_steps):
         step_in = Tensor(teacher[:, t - 1] if t else p0)

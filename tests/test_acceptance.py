@@ -77,9 +77,9 @@ def test_criterion_1_gradient_suite():
     reader = LstmLayer(2 + 1, 2, rng=np.random.default_rng(GRADCHECK_SEED))
 
     def attention_loss():
-        memory = attn.project_keys_values(Tensor(kv_rows), Tensor(kv_rows))
+        keys_values = attn.project_keys_values(Tensor(kv_rows), Tensor(kv_rows))
         h, _ = lstm_step(reader, Tensor(q[:, :1]), (Tensor(q[:, 1:]), Tensor(np.zeros((2, 2)))),
-                         attend_projected(attn, memory))
+                         attend_projected(attn, keys_values))
         return sum_all(mul(h, Tensor(mix_a)))
 
     worst["attention"] = check_gradients(

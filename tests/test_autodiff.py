@@ -17,9 +17,9 @@ from pvcast import autodiff as ad
 from pvcast.autodiff import SgdNesterov, Tape, Tensor, backward
 from pvcast.errors import ContractError, DomainError, NumericsError, ShapeError
 
-from reference_ops import (add, attend, check_gradients, clamped_log, concat, matmul,
-                           max_relative_error, mul, numeric_gradient, reshape, scale, sigmoid,
-                           slice_axis, sub, sum_all)
+from reference_ops import (KeyValueRows, add, attend, check_gradients, clamped_log, concat,
+                           matmul, max_relative_error, mul, numeric_gradient, reshape, scale,
+                           sigmoid, slice_axis, sub, sum_all)
 
 
 def test_matmul_identity():
@@ -918,7 +918,7 @@ def _composite_attend(query, w_q, b_q, memory):
 
 def _read_inputs(joined: bool, lead=(3, 4), seed: int = 12):
     """x, h0, c0, w_x, w_h, bias, w_q, b_q, kp_t, vp of an LSTM layer that
-    reads an attention memory at each step, all taking gradients, and the
+    reads attention keys and values at each step, all taking gradients, and the
     mixes of its loss. x is (batch, in) for one step or (batch, steps, in);
     the query is (x_t, h) when `joined`, else h."""
     rng = np.random.default_rng(seed)
@@ -934,19 +934,20 @@ def _read_inputs(joined: bool, lead=(3, 4), seed: int = 12):
 
 
 def _read_loss(attend, inputs, mixes):
-    """The loss of an LSTM layer that reads an attention memory at each
-    step. attend=None runs the fused read, one lstm_layer node; otherwise
-    each step is an attend(query, w_q, b_q, memory) context followed by a
-    one-step lstm_layer node, with the loss term of its h recorded right
-    after it, where the decoder's head reads it."""
+    """The loss of an LSTM layer that reads attention keys and values at
+    each step. attend=None runs the fused read, one lstm_layer node;
+    otherwise each step is an attend(query, w_q, b_q, memory) context over
+    one KeyValueRows memory, followed by a one-step lstm_layer node, with the
+    loss term of its h recorded right after it, where the decoder's head
+    reads it."""
     x, h, c, w_x, w_h, bias, w_q, b_q, kp_t, vp = inputs
-    memory = ad.attention_memory(kp_t, vp)
     terms = []
     if attend is None:
-        seq, _, c = ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, memory))
+        seq, _, c = ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, kp_t, vp))
         hs = (seq,) if x.data.ndim == 2 else ad.unstack(seq, axis=1)
         terms = [sum_all(mul(h_t, Tensor(mix))) for h_t, mix in zip(hs, mixes)]
     else:
+        memory = KeyValueRows(kp_t, vp)
         for x_t, mix in zip((x,) if x.data.ndim == 2 else ad.unstack(x, axis=1), mixes):
             context = attend((x_t, h) if w_q.shape[0] > h.shape[1] else h, w_q, b_q, memory)
             h, c = ad.lstm_layer((context, x_t), h, c, w_x, w_h, bias)[1:]
@@ -971,15 +972,14 @@ READ_NAMES = ["x", "h0", "c0", "w_x", "w_h", "bias", "w_q", "b_q", "kp_t", "vp"]
 
 
 def test_attend_matches_composite_over_shared_keys():
-    # Four steps read one memory. The fused read equals a chain of attend
-    # nodes and one-step cells bitwise, gradients included.
+    # Four steps read the same keys and values. The fused read equals a
+    # chain of attend nodes and one-step cells bitwise, gradients included.
     loss_new, grads_new, ops = _read_run(None, joined=True)
     loss_ref, grads_ref, ops_ref = _read_run(attend, joined=True)
     assert loss_new == loss_ref
     for name, new, ref in zip(READ_NAMES, grads_new, grads_ref):
         assert np.array_equal(new, ref), name
-    assert ops.count("lstm_layer") == 1 and ops.count("attention_kv") == 1
-    assert ops.index("attention_kv") < ops.index("lstm_layer")
+    assert ops.count("lstm_layer") == 1 and ops[0] == "lstm_layer"
     assert "attention" not in ops and "affine" not in ops and "reshape" not in ops
     assert ops_ref.count("attention") == ops_ref.count("lstm_layer") == 4
     # Against the composite, w_q's gradient is one GEMM per step over its
@@ -1007,17 +1007,15 @@ def test_attend_w_q_gradient_matches_per_row_outer_products(lead):
 
 
 def test_attend_gradients_match_finite_differences():
-    # Four one-step calls that each read the memory, as the self-recurrent
-    # decoder makes them.
+    # Four one-step calls that each read the keys and values, as the
+    # self-recurrent decoder makes them.
     inputs, mixes = _read_inputs(joined=True)
     x, rest = inputs[0], inputs[1:]
 
     def loss():
         h, c = rest[:2]
         for t, mix in enumerate(mixes[:-1]):
-            memory = ad.attention_memory(*rest[7:])
-            h, c = ad.lstm_layer(Tensor(x.data[:, t]), h, c, *rest[2:5],
-                                 (rest[5], rest[6], memory))[1:]
+            h, c = ad.lstm_layer(Tensor(x.data[:, t]), h, c, *rest[2:5], tuple(rest[5:]))[1:]
             term = sum_all(mul(h, Tensor(mix)))
             total = term if t == 0 else add(total, term)
         return add(total, sum_all(mul(c, Tensor(mixes[-1]))))
@@ -1033,53 +1031,53 @@ def test_lstm_layer_read_gradients_match_finite_differences(joined):
 
 def test_attend_shape_errors():
     (x, h, c, w_x, w_h, bias, w_q, b_q, kp_t, vp), _ = _read_inputs(joined=True)
-    memory = ad.attention_memory(kp_t, vp)
-    for w, b, mem in [
-        (Tensor(np.zeros((6, 4))), b_q, memory),     # rows neither (x_t, h) = 5 nor h = 3
-        (Tensor(np.zeros((5, 3))), b_q, memory),     # width 3 against keys of width 4
-        (Tensor(np.zeros((1, 5, 4))), b_q, memory),  # weights not 2-D
-        (w_q, Tensor(np.zeros(3)), memory),
-        (w_q, Tensor(np.zeros((1, 4))), memory),
-        (w_q, b_q, ad.attention_memory(np.zeros((2, 4, 7)), np.zeros((2, 7, 4)))),  # batch 2
-        (w_q, b_q, ad.attention_memory(np.zeros((4, 7)), np.zeros((7, 4)))),  # no batch axis
+    for read in [
+        (Tensor(np.zeros((6, 4))), b_q, kp_t, vp),     # rows neither (x_t, h) = 5 nor h = 3
+        (Tensor(np.zeros((5, 3))), b_q, kp_t, vp),     # width 3 against keys of width 4
+        (Tensor(np.zeros((1, 5, 4))), b_q, kp_t, vp),  # weights not 2-D
+        (w_q, Tensor(np.zeros(3)), kp_t, vp),
+        (w_q, Tensor(np.zeros((1, 4))), kp_t, vp),
+        (w_q, b_q, np.zeros((2, 4, 7)), np.zeros((2, 7, 4))),  # batch 2
+        (w_q, b_q, np.zeros((4, 7)), np.zeros((7, 4))),  # no batch axis
+        (w_q, b_q, kp_t, np.zeros((2, 7, 4))),  # values of batch 2 against keys of batch 3
+        (w_q, b_q, kp_t, np.zeros((3, 6, 4))),  # 6 values against 7 keys
+        (w_q, b_q, kp_t, np.zeros((3, 8, 4))),  # 8 values against 7 keys
+        (w_q, b_q, kp_t, np.zeros((7, 4))),     # values without a batch axis
     ]:
         with pytest.raises(ShapeError, match="lstm_layer read does not fit"):
-            ad.lstm_layer(x, h, c, w_x, w_h, bias, (w, b, mem))
+            ad.lstm_layer(x, h, c, w_x, w_h, bias, read)
     # w_x's rows are the context's, then the input's.
-    wide = ad.attention_memory(kp_t, np.zeros((3, 7, 5)))
     with pytest.raises(ShapeError, match=r"do not fit: .*w_x \(6, 12\).*context width 5"):
-        ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, wide))
+        ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, kp_t, np.zeros((3, 7, 5))))
     with pytest.raises(ShapeError, match=r"do not fit: .*w_x \(2, 12\).*context width 4"):
-        ad.lstm_layer(x, h, c, Tensor(w_x.data[4:]), w_h, bias, (w_q, b_q, memory))
+        ad.lstm_layer(x, h, c, Tensor(w_x.data[4:]), w_h, bias, (w_q, b_q, kp_t, vp))
 
 
-def test_attend_rejects_a_memory_from_another_tape():
+def test_lstm_layer_read_gives_keys_and_values_made_before_the_tape_their_gradient():
     (x, h, c, w_x, w_h, bias, w_q, b_q, kp_t, vp), _ = _read_inputs(joined=False)
 
-    def read(memory):
-        return ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, memory))
+    def read(keys, values):
+        return ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, keys, values))
 
-    outside = ad.attention_memory(kp_t, vp)  # no tape: no attention_kv node
-    with Tape():
-        with pytest.raises(ContractError, match="attention_memory"):
-            read(outside)
-    with Tape() as outer:
-        memory = ad.attention_memory(kp_t, vp)
-        with Tape() as inner:
-            with pytest.raises(ContractError, match="attention_memory"):
-                read(memory)
-        read(memory)
-    assert len(inner) == 0 and [n.op for n in outer.nodes] == ["attention_kv", "lstm_layer"]
-    assert memory.rows == []
-    # Constant keys and values need no memory node, and reading outside a tape records nothing.
-    frozen = ad.attention_memory(Tensor(kp_t.data), Tensor(vp.data))
+    # Leaf keys and values, made before the tape: the reading node is the
+    # only node between them and the loss, and its rule forms their gradient.
     with Tape() as tape:
-        seq = read(frozen)[0]
-        loss = sum_all(seq)
+        loss = sum_all(read(kp_t, vp)[0])
+    assert [n.op for n in tape.nodes] == ["lstm_layer", "sum"]
+    assert tape.nodes[0].inputs[-2:] == (kp_t, vp)
+    backward(tape, loss)
+    assert kp_t.grad.shape == kp_t.shape and vp.grad.shape == vp.shape
+    assert check_gradients(lambda: sum_all(read(kp_t, vp)[0]), [kp_t, vp]) < 1e-6
+    # Constant keys and values take no gradient, and reading outside a tape records nothing.
+    for t in (w_q, kp_t, vp):
+        t.grad = None
+    frozen = Tensor(kp_t.data), Tensor(vp.data)
+    with Tape() as tape:
+        loss = sum_all(read(*frozen)[0])
     assert [n.op for n in tape.nodes] == ["lstm_layer", "sum"]
     backward(tape, loss)
-    assert frozen.rows == [] and kp_t.grad is None and w_q.grad is not None
-    assert read(memory)[0].shape == (3, 4, 3)
+    assert all(t.grad is None for t in frozen + (kp_t, vp)) and w_q.grad is not None
+    assert read(kp_t, vp)[0].shape == (3, 4, 3)
 
 
 # Input parts: widths, and which part takes a gradient. The no-grad parts
@@ -1127,10 +1125,10 @@ def _lstm_parts_run(join, widths, grads, steps):
 
 
 def _attend_parts_run(join, widths, grads):
-    """An LSTM layer over two steps of join(parts) that reads a memory with
-    the query (x_t, h), so every part takes gradient through the cell's
-    input, after the context, and through the query, before h: the outputs,
-    every input's gradient and the tape's ops."""
+    """An LSTM layer over two steps of join(parts) that reads keys and
+    values with the query (x_t, h), so every part takes gradient through the
+    cell's input, after the context, and through the query, before h: the
+    outputs, every input's gradient and the tape's ops."""
     rng = np.random.default_rng(52)
     batch, units, width, keys = 3, 4, 4, 6
     parts = _part_tensors(rng, (batch, 2), widths, grads)
@@ -1139,8 +1137,7 @@ def _attend_parts_run(join, widths, grads):
                       (units, 4 * units), (4 * units,), (sum(widths) + units, width), (width,),
                       (batch, width, keys), (batch, keys, width)]]
     with Tape() as tape:
-        memory = ad.attention_memory(*rest[7:])
-        outputs = ad.lstm_layer(join(parts), *rest[:5], (rest[5], rest[6], memory))
+        outputs = ad.lstm_layer(join(parts), *rest[:5], tuple(rest[5:]))
         loss = None
         for out in outputs:
             term = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
@@ -1201,8 +1198,8 @@ def test_parts_that_do_not_join_raise_shape_error_naming_them():
     # Parts that join, to a width that does not fit the weights.
     with pytest.raises(ShapeError, match=r"lstm_layer shapes do not fit: x \(3, 6, 5\)"):
         ad.lstm_layer((Tensor(np.zeros((3, 6, 2))), Tensor(np.zeros((3, 6, 3)))), *inputs[1:])
-    memory = ad.attention_memory(np.zeros((3, 4, 7)), np.zeros((3, 7, 4)))
-    read = (Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)), memory)
+    read = (Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)), np.zeros((3, 4, 7)),
+            np.zeros((3, 7, 4)))
     with pytest.raises(ShapeError, match=r"lstm_layer read does not fit: query \(x 5, h 5\)"):
         ad.lstm_layer((Tensor(np.zeros((3, 6, 2))), Tensor(np.zeros((3, 6, 3)))), *inputs[1:],
                       read)
@@ -1236,13 +1233,12 @@ def test_sequence_ops_overflow_without_runtime_warnings():
         warnings.simplefilter("error")
         with Tape() as tape:
             seq, h_last, c_last = ad.lstm_layer(*inputs)
-            memory = ad.attention_memory(kp_t, vp)
-            read = ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, memory))
-        layer_node, kv_node, read_node = tape.nodes
-        # Rules fed gradients near the float64 limit overflow inside their matmuls.
+            read = ad.lstm_layer(x, h, c, w_x, w_h, bias, (w_q, b_q, kp_t, vp))
+        layer_node, read_node = tape.nodes
+        # Rules fed gradients near the float64 limit overflow inside their
+        # matmuls, the read's key and value GEMMs included.
         grads = layer_node.grad_fn(*(np.full(t.shape, 1e308) for t in (seq, h_last, c_last)))
         grads += read_node.grad_fn(*(np.full(t.shape, 1e308) for t in read))
-        grads += kv_node.grad_fn(None)
         assert not all(np.isfinite(g).all() for g in grads)
         inputs[0].data[...] = 1e300
         inputs[3].data[...] = 1e300
@@ -1251,4 +1247,4 @@ def test_sequence_ops_overflow_without_runtime_warnings():
         # Scores that overflow are caught before the cell's gates.
         with pytest.raises(NumericsError, match="'attention'"):
             ad.lstm_layer(x, h, c, w_x, w_h, bias,
-                          (Tensor(np.full(w_q.shape, 1e308)), b_q, memory))
+                          (Tensor(np.full(w_q.shape, 1e308)), b_q, kp_t, vp))

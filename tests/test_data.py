@@ -526,6 +526,32 @@ def test_ingest_of_written_files_never_falls_back_to_row_loop(tmp_path, monkeypa
     _assert_same_ingest((pv, nwp), _reference_ingest(pv_path, nwp_path, P_MAX))
 
 
+FIRST_RECORD_LAYOUTS = {
+    "offset": _offset_stamp,
+    "no_z": lambda s, r: f"{s[:-1]},{r}",
+    "quoted": lambda s, r: f'"{s}",{r}',
+}
+
+
+@pytest.mark.parametrize("layout", sorted(FIRST_RECORD_LAYOUTS))
+def test_ingest_of_another_stamp_layout_from_the_first_record_skips_loadtxt(
+        tmp_path, monkeypatch, layout):
+    # Every record's stamp is in another layout, so the first record's
+    # stamp sends each file to the row loop before np.loadtxt reads it.
+    pv_path, nwp_path = _written_files(tmp_path)
+    make = FIRST_RECORD_LAYOUTS[layout]
+    for path in (pv_path, nwp_path):
+        _edit(path, lambda lines: lines[:1] + [make(*line.split(",", 1)) for line in lines[1:]])
+    loads, rows = [], []
+    loadtxt, row_loop = np.loadtxt, data._read_rows
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *args, **kw: loads.append(args) or loadtxt(*args, **kw))
+    monkeypatch.setattr(data, "_read_rows", lambda *args: rows.append(args) or row_loop(*args))
+    got = ingest_csv(pv_path, nwp_path, P_MAX)
+    assert loads == [] and [args[0] for args in rows] == [pv_path, nwp_path]
+    _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
+
+
 def test_row_loop_hands_keep_batches_of_at_most_chunk_rows(tmp_path, monkeypatch):
     # CR-only line ends: the row loop reads the whole PV file
     pv_path, nwp_path = _written_files(tmp_path)

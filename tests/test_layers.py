@@ -165,15 +165,20 @@ def _per_query(q, a) -> Tensor:
 
 def _read(layer: AttentionLayer, q, k, v) -> tuple[np.ndarray, np.ndarray]:
     """The model's attention read of the (n, q) queries: keys and values
-    projected once into a memory, then each query row is projected and
-    attends to it through autodiff._attend_step, the read lstm_layer makes
-    at each step with attend_projected's triple. Returns the (n, steps)
-    weights and the (n, width) contexts."""
-    memory = layer.project_keys_values(_per_query(q, k), _per_query(q, v))
-    w_q, b_q, memory = attend_projected(layer, memory)
+    projected once, then each query row is projected and attends to them
+    through autodiff._attend_step, the read lstm_layer makes at each step
+    with attend_projected's read. That read first passes lstm_layer's shape
+    check, in a one-step layer whose h is the query and whose input is the
+    context alone. Returns the (n, steps) weights and the (n, width)
+    contexts."""
+    q = ad.as_tensor(q)
+    read = attend_projected(layer, layer.project_keys_values(_per_query(q, k), _per_query(q, v)))
+    n, size = q.shape
+    cell = LstmLayer(layer.width, size, rng=_rng())
+    ad.lstm_layer(np.zeros((n, 0)), q, np.zeros((n, size)), cell.w_x, cell.w_h, cell.bias, read)
+    w_q, b_q, kp_t, vp = read
     with np.errstate(over="ignore", invalid="ignore"):
-        _, weights, context = ad._attend_step(ad.as_tensor(q).data, w_q.data, b_q.data,
-                                              memory.kp_t.data, memory.vp.data)
+        _, weights, context = ad._attend_step(q.data, w_q.data, b_q.data, kp_t.data, vp.data)
     return np.squeeze(weights, -2), context
 
 
@@ -262,9 +267,9 @@ def test_attention_gradient_matches_finite_differences():
     mix = rng.normal(size=(2, 2))
 
     def build_loss():
-        memory = layer.project_keys_values(_per_query(q, kv), _per_query(q, kv))
+        keys_values = layer.project_keys_values(_per_query(q, kv), _per_query(q, kv))
         h, c = lstm_step(cell, Tensor(q[:, :1]), (Tensor(q[:, 1:]), Tensor(np.zeros((2, 2)))),
-                         attend_projected(layer, memory))
+                         attend_projected(layer, keys_values))
         return sum_all(add(mul(h, Tensor(mix)), mul(c, c)))
 
     params = [p for _, p in layer.parameters() + cell.parameters()]

@@ -524,19 +524,19 @@ def test_fit_seeded_s2s_attn_numerics_are_pinned(mode):
     assert report.val_nrmse == [val_nrmse]
 
 
-MAX_TAPE_NODES_C4_STEP = 63
+MAX_TAPE_NODES_C4_STEP = 61
 
 
 def test_teacher_forced_s2s_attn_step_tape_size():
     # Criterion-4 scale: 192 encoder steps, 32 units, batch 32. 4 lstm_layer
     # nodes, one per encoder layer and one per decoder layer over all 24
     # steps, each decoder layer reading its attention context at every step
-    # itself; 2 attention_kv nodes and 2 key swaps, one each per attention
-    # layer; 28 affine nodes, one per head call and per key or value
-    # projection; 1 unstack of the top decoder layer's outputs into the head's
-    # 24 step views; 24 softmax nodes, one per pdf step; and one stack of the
-    # decoder's outputs feeding one loss node over the whole forecast give
-    # 4 + 2 + 2 + 28 + 1 + 24 + 1 + 1 = 63 nodes.
+    # itself and forming its keys' and values' gradients; 2 key swaps, one
+    # per attention layer; 28 affine nodes, one per head call and per key or
+    # value projection; 1 unstack of the top decoder layer's outputs into the
+    # head's 24 step views; 24 softmax nodes, one per pdf step; and one stack
+    # of the decoder's outputs feeding one loss node over the whole forecast
+    # give 4 + 2 + 28 + 1 + 24 + 1 + 1 = 61 nodes.
     rng = np.random.default_rng(0)
     cfg = ModelConfig(family="s2s_attn", target_mode="pdf", units_per_layer=32,
                       input_steps=192)
@@ -552,7 +552,7 @@ def test_teacher_forced_s2s_attn_step_tape_size():
     # matmul glue between the encoder's last states, the queries and their
     # parts.
     assert Counter(node.op for node in tape.nodes) == {
-        "lstm_layer": 2 * cfg.depth, "attention_kv": cfg.depth, "swap": cfg.depth,
+        "lstm_layer": 2 * cfg.depth, "swap": cfg.depth,
         "affine": cfg.output_steps + 2 * cfg.depth, "unstack": 1,
         "softmax": cfg.output_steps, "stack": 1, "loss": 1}
     assert len(tape) == MAX_TAPE_NODES_C4_STEP
@@ -561,7 +561,7 @@ def test_teacher_forced_s2s_attn_step_tape_size():
 # Criterion-4 teacher-forced step tapes (192 steps, 32 units, batch 32), pdf
 # and expected mode.
 TAPE_NODES_C4_STEP = {
-    "s2s_attn": (63, 39),
+    "s2s_attn": (61, 37),
     "s2s": (100, 76),
     "lstm": (6, 5),
     "ffnn": (8, 7),
@@ -612,8 +612,8 @@ def test_autodiff_op_set_is_what_the_models_record():
     defined = _recorded_op_names(Path(ad.__file__))
     recorded = {node.op for family in TAPE_NODES_C4_STEP for mode in ("pdf", "expected")
                 for node in _c4_step_tape(family, mode).nodes}
-    assert defined == recorded == {"affine", "attention_kv", "loss", "lstm_layer", "softmax",
-                                   "stack", "swap", "tanh", "temporal", "unstack"}
+    assert defined == recorded == {"affine", "loss", "lstm_layer", "softmax", "stack", "swap",
+                                   "tanh", "temporal", "unstack"}
 
 
 def _private_definitions(tree: ast.Module) -> set:
