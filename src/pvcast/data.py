@@ -11,6 +11,7 @@ the forecast targets cover [t0, t0 + 24h).
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -28,7 +29,7 @@ SLOTS_PER_HOUR = HOUR // GRID_STEP
 NWP_CHANNELS = ("temp_c", "pressure_kpa", "ghi_wm2", "wind_ms", "rh_pct")
 PV_CSV_HEADER = ("timestamp", "power_w")
 NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
-CSV_CHUNK_ROWS = 4096  # records per row-loop batch, stamps per fast-path chunk
+CSV_CHUNK_ROWS = 4096  # stamps per fast-path chunk, rows per write_csv chunk
 MAX_GAP_MINUTES = 120  # longest interior gap that consolidate fills
 MIN_DAYS = 6  # shortest overlapping coverage a grid is built from
 
@@ -150,13 +151,14 @@ def _stamp_minutes(heads: np.ndarray) -> np.ndarray | None:
     return days * DAY + hour * HOUR + minute
 
 
-def _read_fixed(path, header: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+def _read_fixed(path, header: tuple) -> tuple[np.ndarray, np.ndarray, None] | None:
     """Stamps and (rows, values) of a CSV file whose records each start with
     a stamp in write_csv's layout, read by one np.loadtxt call exactly as the
-    row loop reads them. None if the header or any record may read otherwise
-    there: another stamp layout, quotes, a field that loadtxt rejects, or a
-    byte outside _PLAIN_BYTES. A file whose first record's stamp is not in
-    that layout is turned away before loadtxt reads it."""
+    row loop reads them, with no parse error. None if the header or any
+    record may read otherwise there: another stamp layout, quotes, a field
+    that loadtxt rejects, or a byte outside _PLAIN_BYTES. A file whose first
+    record's stamp is not in that layout is turned away before loadtxt reads
+    it."""
     with open(path, "rb") as fh:
         first = fh.readline(1 << 20)
         names = first.removesuffix(b"\n").removesuffix(b"\r")
@@ -188,14 +190,15 @@ def _read_fixed(path, header: tuple) -> tuple[np.ndarray, np.ndarray] | None:
         if chunk is None:
             return None
         stamps[lo:lo + CSV_CHUNK_ROWS] = chunk
-    return stamps, values
+    return stamps, values, None
 
 
-def _read_rows(path, header: tuple, keep) -> None:
+def _read_rows(path, header: tuple) -> tuple[np.ndarray, np.ndarray, ParseError | None]:
     """The row loop: read a CSV file with one csv.reader, parse_timestamp and
-    float(), and pass keep() the records CSV_CHUNK_ROWS at a time, each batch
-    with the file line of each record by index and its first ParseError; no
-    later record is read."""
+    float(). Stamps and (rows, values) of the records before the first that
+    does not parse, and that record's ParseError or None; no later record is
+    read."""
+    stamps, values, error = array("q"), array("d"), None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
@@ -203,49 +206,33 @@ def _read_rows(path, header: tuple, keep) -> None:
             raise ParseError(f"{path}: empty file")
         if tuple(h.strip() for h in first) != header:
             raise ParseError(f"{path}: expected header {','.join(header)}")
-        records = _records(reader)
-        while True:
-            stamps, values, lines, error = [], [], [], None
-            for line, row in islice(records, CSV_CHUNK_ROWS):
-                try:
-                    if len(row) != len(header):
-                        raise ParseError(f"expected {len(header)} fields, got {len(row)}")
-                    stamp, row_values = parse_timestamp(row[0]), [float(v) for v in row[1:]]
-                except (ParseError, ValueError) as exc:
-                    error = ParseError(f"{path}: line {line}: {exc}")
-                    break
-                stamps.append(stamp)
-                values.append(row_values)
-                lines.append(line)
-            if not lines and error is None:
-                return
-            keep((np.array(stamps, dtype=np.int64), np.array(values).reshape(-1, len(header) - 1)),
-                 lines.__getitem__, error)
+        for line, row in _records(reader):
+            try:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}")
+                stamp, row_values = parse_timestamp(row[0]), [float(v) for v in row[1:]]
+            except (ParseError, ValueError) as exc:
+                error = ParseError(f"{path}: line {line}: {exc}")
+                break
+            stamps.append(stamp)
+            values.extend(row_values)
+    return (np.frombuffer(stamps, dtype=np.int64),
+            np.frombuffer(values).reshape(-1, len(header) - 1), error)
 
 
 def _read_table(path, header: tuple, first_problem) -> tuple[np.ndarray, np.ndarray]:
     """Stamps and (rows, values) of one CSV file: by _read_fixed, or else by
     the row loop from its first line. `first_problem(values)` returns the
     index and message of the first row whose values fail a check, or None.
-    Errors name the file line and come in row order, as in a plain row loop."""
-    stamps = [np.empty(0, dtype=np.int64)]
-    values = [np.empty((0, len(header) - 1))]
-
-    def keep(batch, line_of, error=None):
-        problem = first_problem(batch[1])
-        if problem is not None:
-            raise DataError(f"{path}: line {line_of(problem[0])}: {problem[1]}")
-        if error is not None:
-            raise error
-        stamps.append(batch[0])
-        values.append(batch[1])
-
-    parsed = _read_fixed(path, header)
-    if parsed is not None:
-        keep(parsed, lambda i: _record_line(path, i))
-        return parsed
-    _read_rows(path, header, keep)
-    return np.concatenate(stamps), np.concatenate(values)
+    Errors name the file line and come in row order, as in a plain row loop:
+    every row that the row loop returns comes before its parse error."""
+    stamps, values, error = _read_fixed(path, header) or _read_rows(path, header)
+    problem = first_problem(values)
+    if problem is not None:
+        raise DataError(f"{path}: line {_record_line(path, problem[0])}: {problem[1]}")
+    if error is not None:
+        raise error
+    return stamps, values
 
 
 def _first_nwp_problem(chans: np.ndarray):

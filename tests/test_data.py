@@ -3,6 +3,7 @@ and the synthetic generator."""
 
 import csv
 import math
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
 
@@ -259,8 +260,8 @@ INGEST_CASES = {
     "cr": (_line_ends("\r"), None),
     "quoted": (_set(10, lambda s, r: f'"{s}","{r[:-2]}"\r\n'),
                _set(7, lambda s, r: f'"{s}",{r}')),
-    # a quoted value over two lines whose record is the last of the row
-    # loop's first batch
+    # a quoted value over two lines in record 4,096: every later record
+    # starts a line further down
     "quoted_newline_across_chunk": (_set(4096, lambda s, r: f'{s},"{r}"\r\n'), None),
     "offset_stamps": (lambda lines: _set(4100, _offset_stamp)(_set(5, _offset_stamp)(lines)),
                       _set(3, _offset_stamp)),
@@ -552,26 +553,23 @@ def test_ingest_of_another_stamp_layout_from_the_first_record_skips_loadtxt(
     _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
 
 
-def test_row_loop_hands_keep_batches_of_at_most_chunk_rows(tmp_path, monkeypatch):
-    # CR-only line ends: the row loop reads the whole PV file
-    pv_path, nwp_path = _written_files(tmp_path)
+def test_row_loop_ingest_peaks_below_five_times_its_table(tmp_path, monkeypatch):
+    # CR-only line ends: the row loop reads the whole PV file. Its records
+    # go into typed buffers; a Python list per record would peak at about
+    # 13 times the table.
+    pv_path, nwp_path = _written_files(tmp_path, days=30)
     _edit(pv_path, _line_ends("\r"))
-    rows = 6 * DAY
-    assert rows > 2 * data.CSV_CHUNK_ROWS
-    batches = []
+    calls = []
     row_loop = data._read_rows
-
-    def counted(path, header, keep):
-        def counted_keep(batch, line_of, error=None):
-            batches.append(batch[0].size)
-            keep(batch, line_of, error)
-        row_loop(path, header, counted_keep)
-
-    monkeypatch.setattr(data, "_read_rows", counted)
-    got = ingest_csv(pv_path, nwp_path, P_MAX)
-    _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
-    assert len(batches) == -(-rows // data.CSV_CHUNK_ROWS)
-    assert max(batches) <= data.CSV_CHUNK_ROWS and sum(batches) == rows
+    monkeypatch.setattr(data, "_read_rows", lambda *args: calls.append(args) or row_loop(*args))
+    tracemalloc.start()
+    try:
+        pv, _ = ingest_csv(pv_path, nwp_path, P_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [args[0] for args in calls] == [pv_path] and pv.timestamps.size == 30 * DAY
+    assert peak < 5 * (pv.timestamps.nbytes + pv.power.nbytes)
 
 
 # ------------------------------------------------------------------ bins ---
