@@ -57,6 +57,13 @@ _RUN_KEYS = {
     "bins": int, "split_seed": int, "decoder_nwp": _bool,
 }
 
+# The least value of each integer key.
+_RUN_LEAST = {
+    "batch_size": 1, "patience": 1, "max_epochs": 1, "seed": 0,
+    "units": 1, "depth": 1, "window_days": 1, "stride_hours": 1,
+    "bins": 1, "split_seed": 0,
+}
+
 _RUN_DEFAULTS = {
     "units": 32, "depth": 2, "window_days": 2, "stride_hours": 24,
     "bins": 50, "split_seed": 11, "decoder_nwp": False,
@@ -81,6 +88,9 @@ def load_run_config(path: str | None) -> dict:
             values[key] = _RUN_KEYS[key](raw.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}: line {i}: bad value for '{key}'") from exc
+        if key in _RUN_LEAST and values[key] < _RUN_LEAST[key]:
+            raise ConfigError(f"{path}: line {i}: '{key}' must be at least "
+                              f"{_RUN_LEAST[key]}, got {values[key]}")
     return values
 
 

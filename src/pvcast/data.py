@@ -88,12 +88,17 @@ def _check_monotone(stamps: np.ndarray, what: str, path) -> None:
 
 def _records(reader):
     """(line, fields) of each non-blank record of a csv.reader, with the line
-    of its input that the record starts on, counting from 1."""
+    of its input that the record starts on, counting from 1. A record that
+    csv.reader rejects, such as one that an unclosed quote runs on past the
+    field size limit, is a ParseError that names its line."""
     line = reader.line_num + 1
-    for row in reader:
-        if row:
-            yield line, row
-        line = reader.line_num + 1
+    try:
+        for row in reader:
+            if row:
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"line {line}: {exc}") from None
 
 
 def _record_line(path, index: int) -> int:
@@ -197,25 +202,30 @@ def _read_rows(path, header: tuple) -> tuple[np.ndarray, np.ndarray, ParseError 
     """The row loop: read a CSV file with one csv.reader, parse_timestamp and
     float(). Stamps and (rows, values) of the records before the first that
     does not parse, and that record's ParseError or None; no later record is
-    read."""
+    read. The error names the file and, but for a byte that does not decode,
+    the line; a record that csv.reader rejects is such an error too."""
     stamps, values, error = array("q"), array("d"), None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise ParseError(f"{path}: empty file")
-        if tuple(h.strip() for h in first) != header:
-            raise ParseError(f"{path}: expected header {','.join(header)}")
-        for line, row in _records(reader):
-            try:
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} fields, got {len(row)}")
-                stamp, row_values = parse_timestamp(row[0]), [float(v) for v in row[1:]]
-            except (ParseError, ValueError) as exc:
-                error = ParseError(f"{path}: line {line}: {exc}")
-                break
-            stamps.append(stamp)
-            values.extend(row_values)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise ParseError("empty file")
+            if tuple(h.strip() for h in first) != header:
+                raise ParseError(f"expected header {','.join(header)}")
+            for line, row in _records(reader):
+                try:
+                    if len(row) != len(header):
+                        raise ParseError(f"expected {len(header)} fields, got {len(row)}")
+                    stamp, row_values = parse_timestamp(row[0]), [float(v) for v in row[1:]]
+                except (ParseError, ValueError) as exc:
+                    raise ParseError(f"line {line}: {exc}") from None
+                stamps.append(stamp)
+                values.extend(row_values)
+    except (ParseError, UnicodeDecodeError) as exc:
+        error = ParseError(f"{path}: {exc}")
+    except csv.Error as exc:  # the header's; _records names a later record's line
+        error = ParseError(f"{path}: line 1: {exc}")
     return (np.frombuffer(stamps, dtype=np.int64),
             np.frombuffer(values).reshape(-1, len(header) - 1), error)
 

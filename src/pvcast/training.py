@@ -2,6 +2,7 @@
 validation error, and checkpoint serialization."""
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -36,8 +37,10 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.epsilon_floor <= 0.0:
-            raise ConfigError("epsilon_floor must be positive")
+        for name, value in (("learning_rate", self.learning_rate),
+                            ("epsilon_floor", self.epsilon_floor)):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
         if self.clip_norm is not None and not self.clip_norm > 0.0:

@@ -142,6 +142,34 @@ def test_unknown_config_key_rejected(data_dir, tmp_path):
                  "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("key,value,least", [
+    ("units", 0, 1), ("depth", 0, 1), ("window_days", 0, 1), ("stride_hours", 0, 1),
+    ("stride_hours", -1, 1), ("bins", 0, 1), ("bins", -3, 1), ("batch_size", 0, 1),
+    ("patience", 0, 1), ("max_epochs", 0, 1), ("seed", -1, 0), ("split_seed", -1, 0)])
+def test_config_integers_below_their_least_value_rejected(data_dir, tmp_path, capsys,
+                                                          key, value, least):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"units=4\n{key}={value}\n")
+    message = f"{cfg}: line 2: '{key}' must be at least {least}, got {value}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_run_config(str(cfg))
+    capsys.readouterr()
+    assert main(["train", "--model", "ffnn", "--mode", "E", "--data", str(data_dir),
+                 "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "epsilon_floor"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_a_rate_that_is_not_finite(data_dir, tmp_path, capsys, key, value):
+    config = tmp_path / "rate.cfg"
+    config.write_text(CONFIG + f"{key}={value}\n")
+    capsys.readouterr()
+    assert main(["train", "--model", "ffnn", "--mode", "E", "--data", str(data_dir),
+                 "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {key} must be positive and finite, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text,value", [("true", True), ("TRUE", True), ("False", False)])
 def test_decoder_nwp_reads_true_or_false_in_any_case(tmp_path, text, value):
     cfg = tmp_path / "run.cfg"

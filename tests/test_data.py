@@ -3,6 +3,7 @@ and the synthetic generator."""
 
 import csv
 import math
+import re
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -459,6 +460,41 @@ def test_ingest_of_header_only_files_matches_reference_without_warnings(tmp_path
         got = ingest_csv(pv_path, nwp_path, P_MAX)
     _assert_same_ingest(got, _reference_ingest(pv_path, nwp_path, P_MAX))
     assert got[0].timestamps.size == got[1].timestamps.size == 0
+
+
+# Records that the reference row loop above lets escape as csv.Error: an
+# unclosed quote runs its record on past csv.reader's field size limit, in a
+# record or in the header. A value error in an earlier record still comes
+# first.
+UNREADABLE_CASES = {
+    "unclosed_quote": (_set(100, lambda s, r: f'"{s},{r}'), ParseError,
+                       "pv.csv: line 101: field larger than field limit (131072)"),
+    "unclosed_quote_in_header": (lambda lines: ['"' + lines[0]] + lines[1:], ParseError,
+                                 "pv.csv: line 1: field larger than field limit (131072)"),
+    "overshoot_then_unclosed_quote": (
+        lambda lines: _set(100, lambda s, r: f'"{s},{r}')(
+            _set(50, lambda s, r: f"{s},1060.0\r\n")(lines)), DataError,
+        "pv.csv: line 51: power 1060.0 exceeds rated 1000.0 by more than 5%"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_CASES))
+def test_ingest_of_a_record_csv_reader_rejects_is_a_parse_error(tmp_path, case):
+    pv_path, nwp_path = _written_files(tmp_path)
+    edit, error, message = UNREADABLE_CASES[case]
+    _edit(pv_path, edit)
+    with pytest.raises(error, match=re.escape(message)):
+        ingest_csv(pv_path, nwp_path, P_MAX)
+
+
+def test_ingest_of_a_byte_that_is_not_utf8_is_a_parse_error(tmp_path):
+    # the reference row loop lets UnicodeDecodeError escape
+    pv_path, nwp_path = _written_files(tmp_path)
+    lines = pv_path.read_bytes().split(b"\r\n")
+    lines[100] += b"\xe9"
+    pv_path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ParseError, match="pv.csv: 'utf-8' codec can't decode byte 0xe9"):
+        ingest_csv(pv_path, nwp_path, P_MAX)
 
 
 @pytest.mark.parametrize("p_max", [0.0, -1.0, math.inf, -math.inf, math.nan])

@@ -302,6 +302,10 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(epsilon_floor=0.0)
+    for name in ("learning_rate", "epsilon_floor"):
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
+                TrainConfig(**{name: value})
     for clip_norm in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError, match="clip_norm must be positive"):
             TrainConfig(clip_norm=clip_norm)
