@@ -9,6 +9,7 @@ import argparse
 import logging
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__, data, svg
@@ -17,7 +18,7 @@ from .data import (DAY, HOUR, PreparedData, build_splits, distribution_quantile,
                    parse_timestamp, synth_generate, write_csv)
 from .errors import ConfigError, ContractError, DataError, FormatError, PvcastError
 from .metrics import EvalReport, evaluate
-from .models import FAMILIES, Model, ModelConfig, build_model, count_parameters
+from .models import Model, ModelConfig, build_model, count_parameters
 from .training import TrainConfig, fit, load_checkpoint, save_checkpoint
 
 USAGE_ERRORS = (ConfigError, ContractError, DataError, FormatError)
@@ -49,31 +50,28 @@ def _bool(text: str) -> bool:
     return text.lower() == "true"
 
 
+# Each key's parser, least value (None: no least) and default. The training
+# keys are the fields of TrainConfig and take its defaults.
 _RUN_KEYS = {
-    "learning_rate": float, "momentum": float, "batch_size": int,
-    "patience": int, "max_epochs": int, "seed": int, "epsilon_floor": float,
-    "clip_norm": float,
-    "units": int, "depth": int, "window_days": int, "stride_hours": int,
-    "bins": int, "split_seed": int, "decoder_nwp": _bool,
-}
-
-# The least value of each integer key.
-_RUN_LEAST = {
-    "batch_size": 1, "patience": 1, "max_epochs": 1, "seed": 0,
-    "units": 1, "depth": 1, "window_days": 1, "stride_hours": 1,
-    "bins": 1, "split_seed": 0,
-}
-
-_RUN_DEFAULTS = {
-    "units": 32, "depth": 2, "window_days": 2, "stride_hours": 24,
-    "bins": 50, "split_seed": 11, "decoder_nwp": False,
+    "learning_rate": (float, None, TrainConfig.learning_rate),
+    "momentum": (float, None, TrainConfig.momentum),
+    "batch_size": (int, 1, TrainConfig.batch_size),
+    "patience": (int, 1, TrainConfig.patience),
+    "max_epochs": (int, 1, TrainConfig.max_epochs),
+    "seed": (int, 0, TrainConfig.seed),
+    "epsilon_floor": (float, None, TrainConfig.epsilon_floor),
+    "clip_norm": (float, None, TrainConfig.clip_norm),
+    "units": (int, 1, 32), "depth": (int, 1, 2), "window_days": (int, 1, 2),
+    "stride_hours": (int, 1, 24), "bins": (int, 1, 50), "split_seed": (int, 0, 11),
+    "decoder_nwp": (_bool, None, False),
 }
 
 
 def load_run_config(path: str | None) -> dict:
-    values = dict(_RUN_DEFAULTS)
+    values = {key: default for key, (_, _, default) in _RUN_KEYS.items()}
     if path is None:
         return values
+    set_on = {}
     for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -84,22 +82,19 @@ def load_run_config(path: str | None) -> dict:
         key = key.strip()
         if key not in _RUN_KEYS:
             raise ConfigError(f"{path}: line {i}: unknown key '{key}'")
+        parse, least, _ = _RUN_KEYS[key]
         try:
-            values[key] = _RUN_KEYS[key](raw.strip())
+            values[key] = parse(raw.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}: line {i}: bad value for '{key}'") from exc
-        if key in _RUN_LEAST and values[key] < _RUN_LEAST[key]:
+        if least is not None and values[key] < least:
             raise ConfigError(f"{path}: line {i}: '{key}' must be at least "
-                              f"{_RUN_LEAST[key]}, got {values[key]}")
+                              f"{least}, got {values[key]}")
+        if key in set_on:
+            raise ConfigError(f"{path}: line {i}: '{key}' is already set on line "
+                              f"{set_on[key]}")
+        set_on[key] = i
     return values
-
-
-def train_config_from(values: dict) -> TrainConfig:
-    kwargs = {k: values[k] for k in
-              ("learning_rate", "momentum", "batch_size", "patience",
-               "max_epochs", "seed", "epsilon_floor", "clip_norm")
-              if k in values}
-    return TrainConfig(**kwargs)
 
 
 def _load_dataset(data_dir: str, pmax_flag: float | None):
@@ -122,15 +117,6 @@ def _load_dataset(data_dir: str, pmax_flag: float | None):
     return ingest_csv(pv_path, nwp_path, p_max)
 
 
-def _prepare(args, values: dict) -> PreparedData:
-    pv, nwp = _load_dataset(args.data, getattr(args, "pmax", None))
-    return build_splits(
-        pv, nwp, stride_hours=values["stride_hours"],
-        input_steps=values["window_days"] * DAY // 15,
-        fractions=(0.70, 0.15, 0.15), seed=values["split_seed"],
-        bins=values["bins"])
-
-
 def _require_splits(prepared: PreparedData, command: str, needed: tuple[str, ...]) -> None:
     """Fail before any training when a split the command needs is empty,
     with the split counts and how to get more windows."""
@@ -144,12 +130,29 @@ def _require_splits(prepared: PreparedData, command: str, needed: tuple[str, ...
             f"smaller stride_hours")
 
 
-def _model_config(family: str, mode: str, values: dict) -> ModelConfig:
-    return ModelConfig(
+def _set_up(args, command: str, variants: list[tuple[str, str]],
+            needed: tuple[str, ...]):
+    """Build the run's TrainConfig and each (family, mode) variant's
+    ModelConfig from run.cfg, then read and split the data, then create
+    --out: a settings error raises before a CSV is opened, and no error
+    leaves --out behind. Returns the run.cfg values, the TrainConfig, the
+    ModelConfigs, --out and the prepared data."""
+    values = load_run_config(args.config)
+    tcfg = TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)})
+    input_steps = values["window_days"] * DAY // 15
+    configs = [ModelConfig(
         family=family, target_mode=mode, units_per_layer=values["units"],
-        depth=values["depth"], input_steps=values["window_days"] * DAY // 15,
-        bins=values["bins"],
+        depth=values["depth"], input_steps=input_steps, bins=values["bins"],
         decoder_nwp=values["decoder_nwp"] and family in ("s2s", "s2s_attn"))
+        for family, mode in variants]
+    pv, nwp = _load_dataset(args.data, args.pmax)
+    prepared = build_splits(
+        pv, nwp, stride_hours=values["stride_hours"], input_steps=input_steps,
+        fractions=(0.70, 0.15, 0.15), seed=values["split_seed"], bins=values["bins"])
+    _require_splits(prepared, command, needed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return values, tcfg, configs, out, prepared
 
 
 def _dataset_manifest_entries(prepared: PreparedData) -> dict:
@@ -200,12 +203,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_one(family: str, mode: str, prepared: PreparedData, values: dict,
-               out: Path, seed: int):
-    config = _model_config(family, mode, values)
-    model = build_model(config, seed=seed)
-    tcfg = train_config_from(values)
-    tcfg.seed = seed
+def _train_one(config: ModelConfig, tcfg: TrainConfig, prepared: PreparedData,
+               out: Path):
+    model = build_model(config, seed=tcfg.seed)
     report = fit(model, prepared.splits.train, prepared.splits.val, tcfg)
     stem = config.name.lower().replace("-", "_")
     ckpt = out / f"{stem}.ckpt"
@@ -217,22 +217,15 @@ def _train_one(family: str, mode: str, prepared: PreparedData, values: dict,
 def cmd_train(args) -> int:
     if args.model == "persistence":
         raise ConfigError("persistence has no trainable parameters")
-    if args.model not in FAMILIES:
-        raise ConfigError(f"unknown model family '{args.model}'")
     mode = _normalize_mode(args.mode)
-    values = load_run_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-
-    prepared = _prepare(args, values)
-    _require_splits(prepared, "train", ("train", "val"))
-    seed = train_config_from(values).seed
-    model, report, ckpt = _train_one(args.model, mode, prepared, values, out, seed)
+    values, tcfg, (config,), out, prepared = _set_up(
+        args, "train", [(args.model, mode)], ("train", "val"))
+    model, report, ckpt = _train_one(config, tcfg, prepared, out)
     entries = {
         "command": "train", "version": __version__,
         "model": args.model, "mode": mode,
-        "units": values["units"], "seed": seed,
+        "units": values["units"], "seed": tcfg.seed,
         "parameters": count_parameters(model),
         "best_epoch": report.best_epoch,
         "best_val_nrmse": f"{report.val_nrmse[report.best_epoch - 1]:.6f}",
@@ -252,21 +245,18 @@ BENCHMARK_VARIANTS = [(f, m) for f in ("ffnn", "lstm", "s2s", "s2s_attn")
 
 
 def cmd_benchmark(args) -> int:
-    values = load_run_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    prepared = _prepare(args, values)
-    _require_splits(prepared, "benchmark", ("train", "val", "test"))
+    values, tcfg, configs, out, prepared = _set_up(
+        args, "benchmark", BENCHMARK_VARIANTS, ("train", "val", "test"))
     _, val, test = prepared.splits
-    seed = train_config_from(values).seed
 
     persistence = build_model(ModelConfig(
         family="persistence", units_per_layer=1, input_steps=prepared.input_steps,
         bins=values["bins"]))
     models: list[Model] = [persistence]
-    for i, (family, mode) in enumerate(BENCHMARK_VARIANTS):
-        model, report, _ = _train_one(family, mode, prepared, values, out, seed + i)
+    for i, config in enumerate(configs):
+        model, report, _ = _train_one(config, replace(tcfg, seed=tcfg.seed + i),
+                                      prepared, out)
         print(f"{model.config.name}: best val nRMSE "
               f"{report.val_nrmse[report.best_epoch - 1]:.4f} "
               f"({report.best_epoch}/{len(report.val_nrmse)} epochs)")
@@ -293,7 +283,7 @@ def cmd_benchmark(args) -> int:
 
     entries = {
         "command": "benchmark", "version": __version__,
-        "seed": seed, "units": values["units"],
+        "seed": tcfg.seed, "units": values["units"],
         "models": ",".join(m.config.name for m in models),
         "outputs": "report.csv,report.txt",
         "elapsed_s": f"{time.time() - started:.2f}",
@@ -304,13 +294,13 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    anchor = parse_timestamp(args.at)
+    if anchor % HOUR:
+        raise ConfigError(f"--at must be hour-aligned, got {args.at}")
     model = load_checkpoint(args.checkpoint)
     cfg = model.config
     pv, nwp = _load_dataset(args.data, getattr(args, "pmax", None))
     dataset = data.consolidate(pv, nwp, bins=cfg.bins)
-    anchor = parse_timestamp(args.at)
-    if anchor % HOUR:
-        raise ConfigError(f"--at must be hour-aligned, got {args.at}")
     try:
         sample = make_sample(dataset, anchor, cfg.input_steps, cfg.output_steps,
                              with_targets=False)

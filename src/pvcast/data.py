@@ -9,6 +9,7 @@ the forecast targets cover [t0, t0 + 24h).
 """
 
 import csv
+import logging
 import math
 import warnings
 from array import array
@@ -32,6 +33,8 @@ NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
 CSV_CHUNK_ROWS = 4096  # stamps per fast-path chunk, rows per write_csv chunk
 MAX_GAP_MINUTES = 120  # longest interior gap that consolidate fills
 MIN_DAYS = 6  # shortest overlapping coverage a grid is built from
+
+log = logging.getLogger("pvcast")
 
 
 def parse_timestamp(text: str) -> int:
@@ -265,9 +268,10 @@ def _first_nwp_problem(chans: np.ndarray):
 def ingest_csv(pv_path, nwp_path, p_max: float) -> tuple[RawPvSeries, RawNwpSeries]:
     """Parse and validate the PV and weather CSV files.
 
-    PV power below 0 or up to 5% above p_max is clipped (counted as a
-    warning); beyond 5% is a data error, and so is a non-finite value in any
-    channel. Timestamps must strictly increase. Errors name the file line.
+    PV power below 0 or up to 5% above p_max is clipped (counted, and logged
+    as one warning on the "pvcast" logger); beyond 5% is a data error, and
+    so is a non-finite value in any channel. Timestamps must strictly
+    increase. Errors name the file line.
     """
     if not 0 < p_max < math.inf:
         raise ContractError(f"p_max must be positive and finite, got {p_max}")
@@ -287,6 +291,8 @@ def ingest_csv(pv_path, nwp_path, p_max: float) -> tuple[RawPvSeries, RawNwpSeri
     power = power[:, 0]
     low, high = power < 0.0, power > p_max
     clipped = int(np.count_nonzero(low | high))
+    if clipped:
+        log.warning("%s: clipped %d power_w values to [0, %g]", pv_path, clipped, p_max)
     power[low] = 0.0
     power[high] = p_max
     _check_monotone(stamps, "PV", pv_path)
@@ -660,8 +666,14 @@ def build_splits(pv: RawPvSeries, nwp: RawNwpSeries, stride_hours: int = 24,
     # Constants 0 and 1 until the grid is scaled below.
     data = AlignedDataset(first_hour, features, np.zeros(6), np.ones(6), targets,
                           pv.p_max, bins)
-    splits = split(make_samples(data, stride_hours, input_steps, output_steps),
-                   fractions, seed)
+    samples = make_samples(data, stride_hours, input_steps, output_steps)
+    if not samples:
+        raise DataError(
+            f"no window fits: a {input_steps * GRID_STEP / DAY:g}-day input window and "
+            f"its {output_steps}-hour forecast do not fit in the "
+            f"{(data.hours_end - data.grid_start) / DAY:.2f} days of overlapping "
+            f"coverage; use a shorter input window or more days")
+    splits = split(samples, fractions, seed)
 
     # Slots under a train window: each window adds 1 from its first slot on
     # and takes it away after its last.
@@ -671,7 +683,10 @@ def build_splits(pv: RawPvSeries, nwp: RawNwpSeries, stride_hours: int = 24,
              - np.bincount(anchor_slots, minlength=data.n_slots + 1))
     mask = np.cumsum(edges[:data.n_slots]) > 0
     if not mask.any():
-        raise DataError("no training coverage left after the overlap discard")
+        raise DataError(
+            f"no training coverage left after the overlap discard: "
+            f"{len(splits.train)}/{len(splits.val)}/{len(splits.test)} train/val/test "
+            f"and {splits.discarded} discarded; use another split seed or a larger stride")
     _scale_in_place(data, features[mask].min(axis=0), features[mask].max(axis=0))
     return PreparedData(data, splits, seed, input_steps)
 

@@ -21,7 +21,7 @@ CHECKPOINT_MAGIC = "pvcast-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.003
     momentum: float = 0.75
@@ -41,6 +41,8 @@ class TrainConfig:
                             ("epsilon_floor", self.epsilon_floor)):
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
         if self.clip_norm is not None and not self.clip_norm > 0.0:

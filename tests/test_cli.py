@@ -1,12 +1,16 @@
 """End-to-end command-line tests over a small synthetic dataset."""
 
+import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pvcast import cli
 from pvcast.cli import load_run_config, main, read_manifest
 from pvcast.errors import ConfigError
+from pvcast.training import TrainConfig
 
 CONFIG = """\
 units=4
@@ -299,3 +303,66 @@ def test_train_rejects_an_empty_val_split_before_training(tmp_path, capsys):
     assert "more days" in err and "window_days" in err and "stride_hours" in err
     assert not list(out.glob("*.ckpt"))
     assert not (out / "manifest.txt").exists()
+
+
+def _no_data_reads(*args):
+    raise AssertionError("the data directory was read")
+
+
+@pytest.mark.parametrize("command", [["train", "--model", "ffnn", "--mode", "E"],
+                                     ["benchmark"]])
+@pytest.mark.parametrize("text,message", [
+    ("learning_rate=nan\n", "error: learning_rate must be positive and finite, got nan"),
+    ("momentum=1.5\n", "error: momentum must lie in [0, 1), got 1.5"),
+    ("units=0\n", "line 1: 'units' must be at least 1, got 0"),
+    ("units=4\n\nunits=8\n", "line 3: 'units' is already set on line 1")])
+def test_settings_errors_exit_before_the_data_is_read(data_dir, tmp_path, monkeypatch,
+                                                      capsys, command, text, message):
+    monkeypatch.setattr(cli, "ingest_csv", _no_data_reads)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(command + ["--data", str(data_dir), "--config", str(cfg),
+                           "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mode_and_forecast_time_errors_exit_before_the_data_is_read(
+        data_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ingest_csv", _no_data_reads)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["train", "--model", "ffnn", "--mode", "X", "--data", str(data_dir),
+                 "--out", str(out)]) == 2
+    assert "error: unknown target mode 'X' (use pdf or E)" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["forecast", "--checkpoint", str(tmp_path / "none.ckpt"),
+                 "--data", str(data_dir), "--at", "1970-01-10T00:30:00Z",
+                 "--out", str(out)]) == 2
+    assert ("error: --at must be hour-aligned, got 1970-01-10T00:30:00Z"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_train_rejects_a_window_longer_than_the_data(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window_days=30\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["train", "--model", "ffnn", "--data", str(data_dir), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert ("error: no window fits: a 30-day input window and its 24-hour forecast do not "
+            "fit in the 16.00 days of overlapping coverage" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_run_cfg_keys_cover_train_config_and_the_readme():
+    assert {f.name for f in dataclasses.fields(TrainConfig)} <= set(cli._RUN_KEYS)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = dict(re.findall(r"(\w+)=(\S*)", block))
+    assert set(listed) == set(cli._RUN_KEYS)
+    for key, (parse, _, default) in cli._RUN_KEYS.items():
+        assert (parse(listed[key]) if listed[key] else None) == default, key

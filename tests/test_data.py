@@ -2,6 +2,7 @@
 and the synthetic generator."""
 
 import csv
+import logging
 import math
 import re
 import tracemalloc
@@ -67,6 +68,20 @@ def test_ingest_negative_power_clipped_with_warning(tmp_path):
     pv, _ = ingest_csv(pv_path, _small_nwp(tmp_path), P_MAX)
     assert pv.power[0] == 0.0
     assert pv.clip_warnings == 1
+
+
+def test_ingest_logs_one_warning_naming_the_file_and_the_clip_count(tmp_path, caplog):
+    pv_path = _pv_csv(tmp_path, ["2021-01-01T00:00:00Z,-3.0",
+                                 "2021-01-01T00:01:00Z,50.0"])
+    with caplog.at_level(logging.WARNING, logger="pvcast"):
+        ingest_csv(pv_path, _small_nwp(tmp_path), P_MAX)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("pvcast", logging.WARNING, f"{pv_path}: clipped 1 power_w values to [0, 1000]")]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="pvcast"):
+        ingest_csv(_pv_csv(tmp_path, ["2021-01-01T00:00:00Z,50.0"], name="ok.csv"),
+                   _small_nwp(tmp_path), P_MAX)
+    assert not caplog.records
 
 
 def test_ingest_small_overshoot_clipped_large_rejected(tmp_path):
@@ -977,6 +992,28 @@ def test_split_checks_at_most_two_pairs_per_sample(monkeypatch):
 def test_split_empty_is_error():
     with pytest.raises(ContractError):
         split([])
+
+
+def test_build_splits_rejects_a_window_longer_than_the_data():
+    pv, nwp = synth_generate(16, seed=5, p_max=2000.0)
+    message = ("no window fits: a 30-day input window and its 24-hour forecast do not fit "
+               "in the 16.00 days of overlapping coverage; use a shorter input window or "
+               "more days")
+    with pytest.raises(DataError, match=re.escape(message)):
+        build_splits(pv, nwp, input_steps=30 * 96)
+
+
+@pytest.mark.parametrize("seed", [6, 9, 10, 11])
+def test_build_splits_empty_train_split_names_the_counts_and_the_fix(seed):
+    pv, nwp = synth_generate(16, seed=5, p_max=2000.0)
+    samples = make_samples(consolidate(pv, nwp), 1, 96, 24)
+    parts = split(samples, seed=seed)
+    assert not parts.train
+    message = (f"no training coverage left after the overlap discard: 0/{len(parts.val)}/"
+               f"{len(parts.test)} train/val/test and {parts.discarded} discarded; use "
+               f"another split seed or a larger stride")
+    with pytest.raises(DataError, match=re.escape(message)):
+        build_splits(pv, nwp, stride_hours=1, input_steps=96, seed=seed)
 
 
 def test_build_splits_normalizes_from_training_rows():

@@ -1,7 +1,9 @@
 """Loss functions, the fit loop, early stopping, and checkpoint round-trips."""
 
 import ast
+import dataclasses
 import hashlib
+import re
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -309,6 +311,13 @@ def test_train_config_validation():
     for clip_norm in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError, match="clip_norm must be positive"):
             TrainConfig(clip_norm=clip_norm)
+    for momentum in (1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"momentum must lie in [0, 1), got {momentum}")):
+            TrainConfig(momentum=momentum)
+    assert TrainConfig(momentum=0.0).momentum == 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().seed = 1
 
 
 # -------------------------------------------------------------------- fit ---
