@@ -71,8 +71,14 @@ def load_run_config(path: str | None) -> dict:
     values = {key: default for key, (_, _, default) in _RUN_KEYS.items()}
     if path is None:
         return values
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the run config: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: the run config is not UTF-8 text") from None
     set_on = {}
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

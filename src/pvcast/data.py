@@ -16,6 +16,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -381,18 +382,6 @@ class AlignedDataset:
     def hours_end(self) -> int:
         return self.grid_start + self.n_hours * HOUR
 
-    def slot_index(self, minute: int) -> int:
-        offset = minute - self.grid_start
-        if offset % GRID_STEP:
-            raise ContractError(f"minute {minute} is not on the 15-minute grid")
-        return offset // GRID_STEP
-
-    def hour_index(self, minute: int) -> int:
-        offset = minute - self.grid_start
-        if offset % HOUR:
-            raise ContractError(f"minute {minute} is not hour-aligned")
-        return offset // HOUR
-
 
 def _check_gaps(stamps: np.ndarray, what: str) -> None:
     """Reject a stream (two or more stamps) with a gap over MAX_GAP_MINUTES."""
@@ -525,33 +514,67 @@ class Sample:
         return (self.anchor, self.anchor + self.output_steps * HOUR)
 
 
+class Window(NamedTuple):
+    """The span of a sample without its arrays: the split is decided on
+    these, and only the windows it keeps are built into Samples."""
+
+    start: int   # first minute of the input window
+    anchor: int
+    end: int     # end of the target day
+
+    def input_span(self) -> tuple[int, int]:
+        return (self.start, self.end)
+
+    def target_span(self) -> tuple[int, int]:
+        return (self.anchor, self.end)
+
+
+def _samples(data: AlignedDataset, anchors, input_steps: int, output_steps: int,
+             with_targets: bool) -> list[Sample]:
+    """make_sample over each anchor in turn: the same checks in the same
+    order and with the same messages, from integer arithmetic on the grid's
+    offsets, and the same read-only views, sliced from one pair of views of
+    the grid."""
+    window, history = input_steps * GRID_STEP, output_steps * HOUR
+    ahead = SLOTS_PER_HOUR * output_steps
+    start, n_slots, n_hours = data.grid_start, data.n_slots, data.n_hours
+    # Slices of read-only views are read-only; the grid itself stays writable.
+    features, targets = data.features.view(), data.hour_targets.view()
+    features.flags.writeable = targets.flags.writeable = False
+    out = []
+    for anchor in anchors:
+        # The window and the history are whole slots and hours, so the
+        # anchor is on the grid (on the hour) exactly when their starts are.
+        offset = anchor - start
+        if offset % GRID_STEP:
+            raise ContractError(f"minute {anchor - window} is not on the 15-minute grid")
+        s0, s1 = (offset - window) // GRID_STEP, offset // GRID_STEP
+        if s0 < 0 or s1 > n_slots:
+            raise ContractError(f"anchor {format_timestamp(anchor)} lacks a full input window")
+        if offset % HOUR:
+            raise ContractError(f"minute {anchor - history} is not hour-aligned")
+        h0 = offset // HOUR
+        h_hist = h0 - output_steps
+        if h_hist < 0:
+            raise ContractError(f"anchor {format_timestamp(anchor)} lacks forecast-length history")
+        target = nwp_ahead = None
+        if with_targets:
+            if h0 + output_steps > n_hours:
+                raise ContractError(f"anchor {format_timestamp(anchor)} lacks a full target day")
+            target = targets[h0:h0 + output_steps]
+            nwp_ahead = features[s1:s1 + ahead:SLOTS_PER_HOUR, :5]
+        out.append(Sample(anchor, features[s0:s1], targets[h_hist:h0], targets[h0 - 1], target,
+                          nwp_ahead))
+    return out
+
+
 def make_sample(data: AlignedDataset, anchor: int, input_steps: int = 480,
                 output_steps: int = 24, with_targets: bool = True) -> Sample:
     """Build the sample anchored at the given hour-aligned minute.
 
     Every array is a read-only view of the dataset's grid, not a copy.
     """
-    window = input_steps * GRID_STEP
-    s0 = data.slot_index(anchor - window)
-    s1 = data.slot_index(anchor)
-    if s0 < 0 or s1 > data.n_slots:
-        raise ContractError(f"anchor {format_timestamp(anchor)} lacks a full input window")
-    h_hist = data.hour_index(anchor - output_steps * HOUR)
-    if h_hist < 0:
-        raise ContractError(f"anchor {format_timestamp(anchor)} lacks forecast-length history")
-    h0 = data.hour_index(anchor)
-    # Slices of read-only views are read-only; the grid itself stays writable.
-    features, targets = data.features.view(), data.hour_targets.view()
-    features.flags.writeable = targets.flags.writeable = False
-    target = None
-    nwp_ahead = None
-    if with_targets:
-        if h0 + output_steps > data.n_hours:
-            raise ContractError(f"anchor {format_timestamp(anchor)} lacks a full target day")
-        target = targets[h0:h0 + output_steps]
-        nwp_ahead = features[s1:s1 + SLOTS_PER_HOUR * output_steps:SLOTS_PER_HOUR, :5]
-    return Sample(anchor, features[s0:s1], targets[h_hist:h0], targets[h0 - 1], target,
-                  nwp_ahead)
+    return _samples(data, (anchor,), input_steps, output_steps, with_targets)[0]
 
 
 def list_anchors(data: AlignedDataset, stride_hours: int = 24, input_steps: int = 480,
@@ -566,8 +589,8 @@ def list_anchors(data: AlignedDataset, stride_hours: int = 24, input_steps: int 
 def make_samples(data: AlignedDataset, stride_hours: int = 24, input_steps: int = 480,
                  output_steps: int = 24) -> list[Sample]:
     """One sample per stride step over every anchor with full coverage."""
-    return [make_sample(data, t0, input_steps, output_steps)
-            for t0 in list_anchors(data, stride_hours, input_steps, output_steps)]
+    return _samples(data, list_anchors(data, stride_hours, input_steps, output_steps),
+                    input_steps, output_steps, True)
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +600,27 @@ def make_samples(data: AlignedDataset, stride_hours: int = 24, input_steps: int 
 
 @dataclass
 class SplitResult:
-    train: list[Sample]
-    val: list[Sample]
-    test: list[Sample]
+    """The three parts of a split, each in anchor order, of the Samples or
+    Windows that were split, and the number discarded."""
+
+    train: list
+    val: list
+    test: list
     discarded: int
 
     def __iter__(self):
         return iter((self.train, self.val, self.test))
 
 
-def _spans_conflict(a: Sample, b: Sample) -> bool:
+def _spans_conflict(a, b) -> bool:
     for span, target in ((a.input_span(), b.target_span()),
                          (b.input_span(), a.target_span())):
         if span[0] < target[1] and target[0] < span[1]:
             return True
     return False
+
+
+_OTHER_CLASSES = ((1, 2), (0, 2), (0, 1))
 
 
 def split(samples, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitResult:
@@ -600,7 +629,9 @@ def split(samples, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitResult:
     span. Ties keep the earlier-anchored sample and drop the later one.
     The discard is linear after the sort: each sample is checked against at
     most one kept sample of each other class. Samples need at least one
-    output step.
+    output step. The items are Samples or Windows; only their anchors and
+    spans are read, so a split of Windows keeps the same anchors in each
+    part as a split of the matching Samples.
     """
     samples = list(samples)
     if not samples:
@@ -616,28 +647,27 @@ def split(samples, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitResult:
     assign[order[:n_train]] = 0
     assign[order[n_train:n_train + n_val]] = 1
     assign[order[n_train + n_val:]] = 2
+    assign = assign.tolist()
 
     # Every span starts at or before its anchor and ends where its targets
     # end, so a kept sample conflicts with a later-anchored one exactly when
     # it ends after the later one's input start: per class, the kept sample
     # that ends latest decides.
-    by_anchor = sorted(range(len(samples)), key=lambda i: samples[i].anchor)
-    latest: list[Sample | None] = [None, None, None]
-    kept: list[int] = []
+    anchors = [s.anchor for s in samples]
+    latest: list = [None, None, None]
+    parts: tuple[list, list, list] = ([], [], [])
     discarded = 0
-    for i in by_anchor:
+    for i in sorted(range(len(samples)), key=anchors.__getitem__):
         s, cls = samples[i], assign[i]
-        if any(c != cls and other is not None and _spans_conflict(other, s)
-               for c, other in enumerate(latest)):
-            discarded += 1
-            continue
-        kept.append(i)
-        if latest[cls] is None or s.target_span()[1] > latest[cls].target_span()[1]:
-            latest[cls] = s
-
-    parts: tuple[list[Sample], list[Sample], list[Sample]] = ([], [], [])
-    for i in kept:
-        parts[assign[i]].append(samples[i])
+        for c in _OTHER_CLASSES[cls]:
+            other = latest[c]
+            if other is not None and _spans_conflict(other, s):
+                discarded += 1
+                break
+        else:
+            parts[cls].append(s)
+            if latest[cls] is None or s.target_span()[1] > latest[cls].target_span()[1]:
+                latest[cls] = s
     return SplitResult(parts[0], parts[1], parts[2], discarded)
 
 
@@ -657,27 +687,29 @@ def build_splits(pv: RawPvSeries, nwp: RawNwpSeries, stride_hours: int = 24,
                  bins: int = 50) -> PreparedData:
     """End-to-end preparation with leakage-safe normalization.
 
-    The split is decided on the raw grid; min-max constants are then computed
-    over the grid rows covered by training-sample input windows only and
+    The split is decided on the windows' spans alone, and only the windows
+    it keeps are built into Samples, each once. Min-max constants are then
+    computed over the grid rows covered by training input windows only and
     applied to the whole grid in place, so the split's samples, which are
-    views of it, come out scaled. Each window is built once.
+    views of it, come out scaled.
     """
     first_hour, features, targets = _build_grid(pv, nwp, bins)
     # Constants 0 and 1 until the grid is scaled below.
     data = AlignedDataset(first_hour, features, np.zeros(6), np.ones(6), targets,
                           pv.p_max, bins)
-    samples = make_samples(data, stride_hours, input_steps, output_steps)
-    if not samples:
+    anchors = list_anchors(data, stride_hours, input_steps, output_steps)
+    if not anchors:
         raise DataError(
             f"no window fits: a {input_steps * GRID_STEP / DAY:g}-day input window and "
             f"its {output_steps}-hour forecast do not fit in the "
             f"{(data.hours_end - data.grid_start) / DAY:.2f} days of overlapping "
             f"coverage; use a shorter input window or more days")
-    splits = split(samples, fractions, seed)
+    window, ahead = input_steps * GRID_STEP, output_steps * HOUR
+    windows = split([Window(t0 - window, t0, t0 + ahead) for t0 in anchors], fractions, seed)
 
     # Slots under a train window: each window adds 1 from its first slot on
     # and takes it away after its last.
-    anchor_slots = (np.array([s.anchor for s in splits.train], dtype=np.int64)
+    anchor_slots = (np.array([w.anchor for w in windows.train], dtype=np.int64)
                     - data.grid_start) // GRID_STEP
     edges = (np.bincount(anchor_slots - input_steps, minlength=data.n_slots + 1)
              - np.bincount(anchor_slots, minlength=data.n_slots + 1))
@@ -685,8 +717,10 @@ def build_splits(pv: RawPvSeries, nwp: RawNwpSeries, stride_hours: int = 24,
     if not mask.any():
         raise DataError(
             f"no training coverage left after the overlap discard: "
-            f"{len(splits.train)}/{len(splits.val)}/{len(splits.test)} train/val/test "
-            f"and {splits.discarded} discarded; use another split seed or a larger stride")
+            f"{len(windows.train)}/{len(windows.val)}/{len(windows.test)} train/val/test "
+            f"and {windows.discarded} discarded; use another split seed or a larger stride")
+    splits = SplitResult(*(_samples(data, [w.anchor for w in part], input_steps, output_steps,
+                                    True) for part in windows), windows.discarded)
     _scale_in_place(data, features[mask].min(axis=0), features[mask].max(axis=0))
     return PreparedData(data, splits, seed, input_steps)
 

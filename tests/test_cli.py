@@ -346,6 +346,24 @@ def test_mode_and_forecast_time_errors_exit_before_the_data_is_read(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,make,message", [
+    ("missing.cfg", lambda path: None, "cannot read the run config: No such file or directory"),
+    ("cfgdir", lambda path: path.mkdir(), "cannot read the run config: Is a directory"),
+    ("latin1.cfg", lambda path: path.write_bytes(b"units=4\n# caf\xe9\n"),
+     "the run config is not UTF-8 text")])
+def test_an_unreadable_config_exits_before_the_data_is_read(data_dir, tmp_path, monkeypatch,
+                                                            capsys, name, make, message):
+    monkeypatch.setattr(cli, "ingest_csv", _no_data_reads)
+    cfg = tmp_path / name
+    make(cfg)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["train", "--model", "ffnn", "--data", str(data_dir), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_a_window_longer_than_the_data(data_dir, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("window_days=30\n")

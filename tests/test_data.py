@@ -7,6 +7,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 
 from pvcast import data
 from pvcast.data import (DAY, HOUR, NWP_CSV_HEADER, PV_CSV_HEADER, RawNwpSeries,
-                         RawPvSeries, Sample, bin_distribution, build_splits, consolidate,
-                         distribution_quantile, expected_value, format_timestamp,
-                         ingest_csv, list_anchors, make_sample, make_samples,
-                         split, synth_generate, write_csv)
+                         RawPvSeries, Sample, Window, bin_distribution, build_splits,
+                         consolidate, distribution_quantile, expected_value,
+                         format_timestamp, ingest_csv, list_anchors, make_sample,
+                         make_samples, split, synth_generate, write_csv)
 from pvcast.errors import ConfigError, ContractError, DataError, ParseError
 
 P_MAX = 1000.0
@@ -840,7 +841,7 @@ def test_sample_fields_and_spans():
     t_lo, t_hi = s.target_span()
     assert (t_lo, t_hi) == (s.anchor, s.anchor + 24 * 60)
     # the targets are exactly the dataset's next 24 hourly distributions
-    h0 = ds.hour_index(s.anchor)
+    h0 = (s.anchor - ds.grid_start) // HOUR
     assert np.array_equal(s.target_pdf, ds.hour_targets[h0:h0 + 24])
 
 
@@ -848,8 +849,8 @@ def test_make_sample_returns_read_only_views_equal_to_copies():
     ds = _dataset(7)
     for anchor in list_anchors(ds, stride_hours=5):
         s = make_sample(ds, anchor, 480, 24)
-        s0, s1 = ds.slot_index(anchor) - 480, ds.slot_index(anchor)
-        h0 = ds.hour_index(anchor)
+        s1, h0 = (anchor - ds.grid_start) // 15, (anchor - ds.grid_start) // HOUR
+        s0 = s1 - 480
         expected = {"input": ds.features[s0:s1],
                     "history_pdf": ds.hour_targets[h0 - 24:h0],
                     "p0_pdf": ds.hour_targets[h0 - 1],
@@ -873,6 +874,41 @@ def test_make_sample_without_targets_at_data_edge():
         make_sample(ds, anchor, 480, 24)
     s = make_sample(ds, ds.grid_start + 480 * 15, 480, 24, with_targets=False)
     assert s.target_pdf is None
+
+
+# (anchor minute, input_steps, message) on a 6-day grid that starts at the
+# epoch; each case fails one of make_sample's checks and passes those
+# before it.
+MAKE_SAMPLE_ERRORS = {
+    "off_grid": (5 * DAY + 7, 480, "minute 7 is not on the 15-minute grid"),
+    "short_input_window": (
+        5 * DAY - HOUR, 480, "anchor 1970-01-05T23:00:00Z lacks a full input window"),
+    "past_the_grid": (
+        6 * DAY + HOUR, 480, "anchor 1970-01-07T01:00:00Z lacks a full input window"),
+    "off_the_hour": (5 * DAY + 15, 480, "minute 5775 is not hour-aligned"),
+    "short_history": (
+        2 * HOUR, 4, "anchor 1970-01-01T02:00:00Z lacks forecast-length history"),
+    "short_target_day": (
+        5 * DAY + HOUR, 480, "anchor 1970-01-06T01:00:00Z lacks a full target day"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAKE_SAMPLE_ERRORS))
+def test_make_sample_names_the_check_that_fails(case):
+    ds = _dataset(6)
+    assert ds.grid_start == 0 and ds.hours_end == 6 * DAY
+    anchor, input_steps, message = MAKE_SAMPLE_ERRORS[case]
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        make_sample(ds, anchor, input_steps, 24)
+
+
+def test_make_samples_raises_the_first_bad_anchors_message(monkeypatch):
+    ds = _dataset(6)
+    anchors = [5 * DAY, 5 * DAY + HOUR, 5 * DAY + 7]  # good, short target day, off grid
+    monkeypatch.setattr(data, "list_anchors", lambda *args: anchors)
+    with pytest.raises(ContractError,
+                       match="^anchor 1970-01-06T01:00:00Z lacks a full target day$"):
+        make_samples(ds, 1, 480, 24)
 
 
 # ------------------------------------------------------------------ split ---
@@ -956,21 +992,48 @@ def _reference_split(samples, fractions, seed):
     return parts, discarded
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 240), st.integers(0, 600), st.integers(1, 48)),
-                min_size=1, max_size=50),
-       st.integers(0, 100), st.integers(0, 100), st.integers(0, 2 ** 32 - 1))
-def test_split_matches_quadratic_reference(specs, pct_train, pct_val, seed):
+# (anchor hour, input steps, output steps) of each sample, and the split's
+# train and val percentages and seed.
+SPLIT_CASES = given(
+    st.lists(st.tuples(st.integers(0, 240), st.integers(0, 600), st.integers(1, 48)),
+             min_size=1, max_size=50),
+    st.integers(0, 100), st.integers(0, 100), st.integers(0, 2 ** 32 - 1))
+
+
+def _split_case(specs, pct_train, pct_val):
     pct_val = min(pct_val, 100 - pct_train)
     fractions = (pct_train / 100, pct_val / 100, 1.0 - pct_train / 100 - pct_val / 100)
     samples = [_mini_sample(5 * DAY + h * HOUR, steps_in, steps_out)
                for h, steps_in, steps_out in specs]
+    return samples, fractions
+
+
+@settings(max_examples=300, deadline=None)
+@SPLIT_CASES
+def test_split_matches_quadratic_reference(specs, pct_train, pct_val, seed):
+    samples, fractions = _split_case(specs, pct_train, pct_val)
     index = {id(s): i for i, s in enumerate(samples)}
     result = split(samples, fractions, seed)
     parts, discarded = _reference_split(samples, fractions, seed)
     assert result.discarded == discarded
     for part, want in zip(result, parts):
         assert [index[id(s)] for s in part] == want
+
+
+@settings(max_examples=300, deadline=None)
+@SPLIT_CASES
+def test_split_of_windows_matches_split_of_their_samples(specs, pct_train, pct_val, seed):
+    samples, fractions = _split_case(specs, pct_train, pct_val)
+    windows = [Window(s.input_span()[0], s.anchor, s.target_span()[1]) for s in samples]
+    assert ([(w.input_span(), w.target_span()) for w in windows]
+            == [(s.input_span(), s.target_span()) for s in samples])
+    index = {id(w): i for i, w in enumerate(windows)}
+    index.update((id(s), i) for i, s in enumerate(samples))
+    by_windows, by_samples = split(windows, fractions, seed), split(samples, fractions, seed)
+    assert by_windows.discarded == by_samples.discarded
+    for got, want in zip(by_windows, by_samples):
+        assert all(isinstance(w, Window) for w in got)
+        assert [index[id(w)] for w in got] == [index[id(s)] for s in want]
 
 
 def test_split_checks_at_most_two_pairs_per_sample(monkeypatch):
@@ -1028,20 +1091,58 @@ def test_build_splits_normalizes_from_training_rows():
     assert prep.splits.discarded >= 0
 
 
-def test_build_splits_makes_each_window_once(monkeypatch):
-    calls = []
-    build = data.make_sample
+def test_build_splits_builds_each_kept_window_once_and_no_discarded_one(monkeypatch):
+    built = Counter()
+    build = data.Sample
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
+        sample = build(*args, **kwargs)
+        built[sample.anchor] += 1
+        return sample
 
-    monkeypatch.setattr(data, "make_sample", counted)
+    monkeypatch.setattr(data, "Sample", counted)
     pv, nwp = synth_generate(30, seed=5, p_max=P_MAX)
     prep = build_splits(pv, nwp, stride_hours=6, input_steps=192, seed=9)
-    n_anchors = len(list_anchors(prep.dataset, 6, 192, 24))
-    assert n_anchors == sum(len(part) for part in prep.splits) + prep.splits.discarded
-    assert len(calls) == n_anchors
+    anchors = list_anchors(prep.dataset, 6, 192, 24)
+    kept = [s.anchor for part in prep.splits for s in part]
+    assert len(anchors) == len(kept) + prep.splits.discarded
+    discarded = set(anchors) - set(kept)
+    assert len(discarded) == prep.splits.discarded > 0
+    assert not discarded & built.keys()
+    assert built == Counter(kept)
+
+
+def _old_build_splits(pv, nwp, stride_hours, input_steps, seed):
+    """build_splits as split(make_samples(grid)): every window built into a
+    Sample, the Samples split, then the grid scaled from the train windows."""
+    first_hour, features, targets = data._build_grid(pv, nwp, 50)
+    ds = data.AlignedDataset(first_hour, features, np.zeros(6), np.ones(6), targets,
+                             pv.p_max, 50)
+    splits = split(make_samples(ds, stride_hours, input_steps, 24), seed=seed)
+    mask = np.zeros(ds.n_slots, dtype=bool)
+    for s in splits.train:
+        s1 = (s.anchor - ds.grid_start) // 15
+        mask[s1 - input_steps:s1] = True
+    data._scale_in_place(ds, features[mask].min(axis=0), features[mask].max(axis=0))
+    return ds, splits
+
+
+@pytest.mark.parametrize("seed", [7, 54])
+def test_build_splits_equals_split_of_every_window_built(seed):
+    pv, nwp = synth_generate(30, seed=5, p_max=P_MAX)
+    prep = build_splits(pv, nwp, stride_hours=1, input_steps=480, seed=seed)
+    ds, splits = _old_build_splits(pv, nwp, 1, 480, seed)
+    assert prep.splits.discarded == splits.discarded > 0
+    assert prep.dataset.norm_min.tolist() == ds.norm_min.tolist()
+    assert prep.dataset.norm_max.tolist() == ds.norm_max.tolist()
+    assert np.array_equal(prep.dataset.features, ds.features)
+    for got_part, want_part in zip(prep.splits, splits):
+        assert [s.anchor for s in got_part] == [s.anchor for s in want_part]
+        for got, want in zip(got_part, want_part):
+            for name in ("input", "history_pdf", "p0_pdf", "target_pdf", "nwp_ahead"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and np.array_equal(a, b), name
+                assert not a.flags.writeable, name
 
 
 def test_build_splits_samples_are_scaled_views_of_the_grid():

@@ -413,7 +413,7 @@ def test_persistence_matches_index_shift_oracle():
     model = build_model(_micro_config("persistence", "pdf"), seed=0)
     s = samples[1]
     forecast = model.forward(s)
-    h0 = ds.hour_index(s.anchor)
+    h0 = (s.anchor - ds.grid_start) // HOUR
     assert np.array_equal(forecast.steps, ds.hour_targets[h0 - 24:h0])
 
 
