@@ -192,10 +192,10 @@ def _normalize_mode(mode: str) -> str:
 
 
 def cmd_gen_data(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     pv, nwp = synth_generate(args.days, seed=args.seed, p_max=args.pmax)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(pv, nwp, out / "pv.csv", out / "nwp.csv")
     write_manifest(out / "manifest.txt", {
         "command": "gen-data", "version": __version__,

@@ -31,7 +31,7 @@ SLOTS_PER_HOUR = HOUR // GRID_STEP
 NWP_CHANNELS = ("temp_c", "pressure_kpa", "ghi_wm2", "wind_ms", "rh_pct")
 PV_CSV_HEADER = ("timestamp", "power_w")
 NWP_CSV_HEADER = ("timestamp",) + NWP_CHANNELS
-CSV_CHUNK_ROWS = 4096  # stamps per fast-path chunk, rows per write_csv chunk
+CSV_CHUNK_ROWS = 4096  # rows per chunk of digit arithmetic, read or written; bounds its scratch
 MAX_GAP_MINUTES = 120  # longest interior gap that consolidate fills
 MIN_DAYS = 6  # shortest overlapping coverage a grid is built from
 
@@ -53,8 +53,11 @@ def parse_timestamp(text: str) -> int:
 
 
 def format_timestamp(minute: int) -> str:
-    dt = datetime.fromtimestamp(minute * 60, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """write_csv's stamp of a minute since the epoch, in years 1-9999."""
+    stamp = _stamp_bytes([minute])
+    if stamp is None:
+        raise ValueError(f"minute {minute} falls outside years 1-9999")
+    return stamp.tobytes().decode()
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +125,8 @@ _DIGIT = _FIXED_HEAD == ord("d")
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31,
                         31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.concatenate([np.cumsum(m) - m for m in _MONTH_DAYS.reshape(2, 12)])
+# The two digit bytes of each number below 100 as one item: 00 to 99.
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
 # The bytes a file on the fast path may hold: printable ASCII, tab and line
 # ends. np.loadtxt strips other control bytes around a value, which float()
 # rejects, and drops a NUL after a stamp.
@@ -158,6 +163,25 @@ def _stamp_minutes(heads: np.ndarray) -> np.ndarray | None:
         return None
     days = year_start[nth] + _DAYS_BEFORE_MONTH[month_of] + day - 1
     return days * DAY + hour * HOUR + minute
+
+
+def _stamp_bytes(minutes) -> np.ndarray | None:
+    """(rows, 20) bytes of write_csv's stamps of minutes since the epoch, by
+    Hinnant's proleptic Gregorian civil_from_days (2013, "chrono-Compatible
+    Low-Level Date Algorithms"); None if any falls outside years 1-9999."""
+    days, minute = np.divmod(np.asarray(minutes, dtype=np.int64), DAY)
+    era, doe = np.divmod(days + 719468, 146097)  # 400-year eras from 0000-03-01
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # days since March 1
+    mp = (5 * doy + 2) // 153  # months since March
+    year = 400 * era + yoe + (mp >= 10)
+    if not ((year >= 1) & (year <= 9999)).all():
+        return None
+    pairs = np.stack([year // 100, year % 100, (mp + 2) % 12 + 1, doy - (153 * mp + 2) // 5 + 1,
+                      minute // HOUR, minute % HOUR], axis=1)
+    heads = np.repeat(_FIXED_HEAD[None, :20], len(pairs), axis=0)
+    heads[:, _DIGIT[:20]] = _PAIRS.take(pairs).view(np.uint8)
+    return heads
 
 
 def _read_fixed(path, header: tuple) -> tuple[np.ndarray, np.ndarray, None] | None:
@@ -749,6 +773,8 @@ def synth_generate(days: int, seed: int = 0, p_max: float = 5000.0,
     weather channels driven by the same processes."""
     if days < 6:
         raise ConfigError(f"need at least 6 days of data, got {days}")
+    if not 0.0 < p_max < math.inf:
+        raise ConfigError(f"rated power must be positive and finite, got {p_max}")
     rng = np.random.default_rng(seed)
 
     n_min = days * DAY
@@ -800,17 +826,52 @@ def synth_generate(days: int, seed: int = 0, p_max: float = 5000.0,
             RawNwpSeries(hour_stamps, channels))
 
 
+def _csv_rows(stamps, values, digits: int) -> bytes | None:
+    """write_csv's rows of one chunk as one (rows, width) byte matrix: the
+    digits of rint(|v|·10^digits), "-" where signbit(v), leading zeros masked
+    out. Below 2^30 the product is off by under 2^-23, so rint rounds as
+    "%.{digits}f" does unless its fraction is within 1e-6 of 0.5. None for
+    such a near-tie, a value not finite or not below 2^30/10^digits, or a
+    stamp outside years 1-9999."""
+    heads = _stamp_bytes(stamps)
+    v = np.asarray(values, dtype=np.float64)
+    if heads is None or not (np.abs(v) < 2 ** 30 / 10 ** digits).all():
+        return None
+    scaled = np.abs(v) * 10 ** digits
+    whole = np.rint(scaled)
+    if not (np.abs(scaled - whole) < 0.5 - 1e-6).all():
+        return None
+    n = whole.astype(np.int32)
+    # "s" holds the stamp, "-" a sign and "d" a digit: 10 at most, as 5 pairs.
+    field = b",-" + b"d" * (10 - digits) + b"." + b"d" * digits
+    layout = np.frombuffer(b"s" * 20 + field * v.shape[1] + b"\r\n", dtype=np.uint8)
+    slot = layout == ord("d")
+    text = np.repeat(layout[None], len(v), axis=0)
+    text[:, :20] = heads
+    pairs = np.stack([n // 10 ** k % 100 for k in (8, 6, 4, 2, 0)], axis=-1)
+    text[:, slot] = _PAIRS.take(pairs).view(np.uint8).reshape(len(v), -1)
+    keep = np.ones(text.shape, dtype=bool)
+    keep[:, layout == ord("-")] = np.signbit(v)
+    shown = np.maximum(n, 10 ** digits)[..., None] >= 10 ** np.arange(9, -1, -1)
+    keep[:, slot] = shown.reshape(len(v), -1)
+    return text[keep].tobytes()
+
+
 def write_csv(pv: RawPvSeries, nwp: RawNwpSeries, pv_path, nwp_path) -> None:
-    """Write both streams as CSV with csv.writer's \\r\\n line ends. Rows are
-    formatted and written in chunks, which bounds the memory the text takes."""
+    """Write both streams as CSV with csv.writer's \\r\\n line ends. A chunk
+    of CSV_CHUNK_ROWS rows that _csv_rows turns away is formatted a row at a
+    time, the reference whose bytes _csv_rows gives."""
     for path, header, stamps, values, digits in (
             (pv_path, PV_CSV_HEADER, pv.timestamps, pv.power[:, None], 3),
             (nwp_path, NWP_CSV_HEADER, nwp.timestamps, nwp.channels, 4)):
         row_format = "%sZ" + f",%.{digits}f" * values.shape[1] + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
             for lo in range(0, stamps.size, CSV_CHUNK_ROWS):
                 chunk = slice(lo, lo + CSV_CHUNK_ROWS)
-                text = np.datetime_as_string(stamps[chunk].astype("datetime64[m]"), unit="s")
-                fh.write("".join(row_format % (t, *row) for t, row in
-                                 zip(text.tolist(), values[chunk].tolist())))
+                rows = _csv_rows(stamps[chunk], values[chunk], digits)
+                if rows is None:
+                    text = np.datetime_as_string(stamps[chunk].astype("datetime64[m]"), unit="s")
+                    rows = "".join(row_format % (t, *row) for t, row in
+                                   zip(text.tolist(), values[chunk].tolist())).encode()
+                fh.write(rows)

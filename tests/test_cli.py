@@ -63,6 +63,14 @@ def test_gen_data_too_few_days(tmp_path):
     assert main(["gen-data", "--days", "3", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("pmax", ["-5", "nan", "inf", "0"])
+def test_gen_data_rejects_a_bad_pmax(tmp_path, capsys, pmax):
+    out = tmp_path / "x"
+    assert main(["gen-data", "--days", "7", "--pmax", pmax, "--out", str(out)]) == 2
+    assert "rated power must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

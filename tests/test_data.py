@@ -2,6 +2,7 @@
 and the synthetic generator."""
 
 import csv
+import hashlib
 import logging
 import math
 import re
@@ -156,6 +157,127 @@ def test_write_csv_bytes_match_csv_writer_reference(tmp_path):
         got = (tmp_path / f"{name}.csv").read_bytes()
         assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
         assert got.endswith(b"\r\n")
+
+
+# SHA-256 of pv.csv and nwp.csv for the default generator's output as
+# write_csv writes it: a change to either shows here.
+@pytest.mark.parametrize("days, seed, p_max, pv_sha, nwp_sha", [
+    (16, 5, 2000.0, "e9ad86706fc03629f6c1766174bc102b10111a2196be44718c4573d1d5cb6d7e",
+     "9e3ce665d766630376350ce8c8e251e49eb8a21effc5ad4993d09f9597f8edf2"),
+    (180, 7, 5000.0, "4153711f1624260ebefd47946d6aa98081b0845df1bc7c9428f296d9dc4e1ca1",
+     "7bab4d82244cf43bdeff2fc3fc545cef702083602755c82971a0ba7004cecf19"),
+])
+def test_write_csv_bytes_are_pinned(tmp_path, days, seed, p_max, pv_sha, nwp_sha):
+    pv, nwp = synth_generate(days, seed=seed, p_max=p_max)
+    write_csv(pv, nwp, tmp_path / "pv.csv", tmp_path / "nwp.csv")
+    assert hashlib.sha256((tmp_path / "pv.csv").read_bytes()).hexdigest() == pv_sha
+    assert hashlib.sha256((tmp_path / "nwp.csv").read_bytes()).hexdigest() == nwp_sha
+
+
+def _numpy_stamps(minutes):
+    text = np.datetime_as_string(np.asarray(minutes).astype("datetime64[m]"), unit="s")
+    return [t + "Z" for t in text.tolist()]
+
+
+def _reference_rows(stamps, values, digits):
+    """Rows as write_csv wrote them one at a time: numpy's stamp text and
+    each value through Python's float formatting."""
+    return "".join(f"{t},{','.join(f'{v:.{digits}f}' for v in row)}\r\n"
+                   for t, row in zip(_numpy_stamps(stamps), values.tolist())).encode()
+
+
+FIRST_MINUTE = data.parse_timestamp("0001-01-01T00:00:00Z")
+LAST_MINUTE = data.parse_timestamp("9999-12-31T23:59:00Z")
+
+
+def _nudged(value, steps):
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+def _csv_values(digits):
+    """Finite floats, ones near the fast path's range limit 2^30/10^digits,
+    tiny ones of either sign, signed zeros, and near-ties (k + 0.5)/10^digits
+    a few ulps either way."""
+    limit = 2.0 ** 30 / 10 ** digits
+    signs = st.sampled_from([1.0, -1.0])
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-limit, limit),
+        st.builds(lambda s, k: s * _nudged(limit, k), signs, st.integers(-4, 4)),
+        st.floats(-1e-3, 1e-3),
+        st.sampled_from([0.0, -0.0]),
+        st.builds(lambda s, k, n: s * _nudged((k + 0.5) / 10 ** digits, n),
+                  signs, st.integers(0, int(limit)), st.integers(-4, 4)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(lambda d: st.tuples(st.just(d), _csv_values(d))))
+def test_fast_csv_values_print_as_float_formatting(case):
+    digits, value = case
+    got = data._csv_rows(np.zeros(1, dtype=np.int64), np.array([[value]]), digits)
+    assert got is None or got == f"1970-01-01T00:00:00Z,{value:.{digits}f}\r\n".encode()
+    scaled = abs(value) * 10 ** digits
+    if scaled < 2 ** 29 and abs(scaled - math.floor(scaled) - 0.5) > 1e-5:
+        assert got is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(FIRST_MINUTE, LAST_MINUTE), min_size=1, max_size=40))
+def test_fast_stamps_match_numpy_and_read_back(minutes):
+    minutes = np.array(minutes, dtype=np.int64)
+    heads = data._stamp_bytes(minutes)
+    assert [h.tobytes().decode() for h in heads] == _numpy_stamps(minutes)
+    assert np.array_equal(data._stamp_minutes(np.pad(heads, ((0, 0), (0, 1)))), minutes)
+
+
+def test_fast_stamps_match_numpy_on_every_day_of_two_eras():
+    days = np.arange(data.parse_timestamp("1599-12-25T00:00:00Z") // DAY,
+                     data.parse_timestamp("2400-03-05T00:00:00Z") // DAY)
+    minutes = days * DAY + days * 37 % DAY
+    heads = data._stamp_bytes(minutes)
+    assert heads.tobytes().decode() == "".join(_numpy_stamps(minutes))
+    assert data._stamp_bytes([FIRST_MINUTE, LAST_MINUTE]) is not None
+    assert data._stamp_bytes([FIRST_MINUTE - 1]) is None
+    assert data._stamp_bytes([LAST_MINUTE + 1]) is None
+
+
+def _numpy_minute(text):
+    return int(np.datetime64(text, "m").astype(np.int64))
+
+
+# Each case makes a chunk fall back to the row format, by an edit (stream,
+# row, column, value) or by its first stamp: the 0000 and 9999 runs cross
+# into and out of years 1-9999. Every case writes other chunks on the fast
+# path.
+@pytest.mark.parametrize("edit, start", [
+    (("pv", 5000, 0, math.nan), 0),
+    (("pv", 5000, 0, -math.inf), 0),
+    (("nwp", 50, 2, math.inf), 0),
+    (("pv", 5000, 0, 2.0e6), 0),
+    (("nwp", 50, 1, -1.0e6), 0),
+    (("pv", 5000, 0, 2.0005), 0),
+    (("nwp", 50, 4, 57.00005), 0),
+    (None, _numpy_minute("0000-12-29T00:00")),
+    (None, _numpy_minute("9999-12-28T00:00")),
+])
+def test_write_csv_falls_back_to_the_row_format(tmp_path, edit, start):
+    pv, nwp = synth_generate(6, seed=9, p_max=P_MAX, start_minute=start)
+    if edit:
+        stream, row, column, value = edit
+        (pv.power[:, None] if stream == "pv" else nwp.channels)[row, column] = value
+    write_csv(pv, nwp, tmp_path / "pv.csv", tmp_path / "nwp.csv")
+    chunks = []
+    for name, header, stamps, values, digits in (
+            ("pv", PV_CSV_HEADER, pv.timestamps, pv.power[:, None], 3),
+            ("nwp", NWP_CSV_HEADER, nwp.timestamps, nwp.channels, 4)):
+        want = (",".join(header) + "\r\n").encode() + _reference_rows(stamps, values, digits)
+        assert (tmp_path / f"{name}.csv").read_bytes() == want
+        rows = data.CSV_CHUNK_ROWS
+        chunks += [data._csv_rows(stamps[lo:lo + rows], values[lo:lo + rows], digits)
+                   for lo in range(0, stamps.size, rows)]
+    assert None in chunks and any(chunk is not None for chunk in chunks)
 
 
 # The row loop ingest_csv ran before chunked ingest, kept as the reference
@@ -1214,7 +1336,11 @@ def test_synth_power_within_rated_range():
     assert np.all(pv.power <= P_MAX)
 
 
-def test_format_timestamp_round_trip():
-    from pvcast.data import parse_timestamp
-    minute = 26_000_000
-    assert parse_timestamp(format_timestamp(minute)) == minute
+@pytest.mark.parametrize("text", [
+    "0001-01-01T00:00:00Z", "0999-03-01T00:00:00Z", "1900-02-28T00:00:00Z",
+    "1900-03-01T00:00:00Z", "1969-12-31T23:59:00Z", "2000-02-29T00:00:00Z",
+    "2019-06-08T13:20:00Z", "9999-12-31T23:59:00Z"])
+def test_format_timestamp_round_trip(text):
+    minute = data.parse_timestamp(text)
+    assert format_timestamp(minute) == text
+    assert data.parse_timestamp(format_timestamp(minute)) == minute
