@@ -9,12 +9,12 @@ for NaN/Inf and raises ``NumericsError`` instead of propagating bad values.
 
 ``lstm_layer`` is the one LSTM op: one fused node per layer over a whole
 sequence, or per step for a one-step input, with the last h and c as two
-more outputs that each take a gradient. It joins a tuple of input parts
-itself, and it may read an attention context at every step, its query
-projection included, over keys and values that are inputs of the node like
-any other: its reverse sweep returns their gradients too. ``unstack`` hands
-out a sequence's steps as views, one node for all. ``temporal`` maps over
-time. ``summed_loss`` records a whole KL or squared-error loss as one node.
+more outputs that each take a gradient. Its input is one tensor. It may
+read an attention context at every step, its query projection included,
+over keys and values that are inputs of the node like any other: its
+reverse sweep returns their gradients too. ``unstack`` hands out a
+sequence's steps as views, one node for all. ``temporal`` maps over time.
+``summed_loss`` records a whole KL or squared-error loss as one node.
 """
 
 import math
@@ -226,29 +226,6 @@ def softmax(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _join(op: str, x) -> tuple[tuple[Tensor, ...], np.ndarray]:
-    """An op input given as one tensor or as a tuple of parts: the parts, and
-    their join on the last axis. One part is read without a copy."""
-    parts = tuple(as_tensor(p) for p in x) if isinstance(x, tuple) else (as_tensor(x),)
-    if len(parts) == 1:
-        return parts, parts[0].data
-    if not parts or any(p.data.ndim == 0 or p.shape[:-1] != parts[0].shape[:-1] for p in parts):
-        raise ShapeError(f"{op}: parts {[p.shape for p in parts]} do not join on the last axis")
-    return parts, np.concatenate([p.data for p in parts], axis=-1)
-
-
-def _split(g, parts: tuple) -> tuple:
-    """A joined input's gradient `g`, or None, as a view for each part that takes one."""
-    if g is None:
-        return (None,) * len(parts)
-    out, start = [], 0
-    for p in parts:
-        stop = start + p.shape[-1]
-        out.append(g[..., start:stop] if p.requires_grad else None)
-        start = stop
-    return tuple(out)
-
-
 def stack(tensors, axis: int = 0) -> Tensor:
     """Join equal-shape tensors along a new axis, one tape node for all."""
     tensors = tuple(as_tensor(t) for t in tensors)
@@ -379,8 +356,6 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
     """An LSTM layer as one three-output tape node. Over a (batch, steps, in)
     input it returns every step's h as (batch, steps, units), then the last h
     and c; a (batch, in) input is one step, and h comes back as (batch, units).
-    The input may be a tuple of parts, such as a step input and the weather:
-    the node joins them on the last axis and splits their gradient back.
 
     With pre = (x @ w_x + h @ w_h) + bias split into gate blocks (i, f, g, o),
     i, f, o = sigmoid and g = tanh, each step gives c' = f*c + i*g and
@@ -413,8 +388,8 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
     projected _PROJECTION_CHUNK steps at a time (one with a read), and the
     last h is a copy, so a caller that drops h_seq frees the step buffer.
     """
-    parts, x = _join("lstm_layer", x)
-    h0, c0, w_x, w_h, bias = (as_tensor(t) for t in (h0, c0, w_x, w_h, bias))
+    x_in, h0, c0, w_x, w_h, bias = (as_tensor(t) for t in (x, h0, c0, w_x, w_h, bias))
+    x = x_in.data
     rank = x.ndim
     if rank not in (2, 3) or rank == 3 and x.shape[1] == 0 or h0.data.ndim != 2:
         raise ShapeError(f"lstm_layer needs (batch, in) or (batch, steps>0, in) input and "
@@ -422,7 +397,7 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
     # A (batch, in) input is read as (batch, 1, in) through views.
     batch, steps, width = x.shape[0], x.shape[1] if rank == 3 else 1, x.shape[-1]
     u = h0.shape[1]
-    inputs = parts + (h0, c0, w_x, w_h, bias)
+    inputs = (x_in, h0, c0, w_x, w_h, bias)
     context = 0  # the width of the context that leads each step's cell input
     if read is not None:
         w_q, b_q, kp_t, vp = (as_tensor(t) for t in read)
@@ -434,11 +409,11 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
                              f"w_q {w_q.shape}, b_q {b_q.shape}, keys {kp_t.shape} "
                              f"(batch, width, keys), values {vp.shape} (batch, keys, width)")
         context = vp.shape[-1]
-        # A query that holds x_t lists the parts once more: their query
-        # gradients are added after their cell gradients, as when a node of
-        # its own read the context.
+        # A query that holds x_t lists x once more: its query gradient is
+        # added after its cell gradient, as when a node of its own read the
+        # context.
         joined = w_q.shape[0] == width + u
-        inputs += (w_q, b_q, kp_t, vp) + (parts if joined else ())
+        inputs += (w_q, b_q, kp_t, vp) + ((x_in,) if joined else ())
     if (c0.shape != (batch, u) or h0.shape[0] != batch or w_x.shape != (context + width, 4 * u)
             or w_h.shape != (u, 4 * u) or bias.shape != (4 * u,)):
         raise ShapeError(f"lstm_layer shapes do not fit: x {x.shape}, h0 {h0.shape}, "
@@ -526,7 +501,7 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
         d_gates, one_minus = np.empty((2, batch, 4 * u))
         dc_step, tmp, dh_buf, dc_prev = np.empty((4, batch, u))
         w_h_t = _swap(w_h.data)
-        x_grad = any(p.requires_grad for p in parts)
+        x_grad = x_in.requires_grad
         if read is not None:
             qp_rows, weight_rows = step_reads
             # The score and context gradients, laid out as qp_rows is.
@@ -567,21 +542,20 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
                         dh += d_query[:, -u:]  # the query's h part
             states = (dh if h0.requires_grad else None, dc if c0.requires_grad else None)
             if read is not None:
-                def by_part(d):
-                    return _split(None if d is None else np.swapaxes(d, 0, 1).reshape(x.shape),
-                                  parts)
+                def as_x(d):
+                    return None if d is None else np.swapaxes(d, 0, 1).reshape(x.shape)
 
-                return by_part(d_x) + states + tuple(
+                return (as_x(d_x),) + states + tuple(
                     s if p.requires_grad else None
                     for s, p in zip(sums, (w_x, w_h, bias, w_q, b_q))
                 ) + (
                     _swap(qp_rows) @ d_score_rows if kp_t.requires_grad else None,
                     _swap(weight_rows) @ g_rows if vp.requires_grad else None,
-                ) + (by_part(d_xq) if joined else ())
+                ) + ((as_x(d_xq),) if joined else ())
             rows = d_pre.reshape(steps * batch, 4 * u)
             d_x = (np.swapaxes((rows @ _swap(w_x.data)).reshape(steps, batch, width), 0, 1)
                    .reshape(x.shape) if x_grad else None)
-            return _split(d_x, parts) + states + (
+            return (d_x,) + states + (
                 _swap(x_rows) @ rows if w_x.requires_grad else None,
                 _swap(hs[:-1].reshape(steps * batch, u)) @ rows if w_h.requires_grad else None,
                 rows.sum(axis=0) if bias.requires_grad else None,

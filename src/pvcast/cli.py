@@ -145,7 +145,7 @@ def _set_up(args, command: str, variants: list[tuple[str, str]],
     ModelConfigs, --out and the prepared data."""
     values = load_run_config(args.config)
     tcfg = TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)})
-    input_steps = values["window_days"] * DAY // 15
+    input_steps = values["window_days"] * DAY // data.GRID_STEP
     configs = [ModelConfig(
         family=family, target_mode=mode, units_per_layer=values["units"],
         depth=values["depth"], input_steps=input_steps, bins=values["bins"],
@@ -305,7 +305,7 @@ def cmd_forecast(args) -> int:
         raise ConfigError(f"--at must be hour-aligned, got {args.at}")
     model = load_checkpoint(args.checkpoint)
     cfg = model.config
-    pv, nwp = _load_dataset(args.data, getattr(args, "pmax", None))
+    pv, nwp = _load_dataset(args.data, args.pmax)
     dataset = data.consolidate(pv, nwp, bins=cfg.bins)
     try:
         sample = make_sample(dataset, anchor, cfg.input_steps, cfg.output_steps,

@@ -85,11 +85,10 @@ class LstmLayer:
 
 def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor],
               read: tuple | None = None) -> tuple[Tensor, Tensor]:
-    """One recurrence step of a (batch, in) input, or of a tuple of parts that
-    join to one on the last axis: c' = f*c + i*g, h' = o*tanh(c'), one
-    lstm_layer node, which first reads an attention context when given a
-    `read` from attend_projected. A wrong input width raises lstm_layer's
-    ShapeError."""
+    """One recurrence step of a (batch, in) input: c' = f*c + i*g,
+    h' = o*tanh(c'), one lstm_layer node, which first reads an attention
+    context when given a `read` from attend_projected. A wrong input width
+    raises lstm_layer's ShapeError."""
     h, c = state
     if h.shape[-1] != layer.units or c.shape[-1] != layer.units:
         raise ContractError(
@@ -99,13 +98,12 @@ def lstm_step(layer: LstmLayer, x_t, state: tuple[Tensor, Tensor],
 
 def lstm_sequence(layer: LstmLayer, x, state: tuple[Tensor, Tensor] | None = None,
                   read: tuple | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """The layer over a whole (batch, steps, in) input, or a tuple of parts
-    that join to one, from `state` or a zero state, one fused tape node that
-    reads an attention context at each step when given a `read`: every
-    step's h as (batch, steps, units), then the last h and c. A wrong input
-    width raises lstm_layer's ShapeError."""
+    """The layer over a whole (batch, steps, in) input, from `state` or a
+    zero state, one fused tape node that reads an attention context at each
+    step when given a `read`: every step's h as (batch, steps, units), then
+    the last h and c. A wrong input width raises lstm_layer's ShapeError."""
     if state is None:
-        state = layer.initial_state(ad.as_tensor(x[0] if isinstance(x, tuple) else x).shape[0])
+        state = layer.initial_state(ad.as_tensor(x).shape[0])
     return ad.lstm_layer(x, *state, layer.w_x, layer.w_h, layer.bias, read)
 
 

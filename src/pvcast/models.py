@@ -11,12 +11,13 @@ and values. Layer 1's query is (step input, layer-1 h) and it reads
 weather. Under teacher forcing no layer's input depends on the layer above,
 so each layer runs its 24 steps as one node (layer-major, Appleyard et al.
 2016) and the head runs per step on one unstack node's views of the top
-layer's outputs. The self-recurrent decoder feeds each forecast back, so it
-runs one node per layer and step. The attention-free s2s decoder stays per
-step in both modes: one input GEMM over every step would round differently
-from the self-recurrent per-step GEMM. The attention projection width is
-units//2, which keeps the attention variants' parameter count in line with
-the equal-capacity baselines.
+layer's outputs. The self-recurrent decoder feeds each forecast's values
+back, so it runs one node per layer and step; no gradient flows through the
+fed-back values, as none flows through a teacher row. The attention-free
+s2s decoder stays per step in both modes: one input GEMM over every step
+would round differently from the self-recurrent per-step GEMM. The
+attention projection width is units//2, which keeps the attention variants'
+parameter count in line with the equal-capacity baselines.
 """
 
 from dataclasses import dataclass, replace
@@ -349,22 +350,23 @@ class Seq2SeqModel(Model):
                  or [None] * cfg.depth)
         if mode == "teacher_forcing" and self.attention:
             # Step t reads the teacher row t-1, and the first step reads p0.
-            x = (Tensor(np.concatenate((p0[:, None], teacher[:, :-1]), axis=1)),)
-            x += (Tensor(nwp_ahead),) if cfg.decoder_nwp else ()
+            x = np.concatenate((p0[:, None], teacher[:, :-1]), axis=1)
+            x = Tensor(np.concatenate((x, nwp_ahead), axis=-1) if cfg.decoder_nwp else x)
             for layer, state, read in zip(self.decoder, dec_states, reads):
                 x = ly.lstm_sequence(layer, x, state, read)[0]
             return ad.stack([self._head(h) for h in ad.unstack(x, axis=1)], axis=1)
 
-        feedback = Tensor(p0)
+        # The fed-back forecast is a constant, as a teacher row is.
+        feedback = p0
         outputs = []
         for t in range(cfg.output_steps):
-            step_in = Tensor(teacher[:, t - 1]) if t and mode == "teacher_forcing" else feedback
-            x = (step_in, Tensor(nwp_ahead[:, t])) if cfg.decoder_nwp else (step_in,)
+            x = teacher[:, t - 1] if t and mode == "teacher_forcing" else feedback
+            x = Tensor(np.concatenate((x, nwp_ahead[:, t]), axis=1) if cfg.decoder_nwp else x)
             for i, layer in enumerate(self.decoder):
                 dec_states[i] = ly.lstm_step(layer, x, dec_states[i], reads[i])
                 x = dec_states[i][0]
             out = self._head(x)
-            feedback = out if cfg.target_mode == "pdf" else Tensor(np.clip(out.data, 0.0, 1.0))
+            feedback = out.data if cfg.target_mode == "pdf" else np.clip(out.data, 0.0, 1.0)
             outputs.append(out)
         return ad.stack(outputs, axis=1)
 

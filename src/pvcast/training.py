@@ -253,7 +253,11 @@ def _parse_config(pairs: dict[str, str]) -> ModelConfig:
 
 def load_checkpoint(path) -> Model:
     """Rebuild a model with bitwise-identical parameters from disk."""
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read the checkpoint: {exc.strerror}") from None
+    with fh:
         line = fh.readline().decode(errors="replace").strip()
         parts = line.split()
         if len(parts) != 2 or parts[0] != CHECKPOINT_MAGIC:

@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from pvcast import autodiff as ad
-from pvcast.autodiff import (Tape, Tensor, _check_finite, _emit, _join, _sigmoid, _split, _swap,
-                             _unbroadcast, as_tensor, backward)
+from pvcast.autodiff import (Tape, Tensor, _check_finite, _emit, _sigmoid, _swap, _unbroadcast,
+                             as_tensor, backward)
 from pvcast.errors import ContractError, ShapeError
 from pvcast.layers import lstm_sequence
 
@@ -186,8 +186,7 @@ class KeyValueRows:
 def attend(query, w_q, b_q, memory: KeyValueRows) -> Tensor:
     """softmax((qp @ kp_t) / sqrt(width)) @ vp with qp = query @ w_q + b_q, as
     one "attention" node: a (..., q) query gives a (..., value width)
-    context; a tuple of query parts is joined and split back as lstm_layer's
-    input is. The reference for lstm_layer's read, which runs these numpy
+    context. The reference for lstm_layer's read, which runs these numpy
     calls and checks at each step.
 
     Each query is read as a (..., 1, q) row, so that forward and the query
@@ -197,8 +196,8 @@ def attend(query, w_q, b_q, memory: KeyValueRows) -> Tensor:
     products and their sum, so it may differ from it in the last bits. The
     key and value gradients are left to the memory's node.
     """
-    parts, query = _join("attend", query)
-    w_q, b_q = as_tensor(w_q), as_tensor(b_q)
+    query_in, w_q, b_q = as_tensor(query), as_tensor(w_q), as_tensor(b_q)
+    query = query_in.data
     kp_t, vp, token = memory.kp_t.data, memory.vp.data, memory.token
     width = kp_t.shape[-2]
     if (query.ndim != kp_t.ndim - 1 or query.shape[:-1] != kp_t.shape[:-2]
@@ -225,22 +224,22 @@ def attend(query, w_q, b_q, memory: KeyValueRows) -> Tensor:
             if token.requires_grad:
                 memory.rows.append((qp, d_scores, weights, g))
             d_qp = d_scores @ _swap(kp_t)
-            d_query = ((d_qp @ _swap(w_q.data)).reshape(query.shape)
-                       if any(p.requires_grad for p in parts) else None)
-            return _split(d_query, parts) + (
-                _swap(query.reshape(-1, query.shape[-1])) @ d_qp.reshape(-1, width)
-                if w_q.requires_grad else None,
-                _unbroadcast(d_qp, b_q.shape) if b_q.requires_grad else None,
-                np.zeros(()) if token.requires_grad else None)
+            return ((d_qp @ _swap(w_q.data)).reshape(query.shape)
+                    if query_in.requires_grad else None,
+                    _swap(query.reshape(-1, query.shape[-1])) @ d_qp.reshape(-1, width)
+                    if w_q.requires_grad else None,
+                    _unbroadcast(d_qp, b_q.shape) if b_q.requires_grad else None,
+                    np.zeros(()) if token.requires_grad else None)
 
-    return _emit("attention", parts + (w_q, b_q, token), out, grad_fn)
+    return _emit("attention", (query_in, w_q, b_q, token), out, grad_fn)
 
 
 def step_major_forward(model, inputs, p0, teacher, nwp_ahead=None) -> Tensor:
     """A Seq2SeqModel's teacher-forced forward_batch with the step-major
     decoder, the reference for the layer-major one: the model's own taped
     encoder, then per step and layer an attend node (for s2s_attn) and a
-    one-step lstm_layer node, and the head's affine and softmax nodes."""
+    one-step lstm_layer node, each input joined by concat nodes, and the
+    head's affine and softmax nodes."""
     seq = Tensor(inputs)
     states = []
     for layer in model.encoder:
@@ -249,16 +248,18 @@ def step_major_forward(model, inputs, p0, teacher, nwp_ahead=None) -> Tensor:
     memories = [KeyValueRows(*layer.project_keys_values(seq, seq)) for layer in model.attn]
     outputs = []
     for t in range(model.config.output_steps):
-        step_in = Tensor(teacher[:, t - 1] if t else p0)
-        x = (step_in, Tensor(nwp_ahead[:, t])) if model.config.decoder_nwp else (step_in,)
+        x = Tensor(teacher[:, t - 1] if t else p0)
+        if model.config.decoder_nwp:
+            x = concat(x, nwp_ahead[:, t])
         for i, layer in enumerate(model.decoder):
             h, c = states[i]
             if model.attention:
                 attn = model.attn[i]
-                x = (attend(x + (h,) if i == 0 else h, attn.w_q, attn.b_q, memories[i]),) + x
+                query = concat(x, h) if i == 0 else h
+                x = concat(attend(query, attn.w_q, attn.b_q, memories[i]), x)
             states[i] = ad.lstm_layer(x, h, c, layer.w_x, layer.w_h, layer.bias)[1:]
-            x = (states[i][0],)
-        out = model.head(x[0])
+            x = states[i][0]
+        out = model.head(x)
         outputs.append(ad.softmax(out) if model.config.target_mode == "pdf" else out)
     return ad.stack(outputs, axis=1)
 

@@ -3,7 +3,6 @@ tape mechanics, and the Nesterov optimizer update rule."""
 
 import gc
 import math
-import re
 import warnings
 import weakref
 
@@ -906,9 +905,8 @@ def test_lstm_layer_reverse_sweeps_of_two_nodes_do_not_alias():
 
 def _composite_attend(query, w_q, b_q, memory):
     """Attention as reshape/affine/matmul/scale/softmax/matmul/reshape nodes
-    over (batch, 1, q) query rows, after a concat chain joins a tuple of
-    query parts: the composite that the attend node reproduces."""
-    query = _concat_parts(query) if isinstance(query, tuple) else query
+    over (batch, 1, q) query rows: the composite that the attend node
+    reproduces."""
     rows = reshape(query, query.shape[:-1] + (1, query.shape[-1]))
     scores = matmul(ad.affine(rows, w_q, b_q), memory.kp_t)
     scores = scale(scores, 1.0 / math.sqrt(memory.kp_t.shape[-2]))
@@ -937,9 +935,9 @@ def _read_loss(attend, inputs, mixes):
     """The loss of an LSTM layer that reads attention keys and values at
     each step. attend=None runs the fused read, one lstm_layer node;
     otherwise each step is an attend(query, w_q, b_q, memory) context over
-    one KeyValueRows memory, followed by a one-step lstm_layer node, with the
-    loss term of its h recorded right after it, where the decoder's head
-    reads it."""
+    one KeyValueRows memory, followed by a one-step lstm_layer node, each
+    input joined by concat nodes, with the loss term of its h recorded right
+    after it, where the decoder's head reads it."""
     x, h, c, w_x, w_h, bias, w_q, b_q, kp_t, vp = inputs
     terms = []
     if attend is None:
@@ -949,8 +947,9 @@ def _read_loss(attend, inputs, mixes):
     else:
         memory = KeyValueRows(kp_t, vp)
         for x_t, mix in zip((x,) if x.data.ndim == 2 else ad.unstack(x, axis=1), mixes):
-            context = attend((x_t, h) if w_q.shape[0] > h.shape[1] else h, w_q, b_q, memory)
-            h, c = ad.lstm_layer((context, x_t), h, c, w_x, w_h, bias)[1:]
+            context = attend(concat(x_t, h) if w_q.shape[0] > h.shape[1] else h, w_q, b_q,
+                             memory)
+            h, c = ad.lstm_layer(concat(context, x_t), h, c, w_x, w_h, bias)[1:]
             terms.append(sum_all(mul(h, Tensor(mix))))
     loss = terms[0]
     for term in terms[1:] + [sum_all(mul(c, Tensor(mixes[-1])))]:
@@ -1080,133 +1079,19 @@ def test_lstm_layer_read_gives_keys_and_values_made_before_the_tape_their_gradie
     assert read(kp_t, vp)[0].shape == (3, 4, 3)
 
 
-# Input parts: widths, and which part takes a gradient. The no-grad parts
-# stand for a teacher-forced step input or the forecast-day weather.
-PART_CASES = [
-    ((3, 2), (True, True)),
-    ((3, 2), (True, False)),
-    ((2, 3), (False, True)),
-    ((1, 2, 2), (False, False, True)),
-    ((2, 1, 2), (True, False, True)),
-    ((1, 1, 3), (False, False, False)),
-]
-
-
-def _concat_parts(parts):
-    """The reference join: a chain of concat nodes, left to right."""
-    joined = parts[0]
-    for part in parts[1:]:
-        joined = concat(joined, part, axis=-1)
-    return joined
-
-
-def _part_tensors(rng, lead, widths, grads):
-    return [Tensor(rng.normal(size=lead + (w,)), requires_grad=g) for w, g in zip(widths, grads)]
-
-
-def _lstm_parts_run(join, widths, grads, steps):
-    """lstm_layer over join(parts): its outputs, every input's gradient and
-    the tape's ops. steps=None runs one (batch, in) step."""
-    rng = np.random.default_rng(51)
-    batch, units = 3, 4
-    lead = (batch,) if steps is None else (batch, steps)
-    parts = _part_tensors(rng, lead, widths, grads)
-    rest = [Tensor(rng.normal(size=s), requires_grad=True)
-            for s in [(batch, units), (batch, units), (sum(widths), 4 * units),
-                      (units, 4 * units), (4 * units,)]]
-    with Tape() as tape:
-        outputs = ad.lstm_layer(join(parts), *rest)
-        loss = None
-        for out in outputs:
-            term = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
-            loss = term if loss is None else add(loss, term)
-    backward(tape, loss)
-    return [o.data for o in outputs], [t.grad for t in parts + rest], [n.op for n in tape.nodes]
-
-
-def _attend_parts_run(join, widths, grads):
-    """An LSTM layer over two steps of join(parts) that reads keys and
-    values with the query (x_t, h), so every part takes gradient through the
-    cell's input, after the context, and through the query, before h: the
-    outputs, every input's gradient and the tape's ops."""
-    rng = np.random.default_rng(52)
-    batch, units, width, keys = 3, 4, 4, 6
-    parts = _part_tensors(rng, (batch, 2), widths, grads)
-    rest = [Tensor(rng.normal(size=s), requires_grad=True)
-            for s in [(batch, units), (batch, units), (width + sum(widths), 4 * units),
-                      (units, 4 * units), (4 * units,), (sum(widths) + units, width), (width,),
-                      (batch, width, keys), (batch, keys, width)]]
-    with Tape() as tape:
-        outputs = ad.lstm_layer(join(parts), *rest[:5], tuple(rest[5:]))
-        loss = None
-        for out in outputs:
-            term = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
-            loss = term if loss is None else add(loss, term)
-    backward(tape, loss)
-    return [o.data for o in outputs], [t.grad for t in parts + rest], [n.op for n in tape.nodes]
-
-
-def _assert_parts_match(new, ref, op: str, nodes: int, part_grads):
-    (out_new, grads_new, ops_new), (out_ref, grads_ref, ops_ref) = new, ref
-    assert ops_new.count(op) == ops_ref.count(op) == nodes and "concat" not in ops_new
-    for a, b in zip(out_new, out_ref):
-        assert np.array_equal(a, b)
-    assert len(grads_new) == len(grads_ref)
-    for k, (a, b) in enumerate(zip(grads_new, grads_ref)):
-        assert (a is None) == (b is None), k
-        assert a is None or (a.shape == b.shape and np.array_equal(a, b)), k
-    for k, g in enumerate(part_grads):  # exactly the trainable parts take one
-        assert (grads_new[k] is None) == (not g), k
-
-
-@pytest.mark.parametrize("steps", [None, 5], ids=["one_step", "sequence"])
-@pytest.mark.parametrize("widths, grads", PART_CASES)
-def test_lstm_layer_parts_bitwise_equal_concat_then_one_tensor(widths, grads, steps):
-    new = _lstm_parts_run(tuple, widths, grads, steps)
-    ref = _lstm_parts_run(_concat_parts, widths, grads, steps)
-    _assert_parts_match(new, ref, "lstm_layer", 1, grads)
-
-
-@pytest.mark.parametrize("widths, grads", PART_CASES)
-def test_attend_parts_bitwise_equal_concat_then_one_tensor(widths, grads):
-    new = _attend_parts_run(tuple, widths, grads)
-    ref = _attend_parts_run(_concat_parts, widths, grads)
-    _assert_parts_match(new, ref, "lstm_layer", 1, grads)
-
-
-def test_one_part_is_read_without_a_copy():
-    inputs = _layer_inputs(x_grad=True)
-    x = inputs[0]
-    assert ad._join("lstm_layer", (x,))[1] is x.data
-    with Tape() as tape:
-        alone = ad.lstm_layer(x, *inputs[1:])
-        one_part = ad.lstm_layer((x,), *inputs[1:])
-    assert [n.inputs[0] for n in tape.nodes] == [x, x]
-    for a, b in zip(alone, one_part):
-        assert np.array_equal(a.data, b.data)
-
-
-def test_parts_that_do_not_join_raise_shape_error_naming_them():
+def test_inputs_that_do_not_fit_raise_shape_error_naming_them():
     inputs = _layer_inputs(x_grad=False)  # x (3, 6, 4), state (3, 5)
-    for a, b in [((3, 6, 2), (3, 5, 2)), ((3, 2), (2, 2)), ((3, 6, 2), (3, 2))]:
-        parts = (Tensor(np.zeros(a)), Tensor(np.zeros(b)))
-        shapes = re.escape(f"parts [{a}, {b}]")
-        with pytest.raises(ShapeError, match=f"lstm_layer: {shapes}"):
-            ad.lstm_layer(parts, *inputs[1:])
-    with pytest.raises(ShapeError, match="parts"):
-        ad.lstm_layer((Tensor(np.zeros((3, 2))), Tensor(np.zeros(()))), *inputs[1:])
-    # Parts that join, to a width that does not fit the weights.
+    # A width that does not fit the weights.
     with pytest.raises(ShapeError, match=r"lstm_layer shapes do not fit: x \(3, 6, 5\)"):
-        ad.lstm_layer((Tensor(np.zeros((3, 6, 2))), Tensor(np.zeros((3, 6, 3)))), *inputs[1:])
+        ad.lstm_layer(Tensor(np.zeros((3, 6, 5))), *inputs[1:])
     read = (Tensor(np.zeros((7, 4))), Tensor(np.zeros(4)), np.zeros((3, 4, 7)),
             np.zeros((3, 7, 4)))
     with pytest.raises(ShapeError, match=r"lstm_layer read does not fit: query \(x 5, h 5\)"):
-        ad.lstm_layer((Tensor(np.zeros((3, 6, 2))), Tensor(np.zeros((3, 6, 3)))), *inputs[1:],
-                      read)
-    # The step count is read from the joined input.
-    empty = (Tensor(np.zeros((3, 0, 2))), Tensor(np.zeros((3, 0, 2))))
+        ad.lstm_layer(Tensor(np.zeros((3, 6, 5))), *inputs[1:], read)
     with pytest.raises(ShapeError, match=r"lstm_layer needs .* got \(3, 0, 4\)"):
-        ad.lstm_layer(empty, *inputs[1:])
+        ad.lstm_layer(Tensor(np.zeros((3, 0, 4))), *inputs[1:])
+    with pytest.raises(ShapeError, match=r"lstm_layer needs .* got \(\)"):
+        ad.lstm_layer(Tensor(np.zeros(())), *inputs[1:])
 
 
 def test_sequence_op_tapes_are_freed_without_the_cycle_collector():

@@ -372,6 +372,22 @@ def test_an_unreadable_config_exits_before_the_data_is_read(data_dir, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,make,message", [
+    ("missing.ckpt", lambda path: None, "cannot read the checkpoint: No such file or directory"),
+    ("ckptdir", lambda path: path.mkdir(), "cannot read the checkpoint: Is a directory")])
+def test_an_unreadable_checkpoint_exits_before_the_data_is_read(data_dir, tmp_path, monkeypatch,
+                                                                capsys, name, make, message):
+    monkeypatch.setattr(cli, "ingest_csv", _no_data_reads)
+    ckpt = tmp_path / name
+    make(ckpt)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["forecast", "--checkpoint", str(ckpt), "--data", str(data_dir),
+                 "--at", "1970-01-10T00:00:00Z", "--out", str(out)]) == 2
+    assert f"error: {ckpt}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_a_window_longer_than_the_data(data_dir, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("window_days=30\n")

@@ -138,8 +138,8 @@ def test_teacher_forced_step_reads_the_previous_teacher_row(family, mode):
 
 
 def _teacher_forced_step(model, forward, batch: int):
-    """The forecast, loss and every parameter gradient of one taped
-    teacher-forced batch of random windows through `forward`."""
+    """The forecast, loss and every parameter gradient of one taped batch of
+    random windows through `forward`, whose loss reads the random teacher."""
     cfg = model.config
     rng = np.random.default_rng(batch)
     inputs = rng.uniform(0.0, 1.0, (batch, cfg.input_steps, cfg.input_features))
@@ -178,6 +178,39 @@ def test_teacher_forced_decoder_equals_the_step_major_reference(decoder_nwp, mod
     assert [name for name, _ in new] == [name for name, _ in ref]
     for (name, a), (_, b) in zip(new, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("family", ["s2s", "s2s_attn"])
+@pytest.mark.parametrize("mode", ["pdf", "expected"])
+@pytest.mark.parametrize("decoder_nwp", [False, True], ids=["plain", "decoder_nwp"])
+def test_self_recurrent_gradients_equal_the_teacher_forced_replays(decoder_nwp, mode, family):
+    # The self-recurrent decoder feeds back its forecast's values, clipped in
+    # E mode, as constants: under a tape its gradients are those of the
+    # teacher-forced decoder given that feedback as the teacher.
+    cfg = _micro_config(family, mode, units_per_layer=6, input_steps=40,
+                        decoder_nwp=decoder_nwp)
+    model = build_model(cfg, seed=4)
+    recurrent = _teacher_forced_step(
+        model, lambda *a: model.forward_batch(*a[:2], None, "self_recurrent", a[3]), 3)
+    forecast = recurrent[0][1]
+    feedback = forecast if mode == "pdf" else np.clip(forecast, 0.0, 1.0)
+    model = build_model(cfg, seed=4)
+    replay = _teacher_forced_step(
+        model, lambda *a: model.forward_batch(*a[:2], feedback, "teacher_forcing", a[3]), 3)
+    assert [name for name, _ in recurrent] == [name for name, _ in replay]
+    # The one-step reads add the key and value gradients step by step, the
+    # layer-major node in one GEMM: what reaches the encoder through them is
+    # equal up to rounding. The key bias's gradient is zero but for rounding
+    # (a shift of every key's score leaves the softmax as it is), so the
+    # bound is taken against the largest gradient entry of the model.
+    largest = max(np.abs(g).max() for _, g in replay[2:])
+    for (name, a), (_, b) in zip(recurrent, replay):
+        assert a.shape == b.shape, name
+        if family == "s2s_attn" and (name.startswith("encoder") or ".w_k." in name
+                                     or ".w_v." in name):
+            assert np.abs(a - b).max() <= 1e-12 * largest, name
+        else:
+            assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("family", ["ffnn", "lstm", "s2s", "s2s_attn"])
@@ -325,7 +358,7 @@ def test_streamed_encoder_equals_the_taped_whole_sequence_forward(monkeypatch, f
     encoder_steps, inner = [], ad.lstm_layer
 
     def spy(x, *args):
-        if not isinstance(x, tuple) and x.data.ndim == 3:
+        if x.data.ndim == 3:
             encoder_steps.append(x.shape[1])
         return inner(x, *args)
 
