@@ -1079,6 +1079,125 @@ def test_lstm_layer_read_gives_keys_and_values_made_before_the_tape_their_gradie
     assert read(kp_t, vp)[0].shape == (3, 4, 3)
 
 
+# Input parts: widths, and which part takes a gradient. The no-grad parts
+# stand for a teacher-forced step input or the forecast-day weather. The
+# reference forward passes join such parts with concat nodes before one
+# lstm_layer; these cases pin that the join neither changes the layer's
+# outputs nor the gradient each part takes.
+PART_CASES = [
+    ((3, 2), (True, True)),
+    ((3, 2), (True, False)),
+    ((2, 3), (False, True)),
+    ((1, 2, 2), (False, False, True)),
+    ((2, 1, 2), (True, False, True)),
+    ((1, 1, 3), (False, False, False)),
+]
+
+
+def _concat_parts(parts):
+    """The reference join: a chain of concat nodes, left to right."""
+    joined = parts[0]
+    for part in parts[1:]:
+        joined = concat(joined, part, axis=-1)
+    return joined
+
+
+def _one_tensor(parts):
+    """The parts' values as one tensor, trainable if any part is."""
+    return Tensor(np.concatenate([p.data for p in parts], axis=-1),
+                  requires_grad=any(p.requires_grad for p in parts))
+
+
+def _part_tensors(rng, lead, widths, grads):
+    return [Tensor(rng.normal(size=lead + (w,)), requires_grad=g) for w, g in zip(widths, grads)]
+
+
+def _run_loss(tape, outputs, rng):
+    loss = None
+    for out in outputs:
+        term = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
+        loss = term if loss is None else add(loss, term)
+    backward(tape, loss)
+
+
+def _lstm_parts_run(join, widths, grads, steps):
+    """lstm_layer over join(parts): its outputs, the joined input's gradient
+    split back per part, every other input's gradient and the tape's ops.
+    steps=None runs one (batch, in) step."""
+    rng = np.random.default_rng(51)
+    batch, units = 3, 4
+    lead = (batch,) if steps is None else (batch, steps)
+    parts = _part_tensors(rng, lead, widths, grads)
+    rest = [Tensor(rng.normal(size=s), requires_grad=True)
+            for s in [(batch, units), (batch, units), (sum(widths), 4 * units),
+                      (units, 4 * units), (4 * units,)]]
+    with Tape() as tape:
+        x = join(parts)
+        outputs = ad.lstm_layer(x, *rest)
+        _run_loss(tape, outputs, rng)
+    return ([o.data for o in outputs], _part_grads(join, parts, x) + [t.grad for t in rest],
+            [n.op for n in tape.nodes])
+
+
+def _attend_parts_run(join, widths, grads):
+    """An LSTM layer over two steps of join(parts) that reads keys and
+    values with the query (x_t, h), so the input takes gradient through the
+    cell's input, after the context, and through the query, before h: the
+    outputs, the input's gradient per part, every other input's gradient
+    and the tape's ops."""
+    rng = np.random.default_rng(52)
+    batch, units, width, keys = 3, 4, 4, 6
+    parts = _part_tensors(rng, (batch, 2), widths, grads)
+    rest = [Tensor(rng.normal(size=s), requires_grad=True)
+            for s in [(batch, units), (batch, units), (width + sum(widths), 4 * units),
+                      (units, 4 * units), (4 * units,), (sum(widths) + units, width), (width,),
+                      (batch, width, keys), (batch, keys, width)]]
+    with Tape() as tape:
+        x = join(parts)
+        outputs = ad.lstm_layer(x, *rest[:5], tuple(rest[5:]))
+        _run_loss(tape, outputs, rng)
+    return ([o.data for o in outputs], _part_grads(join, parts, x) + [t.grad for t in rest],
+            [n.op for n in tape.nodes])
+
+
+def _part_grads(join, parts, x):
+    """Each part's gradient: its own after the concat join, else the slice
+    of the one tensor's gradient that holds it."""
+    if join is _concat_parts:
+        return [p.grad for p in parts]
+    bounds = np.cumsum([0] + [p.shape[-1] for p in parts])
+    return [None if x.grad is None or not p.requires_grad else x.grad[..., lo:hi]
+            for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])]
+
+
+def _assert_parts_match(new, ref, op: str, nodes: int, part_grads):
+    (out_new, grads_new, ops_new), (out_ref, grads_ref, ops_ref) = new, ref
+    assert ops_new.count(op) == ops_ref.count(op) == nodes and "concat" not in ops_new
+    for a, b in zip(out_new, out_ref):
+        assert np.array_equal(a, b)
+    assert len(grads_new) == len(grads_ref)
+    for k, (a, b) in enumerate(zip(grads_new, grads_ref)):
+        assert (a is None) == (b is None), k
+        assert a is None or (a.shape == b.shape and np.array_equal(a, b)), k
+    for k, g in enumerate(part_grads):  # exactly the trainable parts take one
+        assert (grads_ref[k] is None) == (not g), k
+
+
+@pytest.mark.parametrize("steps", [None, 5], ids=["one_step", "sequence"])
+@pytest.mark.parametrize("widths, grads", PART_CASES)
+def test_lstm_layer_parts_bitwise_equal_concat_then_one_tensor(widths, grads, steps):
+    new = _lstm_parts_run(_one_tensor, widths, grads, steps)
+    ref = _lstm_parts_run(_concat_parts, widths, grads, steps)
+    _assert_parts_match(new, ref, "lstm_layer", 1, grads)
+
+
+@pytest.mark.parametrize("widths, grads", PART_CASES)
+def test_attend_parts_bitwise_equal_concat_then_one_tensor(widths, grads):
+    new = _attend_parts_run(_one_tensor, widths, grads)
+    ref = _attend_parts_run(_concat_parts, widths, grads)
+    _assert_parts_match(new, ref, "lstm_layer", 1, grads)
+
+
 def test_inputs_that_do_not_fit_raise_shape_error_naming_them():
     inputs = _layer_inputs(x_grad=False)  # x (3, 6, 4), state (3, 5)
     # A width that does not fit the weights.
