@@ -177,20 +177,14 @@ def temporal(x, w) -> Tensor:
     return _emit("temporal", (x, w), out, grad_fn)
 
 
-def _sigmoid(d: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Logistic function: 1/(1+e) for d >= 0 and e/(1+e) below, with
-    e = exp(-|d|) <= 1 so that exp never overflows. The caller's buffers take
-    every temporary: `e` shaped like d, and `out`, which may be `d`. The
-    numerator is maximum(e, copysign(1, d)). As 0 <= e <= 1, that is 1 for
-    d >= +0 and e for d <= -0, where e = exp(-0) = 1 at d = -0, so it equals
-    where(d >= 0, 1.0, e)."""
-    np.abs(d, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.copysign(1.0, d, out=out)
-    np.maximum(e, out, out=out)
-    np.add(1.0, e, out=e)
-    return np.divide(out, e, out=out)
+def _sigmoid(d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic function 1/(1+exp(-d)) in four passes over `out`, which may
+    be `d`. Below d = -709.78 exp(-d) overflows to inf and the result is
+    exactly 0, so the caller must hold np.errstate(over="ignore")."""
+    np.negative(d, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def tanh(x) -> Tensor:
@@ -283,21 +277,21 @@ def swap_last_axes(x) -> Tensor:
 
 
 def _lstm_gates(pre: np.ndarray, c: np.ndarray, c_next: np.ndarray, tc: np.ndarray,
-                h_next: np.ndarray, e: np.ndarray, candidate: np.ndarray,
-                ig: np.ndarray) -> None:
+                h_next: np.ndarray, candidate: np.ndarray, ig: np.ndarray) -> None:
     """Turn pre-activations into gate activations (blocks i, f, g, o) in
     place and write c' = f*c + i*g, tanh(c') and h' = o*tanh(c'), in the
     operand order of the cell built from matmul/add/slice/sigmoid/tanh/mul
     nodes, so the values equal that composite's bitwise. `c_next` may be `c`.
-    The temporaries go through the caller's buffers: `e` shaped like `pre`
-    for _sigmoid, `candidate` and `ig` shaped like `c` for tanh(g) and i*g.
-    The caller holds the errstate that lets overflow through to its check."""
+    The temporaries go through the caller's buffers `candidate` and `ig`,
+    shaped like `c`, for tanh(g) and i*g.
+    The caller holds the errstate that _sigmoid needs and that lets overflow
+    through to its check."""
     u = c_next.shape[-1]
     # A contiguous copy keeps tanh on the same numpy loop as for a standalone
     # array, so the values match ad.tanh to the last bit on any build.
     np.copyto(candidate, pre[..., 2 * u:3 * u])
     np.tanh(candidate, out=candidate)
-    _sigmoid(pre, pre, e)
+    _sigmoid(pre, pre)
     pre[..., 2 * u:3 * u] = candidate
     i, f, g, o = pre[..., :u], pre[..., u:2 * u], pre[..., 2 * u:3 * u], pre[..., 3 * u:]
     np.multiply(f, c, out=c_next)
@@ -447,12 +441,14 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
         if record:
             qp_rows = np.empty((batch, steps, kp_t.shape[1]))
             weight_rows = np.empty((batch, steps, kp_t.shape[2]))
-    # Step scratch, reused by every step: h @ w_h, the sigmoid's exp(-|pre|),
-    # the finiteness mask, tanh(g) and i*g.
-    hw, e = np.empty((2, batch, 4 * u))
+    # Step scratch, reused by every step: h @ w_h, the finiteness mask,
+    # tanh(g) and i*g.
+    hw = np.empty((batch, 4 * u))
     finite = np.empty((batch, 4 * u), dtype=bool)
     candidate, ig = np.empty((2, batch, u))
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected
+    # The sigmoid's exp overflows to an exact 0 gate; non-finite values are
+    # rejected by the checks on pre, c and h.
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             k = t % chunk
             if read is not None:
@@ -476,9 +472,9 @@ def lstm_layer(x, h0, c0, w_x, w_h, bias, read=None) -> tuple[Tensor, Tensor, Te
             pre += bias.data
             _check_finite("lstm_layer", pre, finite)
             if record:
-                _lstm_gates(pre, cs[t], cs[t + 1], tcs[t], hs[t + 1], e, candidate, ig)
+                _lstm_gates(pre, cs[t], cs[t + 1], tcs[t], hs[t + 1], candidate, ig)
             else:
-                _lstm_gates(pre, c, c, tc, hs[t + 1], e, candidate, ig)
+                _lstm_gates(pre, c, c, tc, hs[t + 1], candidate, ig)
     h, c = (hs[steps], cs[steps].copy()) if record else (hs[steps].copy(), c)
     _check_finite("lstm_layer", c)
     _check_finite("lstm_layer", hs)
@@ -695,8 +691,8 @@ class SgdNesterov:
 
     def __init__(self, params, learning_rate: float = 0.003, momentum: float = 0.75):
         params = list(params)
-        if learning_rate <= 0.0:
-            raise ContractError("learning_rate must be positive")
+        if not 0.0 < learning_rate < math.inf:
+            raise ContractError(f"learning_rate must be positive and finite, got {learning_rate}")
         if not 0.0 <= momentum < 1.0:
             raise ContractError("momentum must lie in [0, 1)")
         self.params = params

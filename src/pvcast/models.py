@@ -91,12 +91,14 @@ class Forecast:
     steps: np.ndarray  # (output_steps, bins) or (output_steps,)
 
     def __post_init__(self):
+        # Each test is written so that NaN fails it, and inf fails the sum or
+        # the upper bound.
         if self.mode == "pdf":
             sums = self.steps.sum(axis=-1)
-            if np.any(self.steps < 0.0) or np.any(np.abs(sums - 1.0) > 1e-9):
+            if not (np.all(self.steps >= 0.0) and np.all(np.abs(sums - 1.0) <= 1e-9)):
                 raise ContractError("pdf forecast steps must be distributions summing to 1")
         else:
-            if np.any(self.steps < 0.0) or np.any(self.steps > 1.0):
+            if not (np.all(self.steps >= 0.0) and np.all(self.steps <= 1.0)):
                 raise ContractError("expected-value forecast steps must lie in [0, 1]")
 
     @property

@@ -59,7 +59,8 @@ def concat(a, b, axis: int = -1) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out = _sigmoid(x.data, np.empty_like(x.data), np.empty_like(x.data))
+    with np.errstate(over="ignore"):  # exp(-x) overflows to an exact 0 below x = -709.78
+        out = _sigmoid(x.data, np.empty_like(x.data))
 
     def grad_fn(g):
         return (g * out * (1.0 - out) if x.requires_grad else None,)

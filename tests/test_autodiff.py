@@ -217,33 +217,68 @@ def test_sigmoid_saturates_without_overflow():
     assert out[0] == 0.0 and out[1] == 1.0
 
 
-def _masked_sigmoid(d):
-    """The earlier sign-split form of ad._sigmoid, kept as its oracle."""
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+SIGMOID_SHAPES = [(1, 440), (8, 440), (32, 128), (3, 7)]
 
 
-@pytest.mark.parametrize("shape", [(1, 440), (8, 440), (32, 128), (3, 7)])
-def test_sigmoid_bitwise_equals_masked_form(shape):
+def _sigmoid_draws(shape):
+    """Normal draws at each spread, from sub-ulp to saturating, with the
+    edge values in front."""
     rng = np.random.default_rng(sum(shape))
     edges = np.array([0.0, -0.0, 745.5, -745.5, 1e308, -1e308, 36.0, -36.0, 1e-300, -1e-300])
-    # One buffer set serves every scale, as one lstm_layer call's steps share
-    # theirs, so a value left over from an earlier call would show.
-    out, e = np.empty(shape), np.empty(shape)
     for spread in (1e-8, 0.5, 3.0, 40.0, 800.0):
         d = rng.normal(0.0, spread, shape)
         d.flat[:edges.size] = edges
-        want = _masked_sigmoid(d)
-        got = ad._sigmoid(d, out, e)
+        yield d
+
+
+@pytest.mark.parametrize("shape", SIGMOID_SHAPES)
+def test_sigmoid_bitwise_equals_the_written_out_formula(shape):
+    # One buffer serves every spread, as one lstm_layer call's steps share
+    # theirs, so a value left over from an earlier call would show.
+    out = np.empty(shape)
+    for d in _sigmoid_draws(shape):
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-d))
+            got = ad._sigmoid(d, out)
+            in_place = d.copy()
+            ad._sigmoid(in_place, in_place)
         assert got is out and got.shape == shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        in_place = d.copy()
-        ad._sigmoid(in_place, in_place, e)
         assert np.array_equal(in_place.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", SIGMOID_SHAPES)
+def test_sigmoid_is_within_2_ulp_of_the_exact_logistic(shape):
+    # Exact to 200 bits, then rounded once to float64. Both values are
+    # non-negative, so their distance in ulp is that of their bit patterns.
+    out = np.empty(shape)
+    for d in _sigmoid_draws(shape):
+        with np.errstate(over="ignore"):
+            got = ad._sigmoid(d, out)
+        near = np.abs(d) <= 700.0
+        with mpmath.workprec(200):
+            exact = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in d[near]])
+        ulps = np.abs(got[near].view(np.int64) - exact.view(np.int64))
+        assert ulps.max(initial=0) <= 2
+        assert np.all(got[d > 746.0] == 1.0) and np.all(got[d < -746.0] == 0.0)
+
+
+def test_lstm_layer_saturates_its_gates_without_a_warning():
+    inputs, _, _ = _cell_inputs(x_grad=True)
+    inputs[5].data[...] = -800.0  # every gate's exp(-pre) overflows
+    pre = inputs[0].data @ inputs[3].data + inputs[1].data @ inputs[4].data + inputs[5].data
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        ad._sigmoid(pre, np.empty_like(pre))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h_seq, _, c = ad.lstm_layer(*inputs)
+        with Tape() as tape:
+            taped, _, _ = ad.lstm_layer(*inputs)
+            loss = sum_all(taped)
+        backward(tape, loss)
+    assert np.all(h_seq.data == 0.0) and np.all(c.data == 0.0)
+    assert np.array_equal(taped.data, h_seq.data)
+    assert all(np.all(np.isfinite(t.grad)) for t in inputs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -491,6 +526,15 @@ def test_sgd_zero_gradient_is_fixed_point():
     opt.step()
     opt.step()
     assert p.data[0] == 3.0
+
+
+@pytest.mark.parametrize("learning_rate, momentum", [
+    (0.0, 0.5), (-0.1, 0.5), (np.nan, 0.5), (np.inf, 0.5),
+    (0.1, -0.1), (0.1, 1.0), (0.1, np.nan)])
+def test_sgd_rejects_a_rate_or_momentum_out_of_range(learning_rate, momentum):
+    p = Tensor([1.0], requires_grad=True)
+    with pytest.raises(ContractError, match="learning_rate|momentum"):
+        SgdNesterov([p], learning_rate=learning_rate, momentum=momentum)
 
 
 def test_sgd_missing_gradient_is_contract_error():

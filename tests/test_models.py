@@ -480,5 +480,17 @@ def test_forecast_validation():
         Forecast("expected", np.array([0.5, 1.2]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forecast_rejects_non_finite_steps(bad):
+    pdf, expected = np.full((24, 50), 0.02), np.full(24, 0.5)
+    pdf[3, 7], expected[5] = bad, bad
+    for steps in (pdf, np.full((24, 50), bad)):
+        with pytest.raises(ContractError, match="distributions summing to 1"):
+            Forecast("pdf", steps)
+    for steps in (expected, np.full(24, bad)):
+        with pytest.raises(ContractError, match=r"lie in \[0, 1\]"):
+            Forecast("expected", steps)
+
+
 def test_benchmark_units_table_complete():
     assert set(BENCHMARK_UNITS) == set(BUDGETS)
