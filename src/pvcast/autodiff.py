@@ -192,7 +192,7 @@ def tanh(x) -> Tensor:
     out = np.tanh(x.data)
 
     def grad_fn(g):
-        return (g * (1.0 - out * out) if x.requires_grad else None,)
+        return (g * (1.0 - out * out),)
 
     return _emit("tanh", (x,), out, grad_fn)
 
@@ -207,8 +207,6 @@ def softmax(x) -> Tensor:
     out = ex / ex.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
-        if not x.requires_grad:
-            return (None,)
         inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
@@ -266,7 +264,7 @@ def swap_last_axes(x) -> Tensor:
     out = _swap(x.data).copy()
 
     def grad_fn(g):
-        return (_swap(g) if x.requires_grad else None,)
+        return (_swap(g),)
 
     return _emit("swap", (x,), out, grad_fn)
 

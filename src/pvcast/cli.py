@@ -313,7 +313,7 @@ def cmd_forecast(args) -> int:
     except ContractError as exc:
         raise DataError(str(exc)) from exc
 
-    forecast = model.forward(sample, mode="self_recurrent")
+    forecast = model.forward(sample)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = []

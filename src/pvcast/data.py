@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, ParseError
 
-MINUTE = 1
 HOUR = 60
 DAY = 1440
 GRID_STEP = 15
@@ -513,14 +512,6 @@ class Sample:
     nwp_ahead: np.ndarray | None = None  # (output_steps, 5) forecast-day weather
 
     @property
-    def input_steps(self) -> int:
-        return self.input.shape[0]
-
-    @property
-    def output_steps(self) -> int:
-        return self.history_pdf.shape[0]
-
-    @property
     def p0_e(self) -> float:
         return expected_value(self.p0_pdf)
 
@@ -530,13 +521,6 @@ class Sample:
             raise ContractError("sample has no targets")
         return expected_value(self.target_pdf)
 
-    def input_span(self) -> tuple[int, int]:
-        return (self.anchor - self.input_steps * GRID_STEP,
-                self.anchor + self.output_steps * HOUR)
-
-    def target_span(self) -> tuple[int, int]:
-        return (self.anchor, self.anchor + self.output_steps * HOUR)
-
 
 class Window(NamedTuple):
     """The span of a sample without its arrays: the split is decided on
@@ -545,12 +529,6 @@ class Window(NamedTuple):
     start: int   # first minute of the input window
     anchor: int
     end: int     # end of the target day
-
-    def input_span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
-    def target_span(self) -> tuple[int, int]:
-        return (self.anchor, self.end)
 
 
 def _samples(data: AlignedDataset, anchors, input_steps: int, output_steps: int,
@@ -624,8 +602,9 @@ def make_samples(data: AlignedDataset, stride_hours: int = 24, input_steps: int 
 
 @dataclass
 class SplitResult:
-    """The three parts of a split, each in anchor order, of the Samples or
-    Windows that were split, and the number discarded."""
+    """The three parts of a split, each in anchor order, and the number of
+    windows discarded. split fills the parts with Windows, build_splits with
+    the Samples built from them."""
 
     train: list
     val: list
@@ -636,62 +615,61 @@ class SplitResult:
         return iter((self.train, self.val, self.test))
 
 
-def _spans_conflict(a, b) -> bool:
-    for span, target in ((a.input_span(), b.target_span()),
-                         (b.input_span(), a.target_span())):
-        if span[0] < target[1] and target[0] < span[1]:
-            return True
-    return False
+def _spans_conflict(a: Window, b: Window) -> bool:
+    """Whether either window's full span [start, end) overlaps the other's
+    target span [anchor, end)."""
+    return a.start < b.end and b.anchor < a.end or b.start < a.end and a.anchor < b.end
 
 
 _OTHER_CLASSES = ((1, 2), (0, 2), (0, 1))
 
 
-def split(samples, fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitResult:
+def split(windows: list[Window], fractions=(0.70, 0.15, 0.15), seed: int = 0) -> SplitResult:
     """Seeded random assignment at the given ratios, then discard of any
-    sample whose full span overlaps a differently assigned sample's target
-    span. Ties keep the earlier-anchored sample and drop the later one.
-    The discard is linear after the sort: each sample is checked against at
-    most one kept sample of each other class. Samples need at least one
-    output step. The items are Samples or Windows; only their anchors and
-    spans are read, so a split of Windows keeps the same anchors in each
-    part as a split of the matching Samples.
+    window whose full span overlaps a differently assigned window's target
+    span. Ties keep the earlier-anchored window and drop the later one.
+    The discard is linear after the sort: each window is checked against at
+    most one kept window of each other class. Windows need at least one
+    output step.
     """
-    samples = list(samples)
-    if not samples:
-        raise ContractError("split needs a nonempty sample set")
-    if abs(sum(fractions) - 1.0) > 1e-9 or len(fractions) != 3:
-        raise ConfigError(f"fractions must be three values summing to 1, got {fractions}")
+    windows = list(windows)
+    if not windows:
+        raise ContractError("split needs a nonempty window set")
+    # The slack admits a remainder such as 1 - 0.32 - 0.68; NaN fails both tests.
+    if (len(fractions) != 3 or not all(-1e-9 <= f <= 1.0 + 1e-9 for f in fractions)
+            or not abs(sum(fractions) - 1.0) <= 1e-9):
+        raise ConfigError(
+            f"fractions must be three values in [0, 1] summing to 1, got {fractions}")
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(samples))
-    n_train = int(round(fractions[0] * len(samples)))
-    n_val = int(round(fractions[1] * len(samples)))
-    assign = np.empty(len(samples), dtype=np.int64)
+    order = rng.permutation(len(windows))
+    n_train = int(round(fractions[0] * len(windows)))
+    n_val = int(round(fractions[1] * len(windows)))
+    assign = np.empty(len(windows), dtype=np.int64)
     assign[order[:n_train]] = 0
     assign[order[n_train:n_train + n_val]] = 1
     assign[order[n_train + n_val:]] = 2
     assign = assign.tolist()
 
     # Every span starts at or before its anchor and ends where its targets
-    # end, so a kept sample conflicts with a later-anchored one exactly when
-    # it ends after the later one's input start: per class, the kept sample
+    # end, so a kept window conflicts with a later-anchored one exactly when
+    # it ends after the later one's input start: per class, the kept window
     # that ends latest decides.
-    anchors = [s.anchor for s in samples]
+    anchors = [w.anchor for w in windows]
     latest: list = [None, None, None]
     parts: tuple[list, list, list] = ([], [], [])
     discarded = 0
-    for i in sorted(range(len(samples)), key=anchors.__getitem__):
-        s, cls = samples[i], assign[i]
+    for i in sorted(range(len(windows)), key=anchors.__getitem__):
+        w, cls = windows[i], assign[i]
         for c in _OTHER_CLASSES[cls]:
             other = latest[c]
-            if other is not None and _spans_conflict(other, s):
+            if other is not None and _spans_conflict(other, w):
                 discarded += 1
                 break
         else:
-            parts[cls].append(s)
-            if latest[cls] is None or s.target_span()[1] > latest[cls].target_span()[1]:
-                latest[cls] = s
+            parts[cls].append(w)
+            if latest[cls] is None or w.end > latest[cls].end:
+                latest[cls] = w
     return SplitResult(parts[0], parts[1], parts[2], discarded)
 
 

@@ -114,13 +114,12 @@ class EvalReport:
 def _mean_metrics(model, samples: list[Sample], p_max: float):
     """Per-window metrics averaged uniformly over the sample windows."""
     nrmses, nmes, crpss = [], [], []
-    is_pdf = model.config.target_mode == "pdf" or model.config.family == "persistence"
-    for sample, forecast in zip(samples, model.forward_samples(samples, "self_recurrent")):
+    for sample, forecast in zip(samples, model.forward_samples(samples)):
         fe = forecast.expected * p_max
         pe = sample.target_e * p_max
         nrmses.append(nrmse(fe, pe, p_max))
         nmes.append(nme(fe, pe, p_max))
-        if is_pdf:
+        if forecast.mode == "pdf":
             crpss.append(crps(forecast.steps, sample.target_pdf))
     return (float(np.mean(nrmses)), float(np.mean(nmes)),
             float(np.mean(crpss)) if crpss else None)
@@ -131,7 +130,8 @@ def evaluate(models: list, samples: list[Sample], p_max: float,
     """Score every model on one split, with skills against persistence.
 
     The persistence row is the reference: its skill columns stay blank and
-    exactly one persistence model must be present.
+    exactly one persistence model must be present. A skill whose reference
+    error is 0, as persistence scores on day-periodic data, stays blank too.
     """
     if not samples:
         raise ContractError("evaluate needs a nonempty sample list")
@@ -147,7 +147,7 @@ def evaluate(models: list, samples: list[Sample], p_max: float,
                                 ref_crps, None, None, len(samples)))
             continue
         m_nrmse, m_nme, m_crps = _mean_metrics(model, samples, p_max)
-        s_n = skill(m_nrmse, ref_nrmse)
+        s_n = skill(m_nrmse, ref_nrmse) if ref_nrmse else None
         s_c = skill(m_crps, ref_crps) if m_crps is not None and ref_crps else None
         rows.append(EvalRow(model.config.name, split_name, m_nrmse, m_nme,
                             m_crps, s_n, s_c, len(samples)))

@@ -117,7 +117,7 @@ def persistence_forecast(history_pdf: np.ndarray) -> Forecast:
 
 
 class Model:
-    """Common surface: parameters(), forward(sample, mode) and batch forward."""
+    """Common surface: parameters(), forward(sample) and batch forward."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -132,24 +132,21 @@ class Model:
         tensor: distributions in pdf mode, unclipped expected values otherwise."""
         raise NotImplementedError
 
-    def forward_samples(self, samples: list[Sample],
-                        mode: str = "self_recurrent") -> list[Forecast]:
-        """Run the samples through forward_batch in groups of _forward_group
-        windows, in order; one Forecast each."""
+    def forward_samples(self, samples: list[Sample]) -> list[Forecast]:
+        """Forecast the samples self-recurrently through forward_batch in
+        groups of _forward_group windows, in order; one Forecast each."""
         cfg = self.config
-        _check_decoding(mode)
         group = _forward_group(cfg)
         forecasts = []
         for g0 in range(0, len(samples), group):
-            inputs, p0, teacher, nwp = sample_arrays(samples[g0:g0 + group], cfg,
-                                                     targets=mode == "teacher_forcing")
-            out = self.forward_batch(inputs, p0, teacher, mode, nwp)
+            inputs, p0, _, nwp = sample_arrays(samples[g0:g0 + group], cfg, targets=False)
+            out = self.forward_batch(inputs, p0, None, "self_recurrent", nwp)
             forecasts.extend(assemble_forecast(cfg, s) for s in out.data)
         return forecasts
 
-    def forward(self, sample: Sample, mode: str = "self_recurrent") -> Forecast:
-        """Run one sample through the model and assemble a Forecast."""
-        return self.forward_samples([sample], mode)[0]
+    def forward(self, sample: Sample) -> Forecast:
+        """Forecast one sample self-recurrently."""
+        return self.forward_samples([sample])[0]
 
 
 # Estimated activation bytes one forward_samples group may hold: a rough
@@ -194,11 +191,6 @@ def _forward_group(cfg: ModelConfig) -> int:
     return max(1, _FORWARD_BYTES // _window_bytes(cfg))
 
 
-def _check_decoding(mode: str) -> None:
-    if mode not in ("teacher_forcing", "self_recurrent"):
-        raise ContractError(f"unknown decoding mode '{mode}'")
-
-
 def sample_arrays(samples: list[Sample], cfg: ModelConfig, targets: bool = True):
     """Stack samples into forward_batch's arrays: inputs, p0, teacher and nwp.
     teacher is None unless `targets`; nwp is None unless the model decodes
@@ -232,18 +224,16 @@ def assemble_forecast(cfg: ModelConfig, steps: np.ndarray) -> Forecast:
 class PersistenceModel(Model):
     """Zero-parameter reference: replays the previous day's distributions."""
 
-    def forward(self, sample: Sample, mode: str = "self_recurrent") -> Forecast:
-        _check_decoding(mode)
+    def forward(self, sample: Sample) -> Forecast:
         history = sample.history_pdf
         if history.shape[0] != self.config.output_steps:
             raise ContractError(
                 f"history has {history.shape[0]} hours, need {self.config.output_steps}")
         return persistence_forecast(history)
 
-    def forward_samples(self, samples, mode="self_recurrent"):
+    def forward_samples(self, samples):
         """No network to batch: one replay per sample."""
-        _check_decoding(mode)
-        return [self.forward(s, mode) for s in samples]
+        return [self.forward(s) for s in samples]
 
 
 class OneBlockModel(Model):

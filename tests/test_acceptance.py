@@ -11,8 +11,8 @@ import pytest
 from pvcast import autodiff as ad
 from pvcast import data
 from pvcast.autodiff import Tensor
-from pvcast.data import (HOUR, build_splits, consolidate, make_samples,
-                         split, synth_generate)
+from pvcast.data import (GRID_STEP, HOUR, Window, build_splits, consolidate,
+                         list_anchors, split, synth_generate)
 from pvcast.layers import (AttentionLayer, DenseLayer, LstmLayer,
                            TemporalTransform, attend_projected, dense_forward,
                            lstm_step, temporal_transform)
@@ -315,8 +315,9 @@ def test_criterion_6_pipeline_invariants(tmp_path):
     energy_ok = bool(np.all(np.abs(per_hour_15 - per_hour_1) / scale < 1e-9))
 
     # Split determinism and zero cross-split overlap after discard.
-    samples = make_samples(ds, stride_hours=24, input_steps=96)
-    r1, r2 = split(samples, seed=9), split(samples, seed=9)
+    windows = [Window(t0 - 96 * GRID_STEP, t0, t0 + 24 * HOUR)
+               for t0 in list_anchors(ds, stride_hours=24, input_steps=96)]
+    r1, r2 = split(windows, seed=9), split(windows, seed=9)
     det_ok = all([a.anchor for a in p1] == [b.anchor for b in p2]
                  for p1, p2 in zip(r1, r2))
     overlap_ok = True
@@ -325,10 +326,8 @@ def test_criterion_6_pipeline_invariants(tmp_path):
         for part_b in parts[i + 1:]:
             for a in part_a:
                 for b in part_b:
-                    sa, tb = a.input_span(), b.target_span()
-                    sb, ta = b.input_span(), a.target_span()
-                    if (sa[0] < tb[1] and tb[0] < sa[1]) or \
-                       (sb[0] < ta[1] and ta[0] < sb[1]):
+                    if (a.start < b.end and b.anchor < a.end) or \
+                       (b.start < a.end and a.anchor < b.end):
                         overlap_ok = False
 
     # Checkpoint round-trip is bitwise lossless.
@@ -403,10 +402,10 @@ def test_criterion_7_mode_contract():
             model = build_model(ModelConfig(family=family, target_mode=mode,
                                             units_per_layer=5, input_steps=96),
                                 seed=3)
-            teacher = model.forward(sample, mode="teacher_forcing")
-            recurrent = model.forward(sample, mode="self_recurrent")
-            if not np.array_equal(np.atleast_1d(teacher.steps[0]),
-                                  np.atleast_1d(recurrent.steps[0])):
+            inputs, p0, teacher, _ = sample_arrays([sample], model.config)
+            forced = model.forward_batch(inputs, p0, teacher, "teacher_forcing").data
+            recurrent = model.forward_batch(inputs, p0, None, "self_recurrent").data
+            if not np.array_equal(forced[:, 0], recurrent[:, 0]):
                 step1_ok = False
             tf_ok = tf_ok and _decoder_reads_only_the_teacher(model, prep.splits.train[:2])
 

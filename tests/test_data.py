@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvcast import data
-from pvcast.data import (DAY, HOUR, NWP_CSV_HEADER, PV_CSV_HEADER, RawNwpSeries,
-                         RawPvSeries, Sample, Window, bin_distribution, build_splits,
+from pvcast.data import (DAY, GRID_STEP, HOUR, NWP_CSV_HEADER, PV_CSV_HEADER,
+                         RawNwpSeries, RawPvSeries, SplitResult, Window,
+                         bin_distribution, build_splits,
                          consolidate, distribution_quantile, expected_value,
                          format_timestamp, ingest_csv, list_anchors, make_sample,
                          make_samples, split, synth_generate, write_csv)
@@ -856,6 +857,21 @@ def _physical_grid(pv, nwp):
     return grid, ds
 
 
+def test_consolidate_scales_by_given_constants_and_clips_beyond_them():
+    pv, nwp = synth_generate(8, seed=3, p_max=P_MAX)
+    grid, _ = _physical_grid(pv, nwp)  # by default: the grid's own range
+    lo, hi = np.quantile(grid, 0.25, axis=0), np.quantile(grid, 0.75, axis=0)
+    hi[1] = lo[1]  # a zero-width channel is shifted, not divided
+    ds = consolidate(pv, nwp, norm_min=lo, norm_max=hi)
+    assert ds.norm_min.tolist() == lo.tolist()
+    assert ds.norm_max.tolist() == hi.tolist()
+    span = np.where(hi > lo, hi - lo, 1.0)
+    assert np.array_equal(ds.features, np.clip((grid - lo) / span, 0.0, 1.0))
+    below, above = grid < lo, grid > hi + span
+    assert below.any() and above.any()
+    assert np.all(ds.features[below] == 0.0) and np.all(ds.features[above] == 1.0)
+
+
 def test_consolidate_interpolates_nwp_linearly():
     grid, _ = _physical_grid(_constant_pv(6), _ramp_nwp(6))
     temp = grid[:, 0]
@@ -958,11 +974,10 @@ def test_sample_fields_and_spans():
     assert s.target_pdf.shape == (24, 50)
     assert s.history_pdf.shape == (24, 50)
     assert s.p0_pdf.shape == (50,)
-    lo, hi = s.input_span()
-    assert hi - lo == 480 * 15 + 24 * 60
-    t_lo, t_hi = s.target_span()
-    assert (t_lo, t_hi) == (s.anchor, s.anchor + 24 * 60)
-    # the targets are exactly the dataset's next 24 hourly distributions
+    # the input is the 480 grid slots before the anchor and the targets are
+    # exactly the dataset's next 24 hourly distributions
+    s1 = (s.anchor - ds.grid_start) // GRID_STEP
+    assert np.array_equal(s.input, ds.features[s1 - 480:s1])
     h0 = (s.anchor - ds.grid_start) // HOUR
     assert np.array_equal(s.target_pdf, ds.hour_targets[h0:h0 + 24])
 
@@ -1036,17 +1051,19 @@ def test_make_samples_raises_the_first_bad_anchors_message(monkeypatch):
 # ------------------------------------------------------------------ split ---
 
 
-def _mini_sample(anchor, input_steps=480, output_steps=24):
-    return Sample(anchor=anchor,
-                  input=np.zeros((input_steps, 6)),
-                  history_pdf=np.full((output_steps, 2), 0.5),
-                  p0_pdf=np.array([0.5, 0.5]),
-                  target_pdf=np.full((output_steps, 2), 0.5))
+def _mini_window(anchor, input_steps=480, output_steps=24):
+    return Window(anchor - input_steps * GRID_STEP, anchor, anchor + output_steps * HOUR)
+
+
+def _windows(ds, stride_hours, input_steps):
+    """The Windows build_splits decides its split on."""
+    return [_mini_window(t0, input_steps)
+            for t0 in list_anchors(ds, stride_hours, input_steps, 24)]
 
 
 def test_split_no_overlap_counts_within_rounding():
-    samples = [_mini_sample(6 * DAY * i + 5 * DAY) for i in range(40)]
-    result = split(samples, seed=3)
+    windows = [_mini_window(6 * DAY * i + 5 * DAY) for i in range(40)]
+    result = split(windows, seed=3)
     assert result.discarded == 0
     assert len(result.train) == round(0.70 * 40)
     assert len(result.val) == round(0.15 * 40)
@@ -1054,8 +1071,8 @@ def test_split_no_overlap_counts_within_rounding():
 
 
 def test_split_adjacent_samples_drop_later():
-    a = _mini_sample(5 * DAY)
-    b = _mini_sample(5 * DAY + HOUR)
+    a = _mini_window(5 * DAY)
+    b = _mini_window(5 * DAY + HOUR)
     result = split([a, b], seed=0)
     kept = result.train + result.val + result.test
     assert result.discarded == 1
@@ -1064,46 +1081,43 @@ def test_split_adjacent_samples_drop_later():
 
 
 def test_split_deterministic():
-    samples = [_mini_sample(5 * DAY + DAY * i) for i in range(100)]
-    r1 = split(samples, seed=42)
-    r2 = split(samples, seed=42)
+    windows = [_mini_window(5 * DAY + DAY * i) for i in range(100)]
+    r1 = split(windows, seed=42)
+    r2 = split(windows, seed=42)
     for part1, part2 in zip(r1, r2):
-        assert [s.anchor for s in part1] == [s.anchor for s in part2]
+        assert [w.anchor for w in part1] == [w.anchor for w in part2]
 
 
 def test_split_no_cross_split_overlap_after_discard():
-    samples = [_mini_sample(5 * DAY + DAY * i) for i in range(60)]
-    result = split(samples, seed=7)
+    windows = [_mini_window(5 * DAY + DAY * i) for i in range(60)]
+    result = split(windows, seed=7)
     parts = [result.train, result.val, result.test]
     for i, part_a in enumerate(parts):
         for part_b in parts[i + 1:]:
             for a in part_a:
                 for b in part_b:
-                    sa, ta = a.input_span(), a.target_span()
-                    sb, tb = b.input_span(), b.target_span()
-                    assert not (sa[0] < tb[1] and tb[0] < sa[1])
-                    assert not (sb[0] < ta[1] and ta[0] < sb[1])
+                    assert not (a.start < b.end and b.anchor < a.end)
+                    assert not (b.start < a.end and a.anchor < b.end)
 
 
-def _reference_split(samples, fractions, seed):
-    """The quadratic discard: every candidate against every kept sample."""
-    def overlaps(span, target):
-        return span[0] < target[1] and target[0] < span[1]
+def _reference_split(windows, fractions, seed):
+    """The quadratic discard: every candidate against every kept window."""
+    def overlaps(a, b):  # a's full span against b's target span
+        return a.start < b.end and b.anchor < a.end
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(samples))
-    n_train = int(round(fractions[0] * len(samples)))
-    n_val = int(round(fractions[1] * len(samples)))
-    assign = np.empty(len(samples), dtype=np.int64)
+    order = rng.permutation(len(windows))
+    n_train = int(round(fractions[0] * len(windows)))
+    n_val = int(round(fractions[1] * len(windows)))
+    assign = np.empty(len(windows), dtype=np.int64)
     assign[order[:n_train]] = 0
     assign[order[n_train:n_train + n_val]] = 1
     assign[order[n_train + n_val:]] = 2
     kept, discarded = [], 0
-    for i in sorted(range(len(samples)), key=lambda i: samples[i].anchor):
-        a = samples[i]
+    for i in sorted(range(len(windows)), key=lambda i: windows[i].anchor):
+        a = windows[i]
         if any(assign[j] != assign[i]
-               and (overlaps(samples[j].input_span(), a.target_span())
-                    or overlaps(a.input_span(), samples[j].target_span()))
+               and (overlaps(windows[j], a) or overlaps(a, windows[j]))
                for j in kept):
             discarded += 1
         else:
@@ -1114,7 +1128,7 @@ def _reference_split(samples, fractions, seed):
     return parts, discarded
 
 
-# (anchor hour, input steps, output steps) of each sample, and the split's
+# (anchor hour, input steps, output steps) of each window, and the split's
 # train and val percentages and seed.
 SPLIT_CASES = given(
     st.lists(st.tuples(st.integers(0, 240), st.integers(0, 600), st.integers(1, 48)),
@@ -1125,37 +1139,21 @@ SPLIT_CASES = given(
 def _split_case(specs, pct_train, pct_val):
     pct_val = min(pct_val, 100 - pct_train)
     fractions = (pct_train / 100, pct_val / 100, 1.0 - pct_train / 100 - pct_val / 100)
-    samples = [_mini_sample(5 * DAY + h * HOUR, steps_in, steps_out)
+    windows = [_mini_window(5 * DAY + h * HOUR, steps_in, steps_out)
                for h, steps_in, steps_out in specs]
-    return samples, fractions
+    return windows, fractions
 
 
 @settings(max_examples=300, deadline=None)
 @SPLIT_CASES
 def test_split_matches_quadratic_reference(specs, pct_train, pct_val, seed):
-    samples, fractions = _split_case(specs, pct_train, pct_val)
-    index = {id(s): i for i, s in enumerate(samples)}
-    result = split(samples, fractions, seed)
-    parts, discarded = _reference_split(samples, fractions, seed)
+    windows, fractions = _split_case(specs, pct_train, pct_val)
+    index = {id(w): i for i, w in enumerate(windows)}
+    result = split(windows, fractions, seed)
+    parts, discarded = _reference_split(windows, fractions, seed)
     assert result.discarded == discarded
     for part, want in zip(result, parts):
-        assert [index[id(s)] for s in part] == want
-
-
-@settings(max_examples=300, deadline=None)
-@SPLIT_CASES
-def test_split_of_windows_matches_split_of_their_samples(specs, pct_train, pct_val, seed):
-    samples, fractions = _split_case(specs, pct_train, pct_val)
-    windows = [Window(s.input_span()[0], s.anchor, s.target_span()[1]) for s in samples]
-    assert ([(w.input_span(), w.target_span()) for w in windows]
-            == [(s.input_span(), s.target_span()) for s in samples])
-    index = {id(w): i for i, w in enumerate(windows)}
-    index.update((id(s), i) for i, s in enumerate(samples))
-    by_windows, by_samples = split(windows, fractions, seed), split(samples, fractions, seed)
-    assert by_windows.discarded == by_samples.discarded
-    for got, want in zip(by_windows, by_samples):
-        assert all(isinstance(w, Window) for w in got)
-        assert [index[id(w)] for w in got] == [index[id(s)] for s in want]
+        assert [index[id(w)] for w in part] == want
 
 
 def test_split_checks_at_most_two_pairs_per_sample(monkeypatch):
@@ -1179,6 +1177,15 @@ def test_split_empty_is_error():
         split([])
 
 
+@pytest.mark.parametrize("fractions", [(0.5, 0.6, -0.1), (1.2, -0.1, -0.1),
+                                       (math.nan, 0.5, 0.5), (0.5, 0.5, math.nan)])
+def test_split_rejects_fractions_outside_the_unit_interval(fractions):
+    windows = [_mini_window(5 * DAY + DAY * i) for i in range(20)]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"fractions must be three values in [0, 1] summing to 1, got {fractions}")):
+        split(windows, fractions)
+
+
 def test_build_splits_rejects_a_window_longer_than_the_data():
     pv, nwp = synth_generate(16, seed=5, p_max=2000.0)
     message = ("no window fits: a 30-day input window and its 24-hour forecast do not fit "
@@ -1191,8 +1198,7 @@ def test_build_splits_rejects_a_window_longer_than_the_data():
 @pytest.mark.parametrize("seed", [6, 9, 10, 11])
 def test_build_splits_empty_train_split_names_the_counts_and_the_fix(seed):
     pv, nwp = synth_generate(16, seed=5, p_max=2000.0)
-    samples = make_samples(consolidate(pv, nwp), 1, 96, 24)
-    parts = split(samples, seed=seed)
+    parts = split(_windows(consolidate(pv, nwp), 1, 96), seed=seed)
     assert not parts.train
     message = (f"no training coverage left after the overlap discard: 0/{len(parts.val)}/"
                f"{len(parts.test)} train/val/test and {parts.discarded} discarded; use "
@@ -1235,12 +1241,15 @@ def test_build_splits_builds_each_kept_window_once_and_no_discarded_one(monkeypa
 
 
 def _old_build_splits(pv, nwp, stride_hours, input_steps, seed):
-    """build_splits as split(make_samples(grid)): every window built into a
-    Sample, the Samples split, then the grid scaled from the train windows."""
+    """build_splits as a split of make_samples(grid): every window built into
+    a Sample, the windows split, each part taken from the Samples, then the
+    grid scaled from the train windows."""
     first_hour, features, targets = data._build_grid(pv, nwp, 50)
     ds = data.AlignedDataset(first_hour, features, np.zeros(6), np.ones(6), targets,
                              pv.p_max, 50)
-    splits = split(make_samples(ds, stride_hours, input_steps, 24), seed=seed)
+    built = {s.anchor: s for s in make_samples(ds, stride_hours, input_steps, 24)}
+    parts = split(_windows(ds, stride_hours, input_steps), seed=seed)
+    splits = SplitResult(*([built[w.anchor] for w in part] for part in parts), parts.discarded)
     mask = np.zeros(ds.n_slots, dtype=bool)
     for s in splits.train:
         s1 = (s.anchor - ds.grid_start) // 15

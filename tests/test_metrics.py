@@ -141,14 +141,17 @@ def test_metric_contract_errors():
 # ------------------------------------------------------------------ report ---
 
 
-def _samples():
+def _samples(periodic=False):
+    """Windows over 8 days of noisy clear-sky PV; with `periodic`, one day's
+    noise repeats every day, so yesterday's PV is exactly today's."""
     rng = np.random.default_rng(17)
     days = 8
     n = days * DAY
     minutes = np.arange(n, dtype=np.int64)
     mod = minutes % DAY
     env = np.clip(np.sin(np.pi * (mod - 6 * HOUR) / (12 * HOUR)), 0.0, None)
-    pv = RawPvSeries(minutes, P_MAX * env * rng.uniform(0.3, 1.0, n), P_MAX)
+    noise = np.tile(rng.uniform(0.3, 1.0, DAY), days) if periodic else rng.uniform(0.3, 1.0, n)
+    pv = RawPvSeries(minutes, P_MAX * env * noise, P_MAX)
     hours = HOUR * np.arange(days * 24, dtype=np.int64)
     chans = np.column_stack([np.full(hours.size, 10.0), np.full(hours.size, 101.0),
                              800 * np.clip(np.sin(np.pi * (hours % DAY - 6 * HOUR)
@@ -164,7 +167,7 @@ class _PerfectModel:
     def __init__(self):
         self.config = ModelConfig(family="ffnn", target_mode="pdf", input_steps=96)
 
-    def forward_samples(self, samples, mode="self_recurrent"):
+    def forward_samples(self, samples):
         return [Forecast("pdf", s.target_pdf.copy()) for s in samples]
 
 
@@ -180,6 +183,24 @@ def test_evaluate_perfect_model_scores_zero_and_skill_one():
     assert perfect.crps == pytest.approx(0.0, abs=1e-12)
     assert perfect.s_nrmse == pytest.approx(1.0)
     assert perfect.s_crps == pytest.approx(1.0)
+
+
+def test_evaluate_leaves_skills_blank_against_a_perfect_persistence():
+    samples = _samples(periodic=True)
+    persistence = build_model(ModelConfig(family="persistence", input_steps=96))
+    trained = build_model(ModelConfig(family="lstm", target_mode="expected",
+                                      units_per_layer=4, input_steps=96), seed=9)
+    report = evaluate([persistence, _PerfectModel(), trained], samples, P_MAX, "val")
+    ref, perfect, e_row = report.rows
+    assert ref.nrmse == 0.0 and ref.nme == 0.0 and ref.crps == 0.0
+    assert perfect.nrmse == pytest.approx(0.0, abs=1e-12)
+    assert e_row.nrmse > 0.0 and e_row.crps is None
+    for row in report.rows:
+        assert row.s_nrmse is None and row.s_crps is None
+    for line in report.to_csv().splitlines()[1:]:
+        assert line.split(",")[5:7] == ["", ""]
+    with pytest.raises(ContractError, match="persistence error must be positive"):
+        skill(e_row.nrmse, ref.nrmse)
 
 
 def test_evaluate_requires_persistence():

@@ -107,12 +107,10 @@ def _micro_config(family, mode, **kw):
 def test_step_one_identical_under_both_decoding_modes(family, mode):
     samples, _ = _micro_samples()
     model = build_model(_micro_config(family, mode), seed=3)
-    teacher = model.forward(samples[0], mode="teacher_forcing")
-    recurrent = model.forward(samples[0], mode="self_recurrent")
-    if mode == "pdf":
-        assert np.array_equal(teacher.steps[0], recurrent.steps[0])
-    else:
-        assert teacher.steps[0] == recurrent.steps[0]
+    inputs, p0, teacher, _ = sample_arrays(samples[:1], model.config)
+    forced = model.forward_batch(inputs, p0, teacher, "teacher_forcing").data
+    recurrent = model.forward_batch(inputs, p0, None, "self_recurrent").data
+    assert np.array_equal(forced[:, 0], recurrent[:, 0])
 
 
 @pytest.mark.parametrize("family", ["s2s", "s2s_attn"])
@@ -260,13 +258,11 @@ def budget_for(cfg, windows):
     return windows * models._window_bytes(cfg)
 
 
-@pytest.mark.parametrize("family,mode,decoding", [
-    ("s2s_attn", "pdf", "self_recurrent"), ("s2s_attn", "expected", "teacher_forcing"),
-    ("s2s", "pdf", "self_recurrent"), ("lstm", "expected", "self_recurrent"),
-    ("ffnn", "pdf", "self_recurrent")])
+@pytest.mark.parametrize("family,mode", [
+    ("s2s_attn", "pdf"), ("s2s_attn", "expected"), ("s2s", "pdf"), ("lstm", "expected"),
+    ("ffnn", "pdf")])
 @pytest.mark.parametrize("group", [1, 2, 3])
-def test_forward_samples_runs_budget_groups_in_order(monkeypatch, family, mode,
-                                                     decoding, group):
+def test_forward_samples_runs_budget_groups_in_order(monkeypatch, family, mode, group):
     samples, _ = _micro_samples()
     n = len(samples)
     assert n == 7  # not a multiple of 2 or 3: the last group is partial
@@ -276,19 +272,18 @@ def test_forward_samples_runs_budget_groups_in_order(monkeypatch, family, mode,
     monkeypatch.setattr(models, "_FORWARD_BYTES", budget_for(cfg, group))
     assert models._forward_group(cfg) == group
     widths = spy_forward_batch(model)
-    forecasts = model.forward_samples(samples, decoding)
+    forecasts = model.forward_samples(samples)
     assert widths == [min(group, n - g0) for g0 in range(0, n, group)]
-    # Bitwise what forward_batch gives for each group of consecutive windows.
-    teacher_forced = decoding == "teacher_forcing"
+    # Bitwise what self-recurrent forward_batch gives for each group of
+    # consecutive windows.
     for g0 in range(0, n, group):
-        inputs, p0, teacher, nwp = sample_arrays(samples[g0:g0 + group], cfg,
-                                                 targets=teacher_forced)
-        out = reference(inputs, p0, teacher, decoding, nwp).data
+        inputs, p0, _, nwp = sample_arrays(samples[g0:g0 + group], cfg, targets=False)
+        out = reference(inputs, p0, None, "self_recurrent", nwp).data
         for got, steps in zip(forecasts[g0:g0 + group], out):
             assert np.array_equal(got.steps, assemble_forecast(cfg, steps).steps)
     # One window at a time is forward(); other group widths agree to rounding,
     # since a BLAS GEMM may round a row differently at another row count.
-    singles = [model.forward(s, decoding).steps for s in samples]
+    singles = [model.forward(s).steps for s in samples]
     for got, single in zip(forecasts, singles):
         if group == 1:
             assert np.array_equal(got.steps, single)
@@ -395,8 +390,12 @@ def test_teacher_forcing_without_targets_is_contract_error():
     s = samples[0]
     s.target_pdf = None
     model = build_model(_micro_config("s2s", "pdf"), seed=0)
-    with pytest.raises(ContractError):
-        model.forward(s, mode="teacher_forcing")
+    with pytest.raises(ContractError, match="sample has no targets"):
+        sample_arrays([s], model.config)
+    inputs, p0, teacher, _ = sample_arrays([s], model.config, targets=False)
+    assert teacher is None
+    with pytest.raises(ContractError, match="teacher forcing requires target values"):
+        model.forward_batch(inputs, p0, teacher, "teacher_forcing")
 
 
 def test_decoder_nwp_flag_changes_decoder_width_and_runs():
@@ -448,18 +447,6 @@ def test_persistence_matches_index_shift_oracle():
     forecast = model.forward(s)
     h0 = (s.anchor - ds.grid_start) // HOUR
     assert np.array_equal(forecast.steps, ds.hour_targets[h0 - 24:h0])
-
-
-def test_persistence_rejects_an_unknown_decoding_mode():
-    samples, _ = _micro_samples()
-    persistence = build_model(_micro_config("persistence", "pdf"), seed=0)
-    network = build_model(_micro_config("s2s", "pdf"), seed=0)
-    for model in (persistence, network):
-        for call in (lambda: model.forward_samples(samples, "bogus"),
-                     lambda: model.forward_samples([], "bogus"),
-                     lambda: model.forward(samples[0], "bogus")):
-            with pytest.raises(ContractError, match="unknown decoding mode 'bogus'"):
-                call()
 
 
 def test_persistence_wrong_history_length():
