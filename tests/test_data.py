@@ -867,7 +867,7 @@ def test_consolidate_scales_by_given_constants_and_clips_beyond_them():
     assert ds.norm_max.tolist() == hi.tolist()
     span = np.where(hi > lo, hi - lo, 1.0)
     assert np.array_equal(ds.features, np.clip((grid - lo) / span, 0.0, 1.0))
-    below, above = grid < lo, grid > hi + span
+    below, above = grid < lo, grid > hi + span  # the shifted channel too reads 1 there
     assert below.any() and above.any()
     assert np.all(ds.features[below] == 0.0) and np.all(ds.features[above] == 1.0)
 
